@@ -23,19 +23,20 @@ class SearchResult:
 
 
 class _Budget:
-    __slots__ = ("left", "exhausted")
+    """Counts search nodes; with a limit, refuses any node past it."""
 
-    def __init__(self, nodes: Optional[int]):
-        self.left = nodes
+    __slots__ = ("limit", "used", "exhausted")
+
+    def __init__(self, limit: Optional[int]):
+        self.limit = limit
+        self.used = 0
         self.exhausted = False
 
     def tick(self) -> bool:
-        if self.left is None:
-            return True
-        if self.left <= 0:
+        if self.limit is not None and self.used >= self.limit:
             self.exhausted = True
             return False
-        self.left -= 1
+        self.used += 1
         return True
 
 
@@ -182,13 +183,7 @@ def max_independent_subset(
     subset = tuple(v for v in range(n) if (subset_mask >> v) & 1)
     size = len(subset)
     optimal = not budget_box.exhausted and not hit_target
-    return SearchResult(subset, size, optimal, max(upper, size), budget_nodes_used(budget, budget_box))
-
-
-def budget_nodes_used(budget: Optional[int], box: _Budget) -> int:
-    if budget is None:
-        return 0
-    return budget - (box.left or 0)
+    return SearchResult(subset, size, optimal, max(upper, size), budget_box.used)
 
 
 def lexicographically_smallest_mis(

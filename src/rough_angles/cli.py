@@ -4,8 +4,8 @@ Every subcommand writes a JSON report (stdout by default, ``--out`` to a
 file) and exits 0 on success, 2 on a negative analysis verdict (violated /
 absent / unknown), 1 on errors such as malformed files or out-of-range
 parameters.  Reports are deterministic for a fixed configuration apart from
-the ``generated_at`` timestamp.  ``ROUGH_ANGLE_THREADS`` caps internal
-parallelism.
+the ``generated_at`` timestamp.  ``ROUGH_ANGLE_THREADS`` is read only by
+``refute-weird``, where it caps the parallelism of the trial batches.
 """
 
 from __future__ import annotations

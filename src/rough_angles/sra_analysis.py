@@ -15,19 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterator, Optional
 
 import numpy as np
 
 from . import _hypergraph
-from .metric_core import (
-    EUCLIDEAN_L2,
-    FiniteMetricSpace,
-    PointCloud,
-    default_tol,
-    from_point_cloud,
-    subspace,
-)
+from .metric_core import EUCLIDEAN_L2, FiniteMetricSpace, PointCloud, default_tol
+
+# Most violations a verdict or report lists.
+MAX_VIOLATIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -61,43 +58,34 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
 
 
-def _slack_for_middle(d: np.ndarray, z: int, alpha: float) -> np.ndarray:
-    """Matrix S with S[x,y] = d(x,y) - max{d(x,z)+a*d(z,y), a*d(x,z)+d(z,y)}."""
-    col = d[:, z]
-    m1 = col[:, None] + alpha * col[None, :]
-    allowed = np.maximum(m1, m1.T)
-    return d - allowed
+def _violations(d: np.ndarray, alpha: float, tol: float) -> Iterator[tuple[int, int, int, float]]:
+    """Yield (x, z, y, slack) for every triple whose slack
+    d(x,y) - max{d(x,z)+a*d(z,y), a*d(x,z)+d(z,y)} exceeds ``tol``: middle z
+    first, then x < y row-major, with x and y distinct from z."""
+    for z in range(d.shape[0]):
+        col = d[:, z]
+        m1 = col[:, None] + alpha * col[None, :]
+        slack = d - np.maximum(m1, m1.T)
+        over = slack > tol
+        if not over.any():
+            continue
+        xs, ys = np.nonzero(np.triu(over, 1))
+        for x, y, s in zip(xs.tolist(), ys.tolist(), slack[xs, ys].tolist()):
+            if x != z and y != z:
+                yield x, z, y, s
 
 
-def is_sra(
-    m: FiniteMetricSpace,
-    alpha: float,
-    tol: Optional[float] = None,
-    max_violations: int = 10_000,
-) -> SraVerdict:
+def is_sra(m: FiniteMetricSpace, alpha: float, tol: Optional[float] = None) -> SraVerdict:
     """Decide SRA(alpha) over all distinct triples; a triple is recorded as a
-    violation when its slack exceeds ``tol``."""
+    violation when its slack exceeds ``tol``.  At most ``MAX_VIOLATIONS`` are
+    kept, and ``truncated`` says whether more exist."""
     _check_alpha(alpha)
     if tol is None:
         tol = default_tol(m)
-    d = m.dist
-    n = m.n
-    out: list[TripleViolation] = []
-    truncated = False
-    for z in range(n):
-        slack = _slack_for_middle(d, z, alpha)
-        xs, ys = np.nonzero(np.triu(slack > tol, 1))
-        for x, y in zip(xs, ys):
-            if x == z or y == z:
-                continue
-            if len(out) >= max_violations:
-                truncated = True
-                break
-            out.append(TripleViolation(int(x), int(z), int(y), float(slack[x, y])))
-        if truncated:
-            break
-    return SraVerdict(alpha=float(alpha), is_sra=not out, violations=tuple(out),
-                      tol=float(tol), truncated=truncated)
+    found = list(islice(_violations(m.dist, alpha, tol), MAX_VIOLATIONS + 1))
+    out = tuple(TripleViolation(*v) for v in found[:MAX_VIOLATIONS])
+    return SraVerdict(alpha=float(alpha), is_sra=not out, violations=out,
+                      tol=float(tol), truncated=len(found) > MAX_VIOLATIONS)
 
 
 def critical_alpha(m: FiniteMetricSpace) -> float:
@@ -109,7 +97,10 @@ def critical_alpha(m: FiniteMetricSpace) -> float:
 
     so the space-wide critical value is the maximum of that expression over
     distinct triples.  Can exceed 1 (e.g. collinear configurations); for all
-    alpha' >= critical the space is SRA(alpha') at tol 0.
+    alpha' >= critical the space is SRA(alpha') at tol 0.  A ratio of 0/0
+    (a repeated point: d(x,z) = 0 and d(x,y) = d(z,y)) is a branch that holds
+    for every alpha, so it counts as -inf: the triple's NaN minimum is
+    skipped by ``nanmax``.
     """
     n = m.n
     if n <= 2:
@@ -125,7 +116,7 @@ def critical_alpha(m: FiniteMetricSpace) -> float:
         need[idx == z, :] = -np.inf
         need[:, idx == z] = -np.inf
         np.fill_diagonal(need, -np.inf)
-        val = float(np.max(need))
+        val = float(np.nanmax(need))
         if val > worst:
             worst = val
     return worst
@@ -139,17 +130,20 @@ def violating_triples(
     _check_alpha(alpha)
     if tol is None:
         tol = default_tol(m)
-    d = m.dist
-    n = m.n
-    edges: set[tuple[int, int, int]] = set()
-    for z in range(n):
-        slack = _slack_for_middle(d, z, alpha)
-        xs, ys = np.nonzero(np.triu(slack > tol, 1))
-        for x, y in zip(xs, ys):
-            if x == z or y == z:
-                continue
-            edges.add(tuple(sorted((int(x), int(z), int(y)))))
-    return sorted(edges)
+    return sorted({tuple(sorted(v[:3])) for v in _violations(m.dist, alpha, tol)})
+
+
+def _certificate(
+    n: int, edges: list[tuple[int, int, int]], alpha: float, budget: Optional[int]
+) -> SubsetCertificate:
+    """Maximum independent subset of the violating-triple hypergraph, replaced
+    by the lexicographically smallest optimum when the search completed."""
+    res = _hypergraph.max_independent_subset(n, edges, budget=budget)
+    subset = res.subset
+    if res.optimal and res.size < n:
+        subset = _hypergraph.lexicographically_smallest_mis(n, edges, res.size, budget=budget)
+    return SubsetCertificate(alpha=float(alpha), subset=subset, size=res.size,
+                             optimal=res.optimal, bound=res.upper_bound)
 
 
 def max_sra_subset(
@@ -165,14 +159,7 @@ def max_sra_subset(
     Among equal-size optima the lexicographically smallest subset is returned,
     so certificates are reproducible.
     """
-    _check_alpha(alpha)
-    edges = violating_triples(m, alpha, tol=tol)
-    res = _hypergraph.max_independent_subset(m.n, edges, budget=budget)
-    subset = res.subset
-    if res.optimal and res.size < m.n:
-        subset = _hypergraph.lexicographically_smallest_mis(m.n, edges, res.size, budget=budget)
-    return SubsetCertificate(alpha=float(alpha), subset=subset, size=res.size,
-                             optimal=res.optimal, bound=res.upper_bound)
+    return _certificate(m.n, violating_triples(m, alpha, tol=tol), alpha, budget)
 
 
 def sra_free_order(
@@ -266,12 +253,23 @@ def sra_report(
     budget: Optional[int] = 500_000,
     tol: Optional[float] = None,
 ) -> dict:
-    """Combined JSON-ready report: verdict, critical alpha, max subset."""
-    verdict = is_sra(m, alpha, tol=tol)
-    cert = max_sra_subset(m, alpha, budget=budget, tol=tol)
+    """Combined JSON-ready report: verdict, critical alpha, max subset.
+
+    One violation pass gives both the first ``MAX_VIOLATIONS`` violations and
+    the full hyperedge set of the subset search."""
+    _check_alpha(alpha)
+    if tol is None:
+        tol = default_tol(m)
+    shown: list[dict] = []
+    edges: set[tuple[int, int, int]] = set()
+    for x, z, y, slack in _violations(m.dist, alpha, tol):
+        if len(shown) < MAX_VIOLATIONS:
+            shown.append({"x": x, "z": z, "y": y, "slack": slack})
+        edges.add(tuple(sorted((x, z, y))))
+    cert = _certificate(m.n, sorted(edges), alpha, budget)
     return {
         "alpha": float(alpha),
-        "is_sra": verdict.is_sra,
+        "is_sra": not shown,
         "critical_alpha": critical_alpha(m),
         "max_subset": {
             "indices": list(cert.subset),
@@ -279,8 +277,6 @@ def sra_report(
             "optimal": cert.optimal,
             "bound": cert.bound,
         },
-        "violations": [
-            {"x": v.x, "z": v.z, "y": v.y, "slack": v.slack} for v in verdict.violations
-        ],
-        "tol": verdict.tol,
+        "violations": shown,
+        "tol": float(tol),
     }

@@ -11,6 +11,7 @@ from rough_angles import (
     ModelSpaceSpec,
     PointCloud,
     critical_alpha,
+    default_tol,
     euclidean_angle_audit,
     from_point_cloud,
     is_sra,
@@ -22,6 +23,9 @@ from rough_angles import (
     subspace,
     violating_triples,
 )
+
+from rough_angles._hypergraph import max_independent_subset
+from rough_angles.sra_analysis import MAX_VIOLATIONS
 
 from _generators import collinear, random_metric
 
@@ -69,6 +73,12 @@ def test_critical_alpha_examples():
     s = snowflake(collinear(3), 0.5)
     assert critical_alpha(s) == pytest.approx(math.sqrt(2) - 1.0, abs=1e-15)
     assert critical_alpha(FiniteMetricSpace([[0.0, 1.0], [1.0, 0.0]])) == 0.0
+    # Collinear 0, 1, 2 plus a second point at 1: the repeated point gives
+    # 0/0 ratios, which must not hide the violating triple (0, 1, 2).
+    pos = np.array([0.0, 1.0, 2.0, 1.0])
+    dup = FiniteMetricSpace(np.abs(pos[:, None] - pos[None, :]))
+    assert critical_alpha(dup) == 1.0
+    assert not is_sra(dup, 0.9, tol=0.0).is_sra
 
 
 def test_critical_alpha_matches_is_sra_on_grid():
@@ -191,6 +201,67 @@ def test_snowflake_law_small():
         m = random_metric(int(rng.integers(3, 9)), rng)
         for alpha in (0.3, 0.6, 0.9):
             assert is_sra(snowflake(m, alpha), alpha, tol=1e-12).is_sra
+
+
+def oracle_violations(m, alpha, tol):
+    """Independent oracle: every (x, z, y, slack) above tol by a plain triple
+    loop, middle first, then x < y."""
+    d = m.dist.tolist()
+    out = []
+    for z in range(m.n):
+        for x in range(m.n):
+            for y in range(x + 1, m.n):
+                if z in (x, y):
+                    continue
+                a, b = d[x][z], d[y][z]
+                slack = d[x][y] - max(a + alpha * b, b + alpha * a)
+                if slack > tol:
+                    out.append((x, z, y, slack))
+    return out
+
+
+def test_violation_scan_matches_triple_loop_oracle():
+    rng = np.random.default_rng(44)
+    for n in range(3, 10):
+        for _ in range(3):
+            m = random_metric(n, rng)
+            for alpha in (0.2, 0.5, 0.8, 0.95):
+                for tol in (0.0, None):
+                    expect = oracle_violations(m, alpha, default_tol(m) if tol is None else tol)
+                    verdict = is_sra(m, alpha, tol=tol)
+                    assert [(v.x, v.z, v.y, v.slack) for v in verdict.violations] == expect
+                    assert verdict.is_sra == (not expect) and not verdict.truncated
+                    edges = violating_triples(m, alpha, tol=tol)
+                    assert edges == sorted({tuple(sorted(v[:3])) for v in expect})
+                    rep = sra_report(m, alpha, tol=tol)
+                    cert = max_sra_subset(m, alpha, tol=tol)
+                    assert rep["is_sra"] == verdict.is_sra
+                    assert rep["violations"] == [
+                        {"x": v.x, "z": v.z, "y": v.y, "slack": v.slack}
+                        for v in verdict.violations]
+                    assert rep["critical_alpha"] == critical_alpha(m)
+                    assert rep["max_subset"] == {"indices": list(cert.subset), "size": cert.size,
+                                                 "optimal": cert.optimal, "bound": cert.bound}
+                    assert rep["tol"] == verdict.tol
+
+
+def test_violations_truncated_at_max():
+    m = collinear(41)
+    expect = oracle_violations(m, 0.9, default_tol(m))
+    assert len(expect) == 10_660 and MAX_VIOLATIONS == 10_000
+    verdict = is_sra(m, 0.9)
+    assert verdict.truncated and not verdict.is_sra
+    assert [(v.x, v.z, v.y, v.slack) for v in verdict.violations] == expect[:MAX_VIOLATIONS]
+    rep = sra_report(m, 0.9, budget=1)
+    assert rep["violations"] == [{"x": x, "z": z, "y": y, "slack": s}
+                                 for x, z, y, s in expect[:MAX_VIOLATIONS]]
+
+
+def test_search_counts_nodes_without_budget():
+    edges = [(0, 1, 2), (1, 2, 3), (0, 2, 4), (2, 3, 4)]
+    free = max_independent_subset(5, edges, budget=None)
+    capped = max_independent_subset(5, edges, budget=10**6)
+    assert free.nodes == capped.nodes > 0
 
 
 def test_sra_report_schema():
