@@ -100,7 +100,7 @@ def critical_alpha(m: FiniteMetricSpace) -> float:
     alpha' >= critical the space is SRA(alpha') at tol 0.  A ratio of 0/0
     (a repeated point: d(x,z) = 0 and d(x,y) = d(z,y)) is a branch that holds
     for every alpha, so it counts as -inf: the triple's NaN minimum is
-    skipped by ``nanmax``.
+    skipped by ``np.fmax``.
     """
     n = m.n
     if n <= 2:
@@ -116,7 +116,7 @@ def critical_alpha(m: FiniteMetricSpace) -> float:
         need[idx == z, :] = -np.inf
         need[:, idx == z] = -np.inf
         np.fill_diagonal(need, -np.inf)
-        val = float(np.nanmax(need))
+        val = float(np.fmax.reduce(need, axis=None))
         if val > worst:
             worst = val
     return worst
