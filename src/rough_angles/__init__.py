@@ -92,6 +92,5 @@ from .net_embedding import (
     greedy_net,
     net_embed,
 )
-from .cli import report_schema_version
 
 __version__ = "0.1.0"

@@ -4,8 +4,7 @@ Every subcommand writes a JSON report (stdout by default, ``--out`` to a
 file) and exits 0 on success, 2 on a negative analysis verdict (violated /
 absent / unknown), 1 on errors such as malformed files or out-of-range
 parameters.  Reports are deterministic for a fixed configuration apart from
-the ``generated_at`` timestamp.  ``ROUGH_ANGLE_THREADS`` is read only by
-``refute-weird``, where it caps the parallelism of the trial batches.
+the ``generated_at`` timestamp.
 """
 
 from __future__ import annotations
@@ -26,8 +25,10 @@ from .constants_extraction import (
     make_bundle,
     refute_weird_angles,
 )
-from .curves import curve_length, curve_diameter, curve_to_dse, gen_gradient_trajectory, is_self_contracted
-from .dse_spaces import as_dse, check_two_lemma, gap_D, gen_random_dse, gen_snowflaked_path, is_dse, length_L
+from .curves import (DivergenceError, curve_length, curve_diameter, curve_to_dse,
+                     gen_gradient_trajectory, is_self_contracted)
+from .dse_spaces import (RejectionError, as_dse, check_two_lemma, gap_D, gen_random_dse,
+                         gen_snowflaked_path, is_dse, length_L)
 from .metric_core import (
     EUCLIDEAN_L2,
     FiniteMetricSpace,
@@ -302,8 +303,7 @@ def _cmd_refute_weird(args) -> int:
         raise ValueError("--theta and --alpha are required")
     from .constants_extraction import n_of_theta_alpha
     n = args.n or n_of_theta_alpha(args.theta, args.alpha)
-    rep = refute_weird_angles(args.theta, args.alpha, n, args.trials, args.seed,
-                              threads=args.threads)
+    rep = refute_weird_angles(args.theta, args.alpha, n, args.trials, args.seed)
     result = {
         "n": rep.n,
         "trials": rep.trials,
@@ -435,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--model", type=str, default=EUCLIDEAN_L2)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--scales", type=float, nargs="*", default=None)
     p.add_argument("--in", dest="in_path", type=str, default=None)
     p.add_argument("--out", type=str, default=None)
@@ -447,7 +446,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError,
+            DivergenceError, RejectionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

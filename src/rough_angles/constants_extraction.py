@@ -26,18 +26,16 @@ Contents:
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import _hypergraph
-from .dse_spaces import DseSpace, is_dse
-from .metric_core import FiniteMetricSpace, subspace
+from .dse_spaces import DseSpace
+from .metric_core import subspace
 from .sra_analysis import SubsetCertificate, is_sra, max_sra_subset
 
 Rational = Union[int, float, str, Fraction]
@@ -418,28 +416,6 @@ def _candidate_batch(n: int, count: int, rng: np.random.Generator,
     return d
 
 
-def _feasible_mask(d: np.ndarray, theta: float, alpha: float) -> np.ndarray:
-    """Vectorized feasibility of a batch of candidate matrices."""
-    t, n, _ = d.shape
-    ok = np.ones(t, dtype=bool)
-    off = d + np.eye(n)[None, :, :]
-    ok &= np.all(off > 0.0, axis=(1, 2))
-    for j in range(n):
-        tri = d - d[:, :, j][:, :, None] - d[:, j, None, :]
-        ok &= np.all(tri <= 0.0, axis=(1, 2))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j, n):
-                ok &= d[:, i, j] <= d[:, i, k]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                ok &= d[:, i, k] <= d[:, i, j] + theta * d[:, j, k]
-    for i in range(n - 2):
-        ok &= d[:, n - 1, i + 1] >= d[:, n - 1, i] + alpha * d[:, i, i + 1]
-    return ok
-
-
 def _grid_probes(n: int, theta: float, alpha: float) -> np.ndarray:
     """Deterministic structured candidates evaluated before the random
     trials, covering the tight region of the constraint polytope."""
@@ -471,7 +447,6 @@ def refute_weird_angles(
     n: int,
     trials: int,
     seed: int,
-    threads: Optional[int] = None,
 ) -> RefutationReport:
     """Search for an n-point DSE space satisfying both combined conditions.
 
@@ -499,45 +474,26 @@ def refute_weird_angles(
                                 in_lemma_range=False, n_required=n_req,
                                 n_required_corrected=n_req_corr)
 
-    def scan(batch: np.ndarray) -> tuple[int, Optional[np.ndarray], float]:
-        mask = _feasible_mask(batch, theta, alpha)
+    batch_size = 4096
+    n_batches = (trials + batch_size - 1) // batch_size
+    seeds = np.random.SeedSequence(seed).spawn(n_batches)
+    # The grid probes come first, then the random batches in trial order, so
+    # the first verified hit is the first by probe and trial index.
+    batches = chain([_grid_probes(n, theta, alpha)], (
+        _candidate_batch(n, min(batch_size, trials - i * batch_size),
+                         np.random.default_rng(s), alpha)
+        for i, s in enumerate(seeds)))
+    for batch in batches:
+        total = _violation_totals(batch, theta, alpha)
+        mask = np.all(batch + np.eye(n)[None, :, :] > 0.0, axis=(1, 2)) & (total == 0.0)
         # Count only hits that survive the exact scalar check, so a reported
         # feasible instance is never a vectorization artifact.
         verified = [i for i in np.nonzero(mask)[0]
                     if weird_conditions_satisfied(batch[i], theta, alpha)]
-        hit = batch[verified[0]] if verified else None
-        viol = _batch_violation(batch, theta, alpha)
-        return len(verified), hit, viol
-
-    probes = _grid_probes(n, theta, alpha)
-    if probes.size:
-        c, h, v = scan(probes)
-        feasible += c
-        if h is not None and first is None:
-            first = h
-        min_viol = min(min_viol, v)
-
-    batch_size = 4096
-    n_batches = (trials + batch_size - 1) // batch_size
-    seeds = np.random.SeedSequence(seed).spawn(n_batches)
-
-    def run_batch(i: int) -> tuple[int, Optional[np.ndarray], float]:
-        rng = np.random.default_rng(seeds[i])
-        size = min(batch_size, trials - i * batch_size)
-        return scan(_candidate_batch(n, size, rng, alpha))
-
-    max_threads = threads if threads is not None else _env_threads()
-    if max_threads > 1 and n_batches > 1:
-        with ThreadPoolExecutor(max_workers=max_threads) as pool:
-            results = list(pool.map(run_batch, range(n_batches)))
-    else:
-        results = [run_batch(i) for i in range(n_batches)]
-    # Deterministic merge in batch order: first hit by trial index wins.
-    for c, h, v in results:
-        feasible += c
-        if h is not None and first is None:
-            first = h
-        min_viol = min(min_viol, v)
+        feasible += len(verified)
+        if verified and first is None:
+            first = batch[verified[0]]
+        min_viol = min(min_viol, float(np.min(total)))
 
     return RefutationReport(
         theta=float(theta), alpha=float(alpha), n=n, trials=trials,
@@ -550,9 +506,10 @@ def refute_weird_angles(
     )
 
 
-def _batch_violation(d: np.ndarray, theta: float, alpha: float) -> float:
-    """Smallest total constraint violation across the batch (0 for a hit);
-    reported so near-feasible parameter regimes are visible."""
+def _violation_totals(d: np.ndarray, theta: float, alpha: float) -> np.ndarray:
+    """Total constraint violation of each candidate in the batch (0 for a
+    hit): the clipped triangle, DSE, straightness and expansion excesses.
+    Its minimum is reported so near-feasible parameter regimes are visible."""
     t, n, _ = d.shape
     total = np.zeros(t)
     for j in range(n):
@@ -568,15 +525,7 @@ def _batch_violation(d: np.ndarray, theta: float, alpha: float) -> float:
                 total += np.clip(d[:, i, k] - d[:, i, j] - theta * d[:, j, k], 0.0, None)
     for i in range(n - 2):
         total += np.clip(d[:, n - 1, i] + alpha * d[:, i, i + 1] - d[:, n - 1, i + 1], 0.0, None)
-    return float(np.min(total))
-
-
-def _env_threads() -> int:
-    raw = os.environ.get("ROUGH_ANGLE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    return total
 
 
 # ----------------------------------------------------------------------------

@@ -134,35 +134,29 @@ def check_two_lemma(d: DseSpace, tol: Optional[float] = None) -> TwoLemmaVerdict
     n = d.n
     if n == 1:
         return TwoLemmaVerdict(True, None, 0.0, True)
-    # inner_max[i][l] = max distance within the index window [i..l].
-    inner_max = np.zeros((n, n))
-    for i in range(n - 2, -1, -1):
-        for l in range(i + 1, n):
-            inner_max[i, l] = max(inner_max[i + 1, l] if i + 1 <= l else 0.0,
-                                  inner_max[i, l - 1] if l - 1 >= i else 0.0,
-                                  dist[i, l])
-    ok = True
+    # inner_max[i, l] = max distance within the index window [i..l]: a prefix
+    # max along each row of the strict upper triangle gives the max over
+    # b <= l for a fixed a, and a suffix max down the columns folds in a >= i.
+    inner_max = np.maximum.accumulate(np.triu(dist, 1), axis=1)
+    inner_max = np.maximum.accumulate(inner_max[::-1], axis=0)[::-1]
+    iu, lu = np.triu_indices(n, 1)  # every window i < l, row-major
+    inner = inner_max[iu, lu]
+    bound = 2.0 * dist[iu, lu]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(bound > 0, inner / bound, np.inf)
+    ok = not np.any(inner > bound + tol)
+    # The worst window is the first row-major one with the largest ratio; it
+    # is reported, with its widest pair, only when the lemma fails.
+    p = int(np.argmax(ratios))
     worst = None
-    worst_ratio = 0.0
-    for i in range(n):
-        for l in range(i + 1, n):
-            bound = 2.0 * dist[i, l]
-            ratio = inner_max[i, l] / bound if bound > 0 else np.inf
-            if ratio > worst_ratio:
-                worst_ratio = ratio
-                worst = (i, -1, -1, l)
-            if inner_max[i, l] > bound + tol:
-                ok = False
-    if worst is not None:
-        i, _, _, l = worst
+    if not ok:
+        i, l = int(iu[p]), int(lu[p])
         sub = dist[i:l + 1, i:l + 1]
         j, k = np.unravel_index(int(np.argmax(sub)), sub.shape)
         worst = (i, i + int(min(j, k)), i + int(max(j, k)), l)
-    if ok:
-        worst = None
     diam_ok = diameter(d.space) <= 2.0 * gap_D(d) + tol
     return TwoLemmaVerdict(ok=ok and diam_ok, worst=worst,
-                           worst_ratio=float(worst_ratio), diam_le_two_gap=diam_ok)
+                           worst_ratio=float(ratios[p]), diam_le_two_gap=diam_ok)
 
 
 def gen_snowflaked_path(n: int, beta: float) -> DseSpace:

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rough_angles import cli
 from rough_angles.cli import main, report_schema_version
+from rough_angles.dse_spaces import RejectionError
 from rough_angles.io import save_distance_matrix, save_point_cloud
 from rough_angles.metric_core import (
     EUCLIDEAN_L2,
@@ -87,6 +93,34 @@ def test_error_exit_code(capsys, tmp_path):
     assert rc == 1
     rc = main(["snowflake", "--in", str(missing), "--beta", "0.5"])
     assert rc == 1
+
+
+def test_generator_failures_exit_with_error(capsys, tmp_path, monkeypatch):
+    rc = main(["gen-curve", "--seed", "1", "--step", "5",
+               "--out", str(tmp_path / "c.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "objective increased" in err
+
+    def exhausted(*args, **kwargs):
+        raise RejectionError("no DSE ordering found within 3 attempts")
+
+    monkeypatch.setattr(cli, "gen_random_dse", exhausted)
+    rc = main(["gen-dse", "--n", "12", "--seed", "1", "--out", str(tmp_path / "d.json")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: no DSE ordering")
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "rough_angles.cli",
+         "constants", "--alpha", "0.8"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == "constants"
 
 
 def test_snowflake_writes_matrix(capsys, tmp_path, collinear6):

@@ -29,6 +29,12 @@ from rough_angles import (
     weird_conditions_satisfied,
 )
 
+from rough_angles.constants_extraction import (
+    _candidate_batch,
+    _grid_probes,
+    _violation_totals,
+)
+
 from _generators import collinear
 
 
@@ -242,6 +248,77 @@ def test_refutation_n2_out_of_range():
 def test_refutation_requires_alpha_above_limit():
     with pytest.raises(ValueError):
         refute_weird_angles(0.2, 0.7, 4, trials=10, seed=0)
+
+
+def _feasible_mask(d: np.ndarray, theta: float, alpha: float) -> np.ndarray:
+    """Vectorized feasibility of a batch of candidate matrices."""
+    # Reference oracle: every constraint tested directly with <= / >=, not
+    # through the clipped violation totals the search derives its mask from.
+    t, n, _ = d.shape
+    ok = np.ones(t, dtype=bool)
+    off = d + np.eye(n)[None, :, :]
+    ok &= np.all(off > 0.0, axis=(1, 2))
+    for j in range(n):
+        tri = d - d[:, :, j][:, :, None] - d[:, j, None, :]
+        ok &= np.all(tri <= 0.0, axis=(1, 2))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j, n):
+                ok &= d[:, i, j] <= d[:, i, k]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                ok &= d[:, i, k] <= d[:, i, j] + theta * d[:, j, k]
+    for i in range(n - 2):
+        ok &= d[:, n - 1, i + 1] >= d[:, n - 1, i] + alpha * d[:, i, i + 1]
+    return ok
+
+
+REFUTATION_GRID = [(theta, alpha, n) for theta, alpha in [(0.2, 0.9), (0.3, 0.95)]
+                   for n in (3, 4, 5)]
+
+
+def test_violation_totals_mask_matches_reference_mask():
+    feasible = 0
+    for theta, alpha, n in REFUTATION_GRID:
+        batches = [_grid_probes(n, theta, alpha)]
+        batches += [_candidate_batch(n, 1024, np.random.default_rng(seed), alpha)
+                    for seed in range(10)]
+        for batch in batches:
+            total = _violation_totals(batch, theta, alpha)
+            mask = np.all(batch + np.eye(n)[None, :, :] > 0.0, axis=(1, 2)) & (total == 0.0)
+            ref = _feasible_mask(batch, theta, alpha)
+            assert np.array_equal(mask, ref), (theta, alpha, n)
+            feasible += int(np.count_nonzero(ref))
+    assert feasible > 0  # n = 3 has feasible rows, so the comparison bites
+
+
+def test_refutation_matches_reference_search():
+    """refute_weird_angles against the search as it ran on the reference
+    mask: probes first, then the seeded batches, first verified hit wins."""
+    hits = 0
+    for theta, alpha, n in REFUTATION_GRID:
+        for seed in (0, 1):
+            trials = 5_000
+            rep = refute_weird_angles(theta, alpha, n, trials=trials, seed=seed)
+            spawned = np.random.SeedSequence(seed).spawn(2)
+            batches = [_grid_probes(n, theta, alpha),
+                       _candidate_batch(n, 4096, np.random.default_rng(spawned[0]), alpha),
+                       _candidate_batch(n, trials - 4096, np.random.default_rng(spawned[1]),
+                                        alpha)]
+            count, first, viol = 0, None, math.inf
+            for batch in batches:
+                verified = [i for i in np.nonzero(_feasible_mask(batch, theta, alpha))[0]
+                            if weird_conditions_satisfied(batch[i], theta, alpha)]
+                count += len(verified)
+                if verified and first is None:
+                    first = batch[verified[0]].tolist()
+                viol = min(viol, float(np.min(_violation_totals(batch, theta, alpha))))
+            assert rep.feasible_count == count, (theta, alpha, n, seed)
+            assert rep.first_feasible == first
+            assert rep.min_total_violation == viol
+            hits += count
+    assert hits > 0
 
 
 def test_refutation_deterministic():

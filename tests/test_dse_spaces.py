@@ -5,9 +5,11 @@ from rough_angles import (
     EUCLIDEAN_L2,
     FiniteMetricSpace,
     ModelSpaceSpec,
+    DseSpace,
     RejectionError,
     as_dse,
     check_two_lemma,
+    default_tol,
     diameter,
     gap_D,
     gen_random_dse,
@@ -19,7 +21,7 @@ from rough_angles import (
     snowflake,
 )
 
-from _generators import collinear
+from _generators import collinear, random_metric
 
 
 def test_is_dse_collinear_in_order():
@@ -73,6 +75,49 @@ def test_two_lemma_on_generated_spaces():
         assert verdict.diam_le_two_gap
         assert diameter(d.space) <= 2.0 * gap_D(d) + 1e-12
         assert gap_D(d) <= diameter(d.space) + 1e-12
+
+
+def _two_lemma_oracle(d, tol):
+    """Brute force over every i <= j <= k <= l with i < l: the verdict, the
+    first window (i, l) in row-major order with the largest positive ratio
+    and its first widest pair (j, k), reported only when the lemma fails."""
+    dist, n = d.dist, d.n
+    ok, best, worst_ratio = True, None, 0.0
+    for i in range(n):
+        for l in range(i + 1, n):
+            bound = 2.0 * dist[i, l]
+            widest, pair = -np.inf, None
+            for j in range(i, l + 1):
+                for k in range(j, l + 1):
+                    if dist[j, k] > bound + tol:
+                        ok = False
+                    if dist[j, k] > widest:
+                        widest, pair = dist[j, k], (j, k)
+            ratio = widest / bound if bound > 0 else np.inf
+            if ratio > worst_ratio:
+                worst_ratio, best = ratio, (i, pair[0], pair[1], l)
+    diam_ok = np.max(dist) <= 2.0 * dist[0, n - 1] + tol
+    return ok and diam_ok, None if ok else best, worst_ratio, diam_ok
+
+
+def test_two_lemma_matches_brute_force_oracle():
+    rng = np.random.default_rng(2)
+    spaces = [gen_snowflaked_path(n, beta) for n in (2, 3, 5, 8) for beta in (0.3, 0.5, 0.9)]
+    # Arbitrary orders of random metrics are mostly not DSE, so the lemma
+    # fails and the worst window and pair are exercised.
+    spaces += [DseSpace(random_metric(int(rng.integers(2, 9)), rng)) for _ in range(60)]
+    # A repeated point gives a zero gap: ratio inf at that window.
+    spaces.append(DseSpace(FiniteMetricSpace(
+        [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])))
+    failed = 0
+    for d in spaces:
+        for tol in (default_tol(d.space), 0.0):
+            got = check_two_lemma(d, tol=tol)
+            ok, worst, ratio, diam_ok = _two_lemma_oracle(d, tol)
+            assert (got.ok, got.worst, got.diam_le_two_gap) == (ok, worst, diam_ok)
+            assert got.worst_ratio == ratio  # bit for bit, inf included
+            failed += not got.ok
+    assert 0 < failed < 2 * len(spaces)
 
 
 def test_two_lemma_explicit_equality_pressure():
