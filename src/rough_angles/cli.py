@@ -21,9 +21,13 @@ import numpy as np
 
 from . import io as rio
 from .constants_extraction import (
+    c_of_m_theta,
     extract_sra_subspace,
+    format_constant,
     make_bundle,
+    n_of_theta_alpha,
     refute_weird_angles,
+    weird_angle_limit,
 )
 from .curves import (DivergenceError, curve_length, curve_diameter, curve_to_dse,
                      gen_gradient_trajectory, is_self_contracted)
@@ -39,7 +43,7 @@ from .metric_core import (
     validate_metric,
 )
 from .net_embedding import doubling_estimate, freeness_via_cover, greedy_net, net_embed
-from .sra_analysis import euclidean_angle_audit, sra_report
+from .sra_analysis import critical_alpha, euclidean_angle_audit, sra_report
 
 SCHEMA_VERSION = "1.0.0"
 
@@ -123,7 +127,6 @@ def _cmd_sra_check(args) -> int:
 
 def _cmd_critical_alpha(args) -> int:
     m = _load_space(args)
-    from .sra_analysis import critical_alpha
     return _emit(args, "critical-alpha", {"in": args.in_path},
                  {"critical_alpha": critical_alpha(m), "n": m.n}, {}, None)
 
@@ -246,8 +249,6 @@ def _cmd_curve_to_dse(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    from .constants_extraction import c_of_m_theta, format_constant, weird_angle_limit
-
     result: dict = {}
     if args.m is not None and args.theta is not None:
         c_exact = c_of_m_theta(args.m, args.theta)
@@ -301,7 +302,6 @@ def _cmd_refute_weird(args) -> int:
         raise ValueError("--seed is required for refute-weird")
     if args.theta is None or args.alpha is None:
         raise ValueError("--theta and --alpha are required")
-    from .constants_extraction import n_of_theta_alpha
     n = args.n or n_of_theta_alpha(args.theta, args.alpha)
     rep = refute_weird_angles(args.theta, args.alpha, n, args.trials, args.seed)
     result = {

@@ -462,6 +462,8 @@ def refute_weird_angles(
     n_req_corr = n_of_theta_alpha(theta, alpha, corrected=True)
     if n < 2:
         raise ValueError("need n >= 2")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
 
     feasible = 0
     first: Optional[np.ndarray] = None

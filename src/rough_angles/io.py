@@ -18,35 +18,38 @@ from .metric_core import FiniteMetricSpace, ModelSpaceSpec, PointCloud
 PathLike = Union[str, Path]
 
 
+def _checked_matrix(p: Path, dist: np.ndarray, declared_n=None) -> np.ndarray:
+    if declared_n is not None and int(declared_n) != dist.shape[0]:
+        raise ValueError(f"{p}: declared n={declared_n} but matrix has {dist.shape[0]} rows")
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+        raise ValueError(f"{p}: matrix is not square, shape {dist.shape}")
+    if np.max(np.abs(dist - dist.T)) > 0.0:
+        i, j = np.unravel_index(int(np.argmax(np.abs(dist - dist.T))), dist.shape)
+        raise ValueError(f"{p}: matrix is not symmetric at ({i},{j})")
+    return dist
+
+
 def load_distance_matrix(path: PathLike) -> FiniteMetricSpace:
     """CSV (one row per point, optional header) or JSON {"n":..,"dist":[[..]]},
     chosen by extension.  Asymmetric matrices are rejected."""
     p = Path(path)
     if p.suffix.lower() == ".json":
         payload = json.loads(p.read_text())
-        dist = np.asarray(payload["dist"], dtype=np.float64)
-        if "n" in payload and int(payload["n"]) != dist.shape[0]:
-            raise ValueError(f"{p}: declared n={payload['n']} but matrix has {dist.shape[0]} rows")
-    else:
-        rows = []
-        with p.open(newline="") as fh:
-            for rec in csv.reader(fh):
-                rec = [c.strip() for c in rec if c.strip() != ""]
-                if not rec:
+        return FiniteMetricSpace(_checked_matrix(p, np.asarray(payload["dist"], dtype=np.float64),
+                                                 payload.get("n")))
+    rows = []
+    with p.open(newline="") as fh:
+        for rec in csv.reader(fh):
+            rec = [c.strip() for c in rec if c.strip() != ""]
+            if not rec:
+                continue
+            try:
+                rows.append([float(c) for c in rec])
+            except ValueError:
+                if not rows:  # header line
                     continue
-                try:
-                    rows.append([float(c) for c in rec])
-                except ValueError:
-                    if not rows:  # header line
-                        continue
-                    raise
-        dist = np.asarray(rows, dtype=np.float64)
-    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
-        raise ValueError(f"{p}: matrix is not square, shape {dist.shape}")
-    if np.max(np.abs(dist - dist.T)) > 0.0:
-        i, j = np.unravel_index(int(np.argmax(np.abs(dist - dist.T))), dist.shape)
-        raise ValueError(f"{p}: matrix is not symmetric at ({i},{j})")
-    return FiniteMetricSpace(dist)
+                raise
+    return FiniteMetricSpace(_checked_matrix(p, np.asarray(rows, dtype=np.float64)))
 
 
 def save_distance_matrix(m: FiniteMetricSpace, path: PathLike) -> None:
@@ -94,14 +97,14 @@ def save_curve(c: SampledCurve, path: PathLike) -> None:
 
 
 def load_dse(path: PathLike) -> DseSpace:
-    """DSE file = distance-matrix JSON plus {"order": "identity"}; the
-    monotonicity is re-verified on ingest."""
+    """DSE file = distance-matrix JSON plus {"order": "identity"}; the matrix
+    is checked as in ``load_distance_matrix`` and the monotonicity re-verified."""
     p = Path(path)
     payload = json.loads(p.read_text())
     order = payload.get("order", "identity")
     if order != "identity":
         raise ValueError(f"{p}: unsupported order {order!r}")
-    dist = np.asarray(payload["dist"], dtype=np.float64)
+    dist = _checked_matrix(p, np.asarray(payload["dist"], dtype=np.float64), payload.get("n"))
     return as_dse(FiniteMetricSpace(dist))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -174,6 +174,44 @@ def default_tol(m: FiniteMetricSpace) -> float:
     return 1e-9 * (1.0 + diameter(m))
 
 
+def _middle_scan(d: np.ndarray, alpha: Optional[float], tol: Optional[float],
+                 critical: bool) -> Iterator[tuple[int, Optional[float], Optional[np.ndarray]]]:
+    """Yield (z, need, slack) per middle z: the one scan behind critical alpha,
+    the SRA(alpha) violations and the triangle check.
+
+    ``need`` (if ``critical``) is the largest min{(d(x,y)-d(x,z))/d(y,z),
+    (d(y,x)-d(y,z))/d(x,z)} over distinct x, y other than z, NaN skipped.
+    ``slack`` (if ``alpha`` is given) is d(x,y) - max{d(x,z) + alpha*d(z,y),
+    alpha*d(x,z) + d(z,y)} in a buffer the next yield overwrites; at alpha = 1
+    it is the triangle slack d(x,y) - (d(x,z) + d(z,y)).
+    """
+    n = d.shape[0]
+    a, b = np.empty((n, n)), np.empty((n, n))
+    diam = float(np.max(d))
+    # With both asked for, skip the slack (None) where need <= alpha + tol/(2*diam):
+    # one branch's slack is then <= tol/2, plus rounding of about 1e-15*diam.  A NaN
+    # need (0/0, a repeated point) has slack exactly 0.  The bound needs d symmetric,
+    # non-negative and tol well above rounding; else every middle is exact.
+    gate = (critical and alpha is not None and diam > 0.0 and tol >= 1e-12 * (1.0 + diam)
+            and not np.any(d < 0.0) and np.array_equal(d, d.T))
+    for z in range(n):
+        col, row = d[:, z], d[z, :]
+        need = None
+        if critical:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(np.subtract(d, col[:, None], out=a), col[None, :], out=a)
+            np.minimum(a, a.T, out=b)
+            b[z, :] = b[:, z] = -np.inf
+            np.fill_diagonal(b, -np.inf)
+            need = float(np.fmax.reduce(b, axis=None))
+        slack = None
+        if alpha is not None and not (gate and need <= alpha + tol / (2.0 * diam)):
+            np.add(col[:, None], alpha * row[None, :], out=a)
+            np.maximum(a, np.add(alpha * col[:, None], row[None, :], out=b), out=a)
+            slack = np.subtract(d, a, out=a)
+        yield z, need, slack
+
+
 def validate_metric(
     m: FiniteMetricSpace,
     tri_tol: Optional[float] = None,
@@ -213,20 +251,19 @@ def validate_metric(
     for i, j in bad:
         if not push(MetricViolation("positivity", (int(i), int(j)), float(d[i, j]))):
             break
-    # Triangle: for each middle j, d[i,k] <= d[i,j] + d[j,k] + tol.
+    # Triangle (SRA at alpha = 1): for each middle j, d[i,k] <= d[i,j] + d[j,k] + tol.
     if not truncated:
-        for j in range(n):
-            col = d[:, j]
-            slack = d - (col[:, None] + d[j, None, :])
-            ii, kk = np.nonzero(slack > tri_tol)
-            stop = False
-            for i, k in zip(ii, kk):
+        for j, _, slack in _middle_scan(d, 1.0, None, False):
+            over = slack > tri_tol
+            if not over.any():
+                continue
+            ii, kk = np.nonzero(over)
+            for i, k in zip(ii.tolist(), kk.tolist()):
                 if i == j or k == j or i == k:
                     continue
-                if not push(MetricViolation("triangle", (int(i), int(j), int(k)), float(slack[i, k]))):
-                    stop = True
+                if not push(MetricViolation("triangle", (i, j, k), float(slack[i, k]))):
                     break
-            if stop:
+            if truncated:
                 break
 
     return ValidationReport(passed=not out and not truncated, violations=tuple(out),
@@ -260,25 +297,6 @@ def snowflake(m: FiniteMetricSpace, beta: float) -> FiniteMetricSpace:
 # ----------------------------------------------------------------------------
 # Model-space distances
 # ----------------------------------------------------------------------------
-
-def model_distance(model: ModelSpaceSpec, u: np.ndarray, v: np.ndarray) -> float:
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if model.kind == EUCLIDEAN_L2:
-        return float(np.linalg.norm(u - v))
-    if model.kind == NORMED_L1:
-        return float(np.sum(np.abs(u - v)))
-    if model.kind == NORMED_LINF:
-        return float(np.max(np.abs(u - v)))
-    if model.kind == SPHERE_UNIT:
-        return float(np.arccos(np.clip(np.dot(u, v), -1.0, 1.0)))
-    if model.kind == HYPERBOLIC_PLANE:
-        du = 1.0 - float(np.dot(u, u))
-        dv = 1.0 - float(np.dot(v, v))
-        sq = float(np.dot(u - v, u - v))
-        return float(np.arccosh(1.0 + 2.0 * sq / (du * dv)))
-    raise ValueError(f"unsupported model {model.kind}")
-
 
 def _pairwise(model: ModelSpaceSpec, c: np.ndarray) -> np.ndarray:
     n = c.shape[0]

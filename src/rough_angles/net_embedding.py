@@ -97,9 +97,7 @@ def doubling_estimate(m: FiniteMetricSpace, scales: Sequence[float]) -> list[Sca
             ball = [int(i) for i in np.nonzero(d[center] <= 2.0 * s)[0]]
             if len(ball) <= 1:
                 continue
-            sub = subspace(m, ball)
-            cover = greedy_net(sub, s)
-            worst = max(worst, len(cover))
+            worst = max(worst, len(greedy_net(m, s, on=ball)))
         out.append(ScaleEstimate(scale=float(s), covering_number=worst))
     return out
 

@@ -6,7 +6,9 @@ ordered triple (x, z, y) of distinct points obeys
     d(x,y) <= max{ d(x,z) + alpha * d(z,y),  alpha * d(x,z) + d(z,y) }.
 
 The inequality is symmetric in x and y, so triples are enumerated with x < y
-and every distinct middle z.  Violating unordered triples form a 3-uniform
+and every distinct middle z, by the per-middle scan of ``metric_core`` that
+also yields critical alpha (in the same pass for ``sra_report``) and checks
+triangles.  Violating unordered triples form a 3-uniform
 hypergraph; a subset is SRA(alpha) exactly when it spans no violating triple,
 which turns maximum-subspace search into a maximum independent set problem.
 """
@@ -21,7 +23,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import _hypergraph
-from .metric_core import EUCLIDEAN_L2, FiniteMetricSpace, PointCloud, default_tol
+from .metric_core import EUCLIDEAN_L2, FiniteMetricSpace, PointCloud, _middle_scan, default_tol
 
 # Most violations a verdict or report lists.
 MAX_VIOLATIONS = 10_000
@@ -58,14 +60,17 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
 
 
-def _violations(d: np.ndarray, alpha: float, tol: float) -> Iterator[tuple[int, int, int, float]]:
+def _violations(d: np.ndarray, alpha: float, tol: float,
+                needs: Optional[list] = None) -> Iterator[tuple[int, int, int, float]]:
     """Yield (x, z, y, slack) for every triple whose slack
     d(x,y) - max{d(x,z)+a*d(z,y), a*d(x,z)+d(z,y)} exceeds ``tol``: middle z
-    first, then x < y row-major, with x and y distinct from z."""
-    for z in range(d.shape[0]):
-        col = d[:, z]
-        m1 = col[:, None] + alpha * col[None, :]
-        slack = d - np.maximum(m1, m1.T)
+    first, then x < y row-major, with x and y distinct from z.  Given a list
+    ``needs``, the same pass appends each middle's largest need to it."""
+    for z, need, slack in _middle_scan(d, alpha, tol, needs is not None):
+        if needs is not None:
+            needs.append(need)
+        if slack is None:
+            continue
         over = slack > tol
         if not over.any():
             continue
@@ -102,24 +107,7 @@ def critical_alpha(m: FiniteMetricSpace) -> float:
     for every alpha, so it counts as -inf: the triple's NaN minimum is
     skipped by ``np.fmax``.
     """
-    n = m.n
-    if n <= 2:
-        return 0.0
-    d = m.dist
-    worst = 0.0
-    idx = np.arange(n)
-    for z in range(n):
-        col = d[:, z]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (d - col[:, None]) / col[None, :]
-        need = np.minimum(ratio, ratio.T)
-        need[idx == z, :] = -np.inf
-        need[:, idx == z] = -np.inf
-        np.fill_diagonal(need, -np.inf)
-        val = float(np.fmax.reduce(need, axis=None))
-        if val > worst:
-            worst = val
-    return worst
+    return max([0.0] + [need for _, need, _ in _middle_scan(m.dist, None, None, True)])
 
 
 def violating_triples(
@@ -255,14 +243,15 @@ def sra_report(
 ) -> dict:
     """Combined JSON-ready report: verdict, critical alpha, max subset.
 
-    One violation pass gives both the first ``MAX_VIOLATIONS`` violations and
-    the full hyperedge set of the subset search."""
+    One scan gives the critical alpha, the first ``MAX_VIOLATIONS``
+    violations and the full hyperedge set of the subset search."""
     _check_alpha(alpha)
     if tol is None:
         tol = default_tol(m)
     shown: list[dict] = []
     edges: set[tuple[int, int, int]] = set()
-    for x, z, y, slack in _violations(m.dist, alpha, tol):
+    needs: list[float] = []
+    for x, z, y, slack in _violations(m.dist, alpha, tol, needs):
         if len(shown) < MAX_VIOLATIONS:
             shown.append({"x": x, "z": z, "y": y, "slack": slack})
         edges.add(tuple(sorted((x, z, y))))
@@ -270,7 +259,7 @@ def sra_report(
     return {
         "alpha": float(alpha),
         "is_sra": not shown,
-        "critical_alpha": critical_alpha(m),
+        "critical_alpha": max([0.0] + needs),
         "max_subset": {
             "indices": list(cert.subset),
             "size": cert.size,

@@ -153,6 +153,29 @@ def test_refute_weird_cli(capsys):
     assert rep["result"]["first_feasible"] is not None
 
 
+def test_refute_weird_cli_rejects_negative_trials(capsys):
+    rc = main(["refute-weird", "--theta", "0.2", "--alpha", "0.9",
+               "--n", "4", "--trials", "-5", "--seed", "1"])
+    out = capsys.readouterr()
+    assert rc == 1 and out.out == ""
+    assert out.err.startswith("error: trials must be >= 0")
+    # zero trials still runs the grid probes
+    rc, rep = run(capsys, "refute-weird", "--theta", "0.2", "--alpha", "0.9",
+                  "--n", "4", "--trials", "0", "--seed", "1")
+    assert rc == 0 and rep["result"]["trials"] == 0
+
+
+def test_extract_rejects_asymmetric_dse(capsys, tmp_path):
+    d = collinear(4).dist.copy()
+    d[0, 3] += 0.5
+    src = tmp_path / "asym.json"
+    src.write_text(json.dumps({"n": 4, "dist": d.tolist(), "order": "identity"}))
+    rc = main(["extract", "--in", str(src), "--alpha", "0.8", "--k", "2"])
+    out = capsys.readouterr()
+    assert rc == 1 and out.out == ""
+    assert out.err.startswith("error:") and "not symmetric at (0,3)" in out.err
+
+
 def test_net_embed_and_csv(capsys, tmp_path):
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((30, 2))

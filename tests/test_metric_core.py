@@ -30,7 +30,7 @@ from rough_angles.io import (
     save_point_cloud,
 )
 
-from _generators import collinear, random_metric
+from _generators import BOUNDARY_FRACS, boundary_triple, collinear, random_metric, scan_corpus
 
 
 def test_validate_collinear_passes():
@@ -67,6 +67,87 @@ def test_validate_cap_truncates():
     assert not rep.passed
     assert rep.truncated
     assert len(rep.violations) == 2
+
+
+def oracle_validate(d, tol, cap):
+    """Independent oracle: every axiom failure in validate_metric's order
+    (diagonal, symmetry, positivity, then triangles by middle j and row-major
+    (i, k)), cut at ``cap``."""
+    d = d.tolist()
+    n = len(d)
+    full = [("diagonal", (i,), abs(d[i][i])) for i in range(n) if d[i][i] != 0.0]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    full += [("symmetry", (i, j), abs(d[i][j] - d[j][i])) for i, j in pairs if d[i][j] != d[j][i]]
+    full += [("positivity", (i, j), d[i][j]) for i, j in pairs if d[i][j] <= 0.0]
+    full += [("triangle", (i, j, k), d[i][k] - (d[i][j] + d[j][k]))
+             for j in range(n) for i in range(n) for k in range(n)
+             if len({i, j, k}) == 3 and d[i][k] - (d[i][j] + d[j][k]) > tol]
+    return full[:cap], len(full) > cap
+
+
+def seed_triangle_loop(d, tri_tol, room):
+    """validate_metric's triangle loop as it stood before the shared middle
+    scan, kept verbatim as the reference on asymmetric input."""
+    n = d.shape[0]
+    out = []
+    for j in range(n):
+        col = d[:, j]
+        slack = d - (col[:, None] + d[j, None, :])
+        ii, kk = np.nonzero(slack > tri_tol)
+        stop = False
+        for i, k in zip(ii, kk):
+            if i == j or k == j or i == k:
+                continue
+            if len(out) >= room:
+                stop = True
+                break
+            out.append(("triangle", (int(i), int(j), int(k)), float(slack[i, k])))
+        if stop:
+            break
+    return out
+
+
+def as_tuples(rep):
+    return [(v.kind, v.indices, v.magnitude) for v in rep.violations]
+
+
+def test_validate_matches_oracle_on_scan_corpus():
+    for name, m in scan_corpus(np.random.default_rng(47)):
+        for tol in (None, 0.0, 1e-12, -1e-6):
+            t = default_tol(m) if tol is None else tol
+            for cap in (1, 7, 100):
+                rep = validate_metric(m, tri_tol=tol, max_violations=cap)
+                expect, truncated = oracle_validate(m.dist, t, cap)
+                assert as_tuples(rep) == expect, (name, tol, cap)
+                assert rep.truncated == truncated and rep.tri_tol == t
+                assert rep.passed == (not expect and not truncated)
+
+
+def test_validate_boundary_triangles_straddle_the_tolerance():
+    for scale in (1.0, 1000.0):
+        for frac in BOUNDARY_FRACS:
+            m = boundary_triple(1.0, frac, scale)
+            rep = validate_metric(m)
+            assert rep.passed == (frac < 1.0)
+            if not rep.passed:
+                assert rep.violations[0].magnitude == pytest.approx(frac * default_tol(m), rel=1e-4)
+
+
+def test_validate_asymmetric_matches_seed_triangle_loop():
+    rng = np.random.default_rng(48)
+    for n in range(3, 12):
+        d = rng.uniform(0.2, 2.0, size=(n, n))
+        np.fill_diagonal(d, 0.0)
+        m = FiniteMetricSpace(d)
+        for tol in (None, 0.0, -1e-6):
+            t = default_tol(m) if tol is None else tol
+            for cap in (3, 100, 10_000):
+                rep = validate_metric(m, tri_tol=tol, max_violations=cap)
+                head = [v for v in as_tuples(rep) if v[0] != "triangle"]
+                room = cap - len(head)
+                reference = seed_triangle_loop(d, t, room) if room > 0 else []
+                assert as_tuples(rep) == head + reference
+                assert as_tuples(rep) == oracle_validate(d, t, cap)[0]
 
 
 def test_non_square_rejected():

@@ -27,7 +27,7 @@ from rough_angles import (
 from rough_angles._hypergraph import max_independent_subset
 from rough_angles.sra_analysis import MAX_VIOLATIONS
 
-from _generators import collinear, random_metric
+from _generators import BOUNDARY_FRACS, boundary_triple, collinear, random_metric, scan_corpus
 
 
 def equilateral(n=3, side=1.0):
@@ -205,7 +205,7 @@ def test_snowflake_law_small():
 
 def oracle_violations(m, alpha, tol):
     """Independent oracle: every (x, z, y, slack) above tol by a plain triple
-    loop, middle first, then x < y."""
+    loop over the literal definition, middle first, then x < y."""
     d = m.dist.tolist()
     out = []
     for z in range(m.n):
@@ -213,11 +213,49 @@ def oracle_violations(m, alpha, tol):
             for y in range(x + 1, m.n):
                 if z in (x, y):
                     continue
-                a, b = d[x][z], d[y][z]
-                slack = d[x][y] - max(a + alpha * b, b + alpha * a)
+                a, b = d[x][z], d[z][y]
+                slack = d[x][y] - max(a + alpha * b, alpha * a + b)
                 if slack > tol:
                     out.append((x, z, y, slack))
     return out
+
+
+def oracle_critical_alpha(m):
+    """Independent oracle: the largest per-triple need, clamped below at 0; a
+    0/0 ratio (a branch that holds for every alpha) drops its triple."""
+    d = m.dist.tolist()
+
+    def ratio(num, den):
+        if den != 0.0:
+            return num / den
+        return math.nan if num == 0.0 else math.copysign(math.inf, num)
+
+    worst = 0.0
+    for z in range(m.n):
+        for x in range(m.n):
+            for y in range(m.n):
+                if len({x, y, z}) < 3:
+                    continue
+                r1 = ratio(d[x][y] - d[x][z], d[y][z])
+                r2 = ratio(d[y][x] - d[y][z], d[x][z])
+                if not (math.isnan(r1) or math.isnan(r2)):
+                    worst = max(worst, min(r1, r2))
+    return worst
+
+
+def check_against_oracles(m, alpha, tol, budget):
+    expect = oracle_violations(m, alpha, default_tol(m) if tol is None else tol)
+    verdict = is_sra(m, alpha, tol=tol)
+    assert [(v.x, v.z, v.y, v.slack) for v in verdict.violations] == expect[:MAX_VIOLATIONS]
+    assert verdict.is_sra == (not expect)
+    assert verdict.truncated == (len(expect) > MAX_VIOLATIONS)
+    assert violating_triples(m, alpha, tol=tol) == sorted({tuple(sorted(v[:3])) for v in expect})
+    rep = sra_report(m, alpha, budget=budget, tol=tol)
+    assert rep["is_sra"] == verdict.is_sra
+    assert rep["violations"] == [{"x": x, "z": z, "y": y, "slack": s}
+                                 for x, z, y, s in expect[:MAX_VIOLATIONS]]
+    assert rep["tol"] == verdict.tol
+    return rep
 
 
 def test_violation_scan_matches_triple_loop_oracle():
@@ -225,24 +263,56 @@ def test_violation_scan_matches_triple_loop_oracle():
     for n in range(3, 10):
         for _ in range(3):
             m = random_metric(n, rng)
+            crit = oracle_critical_alpha(m)
+            assert critical_alpha(m) == crit
             for alpha in (0.2, 0.5, 0.8, 0.95):
                 for tol in (0.0, None):
-                    expect = oracle_violations(m, alpha, default_tol(m) if tol is None else tol)
-                    verdict = is_sra(m, alpha, tol=tol)
-                    assert [(v.x, v.z, v.y, v.slack) for v in verdict.violations] == expect
-                    assert verdict.is_sra == (not expect) and not verdict.truncated
-                    edges = violating_triples(m, alpha, tol=tol)
-                    assert edges == sorted({tuple(sorted(v[:3])) for v in expect})
-                    rep = sra_report(m, alpha, tol=tol)
+                    rep = check_against_oracles(m, alpha, tol, 500_000)
+                    assert rep["critical_alpha"] == crit
                     cert = max_sra_subset(m, alpha, tol=tol)
-                    assert rep["is_sra"] == verdict.is_sra
-                    assert rep["violations"] == [
-                        {"x": v.x, "z": v.z, "y": v.y, "slack": v.slack}
-                        for v in verdict.violations]
-                    assert rep["critical_alpha"] == critical_alpha(m)
                     assert rep["max_subset"] == {"indices": list(cert.subset), "size": cert.size,
                                                  "optimal": cert.optimal, "bound": cert.bound}
-                    assert rep["tol"] == verdict.tol
+
+
+def test_scan_corpus_matches_oracles():
+    """Every scan consumer against the triple-loop oracles on degenerate and
+    boundary inputs, at the default, zero, tiny and negative tolerances."""
+    for name, m in scan_corpus(np.random.default_rng(45), alphas=(0.2, 0.8, 0.95)):
+        crit = oracle_critical_alpha(m)
+        assert critical_alpha(m) == crit, name
+        alphas = (0.8,) if m.n > 20 else (0.2, 0.8, 0.95)
+        for alpha in alphas:
+            for tol in (None, 0.0, 1e-12, -1e-6):
+                rep = check_against_oracles(m, alpha, tol, 1)
+                assert rep["critical_alpha"] == crit, (name, alpha, tol)
+
+
+def test_boundary_triples_straddle_the_tolerance():
+    for alpha in (0.2, 0.8, 0.95):
+        for scale in (1.0, 1000.0):
+            for frac in BOUNDARY_FRACS:
+                m = boundary_triple(alpha, frac, scale)
+                v = is_sra(m, alpha)
+                assert v.is_sra == (frac < 1.0)
+                assert oracle_violations(m, alpha, 0.0)[0][3] == pytest.approx(
+                    frac * default_tol(m), rel=1e-4)
+                assert sra_report(m, alpha)["is_sra"] == v.is_sra
+                # mirrored below zero: slack -frac*t against tol -t
+                m = boundary_triple(alpha, -frac, scale)
+                v = is_sra(m, alpha, tol=-default_tol(m))
+                assert v.is_sra == (frac > 1.0)
+                assert sra_report(m, alpha, tol=-default_tol(m))["is_sra"] == v.is_sra
+
+
+def test_asymmetric_input_reads_d_z_y_from_row_z():
+    rng = np.random.default_rng(46)
+    for n in range(3, 9):
+        d = rng.uniform(0.5, 2.0, size=(n, n))
+        np.fill_diagonal(d, 0.0)
+        m = FiniteMetricSpace(d)
+        for alpha in (0.2, 0.8):
+            for tol in (None, 0.0):
+                check_against_oracles(m, alpha, tol, 500_000)
 
 
 def test_violations_truncated_at_max():
