@@ -1,8 +1,10 @@
 """Exact maximum independent set in a 3-uniform hypergraph.
 
 A subset of vertices is independent when it contains no hyperedge entirely.
-We solve the complementary minimum hitting-set problem by branch and bound:
-every edge needs at least one vertex outside the subset.  Vertices are
+``max_independent_subset`` solves the complementary minimum hitting-set
+problem by branch and bound: every edge needs at least one vertex outside the
+subset.  ``_in_order_search`` grows increasing tuples in index order instead,
+with the hyperedges handed over lazily as bitmasks.  Vertices are
 bitmask-encoded; all tie-breaks are by smallest index so results are
 deterministic regardless of schedule.
 """
@@ -10,7 +12,7 @@ deterministic regardless of schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -206,3 +208,49 @@ def lexicographically_smallest_mis(
     if len(chosen) != size:
         raise RuntimeError("failed to reconstruct certificate; budget too small")
     return tuple(chosen)
+
+
+def _in_order_search(n: int, third: Callable[[int, int], int],
+                     target: Optional[int] = None) -> tuple[int, ...]:
+    """The lexicographically smallest of the largest independent subsets of
+    range(n), as an increasing tuple; with ``target``, the lexicographically
+    first independent tuple of that size (or the former, if none exists).
+
+    ``third(a, b)``, for a < b, is the bitmask of every c > b such that
+    {a, b, c} is a hyperedge.  It is called at most once per pair, and only for
+    pairs of a tuple the search reaches.  The search branches in index order,
+    including a vertex before excluding it, keeps ``free`` (the vertices after
+    the tuple's last that complete no hyperedge with two of its members) as a
+    bitmask, and replaces the incumbent only on a strict improvement, so the
+    first maximum it meets is the lexicographically smallest one.
+    """
+    masks: dict[int, int] = {}
+    seq: list[int] = []
+    best: tuple[int, ...] = ()
+
+    def extend(free: int) -> bool:
+        nonlocal best
+        size = len(seq)
+        if size > len(best):
+            best = tuple(seq)
+            if size == target:
+                return True
+        while free and size + free.bit_count() > len(best):
+            low = free & -free
+            free ^= low
+            v = low.bit_length() - 1
+            cut = 0
+            for a in seq:
+                key = a * n + v
+                mask = masks.get(key)
+                if mask is None:
+                    mask = masks[key] = third(a, v)
+                cut |= mask
+            seq.append(v)
+            if extend(free & ~cut):
+                return True
+            seq.pop()
+        return False
+
+    extend((1 << n) - 1)
+    return best

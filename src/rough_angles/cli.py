@@ -37,6 +37,7 @@ from .metric_core import (
     EUCLIDEAN_L2,
     FiniteMetricSpace,
     ModelSpaceSpec,
+    canonical_kind,
     default_tol,
     diameter,
     snowflake,
@@ -202,6 +203,8 @@ def _cmd_gen_dse(args) -> int:
 def _cmd_gen_curve(args) -> int:
     if args.seed is None:
         raise ValueError("--seed is required for gen-curve")
+    if canonical_kind(args.model) != EUCLIDEAN_L2:
+        raise ValueError(f"gen-curve builds {EUCLIDEAN_L2} curves only, got --model {args.model}")
     rng = np.random.default_rng(args.seed)
     dim = args.dim
     a = rng.standard_normal((dim, dim))

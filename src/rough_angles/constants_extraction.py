@@ -15,7 +15,14 @@ Contents:
   exhaustive two-coloring check for the triangle number 6.
 * ``globq_bound``: the ball-cover pigeonhole bound k * lambda^ceil(log2(R/r)).
 * ``find_theta_straight_subset`` / ``max_theta_straight_subset``: exact
-  ordered-subset search.
+  ordered-subset search.  Straightness is hereditary, so a theta-straight
+  subset is an independent set of the 3-uniform hypergraph of non-straight
+  in-order triples; both run the in-order bitset search of ``_hypergraph``
+  and build each triple mask from one numpy row, only for pairs it reaches.
+  They return the lexicographically smallest maximum and the lexicographically
+  first m-tuple.
+* ``color_triples_red``: the red/blue colouring of the in-order triples of a
+  straight subset, from one numpy broadcast.
 * ``refute_weird_angles``: randomized plus grid search for DSE spaces
   satisfying both the straightness and the expansion conditions; any hit is
   dumped verbatim as a fatal inconsistency flag.
@@ -29,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -254,14 +261,16 @@ def globq_bound(k: int, lam: int, big_r: float, small_r: float) -> int:
 # Theta-straight subsets
 # ----------------------------------------------------------------------------
 
-def _straight_ok(d: np.ndarray, seq: Sequence[int], v: int, theta: float, tol: float) -> bool:
-    # All new in-order triples (a, b, v) introduced by appending v.
-    for ai in range(len(seq)):
-        for bi in range(ai + 1, len(seq)):
-            a, b = seq[ai], seq[bi]
-            if d[a, v] > d[a, b] + theta * d[b, v] + tol:
-                return False
-    return True
+def _straight_third(d: DseSpace, theta: float, tol: float) -> Callable[[int, int], int]:
+    """``third(a, b)`` for the in-order search: the bitmask of every c > b
+    with d(a,c) > d(a,b) + theta d(b,c) + tol, from one row of numpy."""
+    dist = d.dist
+
+    def third(a: int, b: int) -> int:
+        bad = dist[a, b + 1:] > dist[a, b] + theta * dist[b, b + 1:] + tol
+        return int.from_bytes(np.packbits(bad, bitorder="little").tobytes(), "little") << (b + 1)
+
+    return third
 
 
 def find_theta_straight_subset(
@@ -272,54 +281,18 @@ def find_theta_straight_subset(
     or None if no such tuple exists."""
     if m < 2:
         raise ValueError("need m >= 2")
-    n = d.n
-    if m > n:
+    if m > d.n:
         return None
-    if m == 2:
-        return (0, 1)
-    dist = d.dist
-
-    def extend(seq: list[int], start: int) -> Optional[tuple[int, ...]]:
-        if len(seq) == m:
-            return tuple(seq)
-        if n - start < m - len(seq):
-            return None
-        for v in range(start, n):
-            if len(seq) >= 2 and not _straight_ok(dist, seq, v, theta, tol):
-                continue
-            seq.append(v)
-            got = extend(seq, v + 1)
-            if got is not None:
-                return got
-            seq.pop()
-        return None
-
-    return extend([], 0)
+    got = _hypergraph._in_order_search(d.n, _straight_third(d, theta, tol), target=m)
+    return got if len(got) == m else None
 
 
 def max_theta_straight_subset(
     d: DseSpace, theta: float, tol: float = 0.0
 ) -> tuple[int, ...]:
-    """Largest theta-straight increasing subset (first found among maxima)."""
-    n = d.n
-    dist = d.dist
-    best: list[int] = []
-
-    def extend(seq: list[int], start: int) -> None:
-        nonlocal best
-        if len(seq) > len(best):
-            best = list(seq)
-        if len(seq) + (n - start) <= len(best):
-            return
-        for v in range(start, n):
-            if len(seq) >= 2 and not _straight_ok(dist, seq, v, theta, tol):
-                continue
-            seq.append(v)
-            extend(seq, v + 1)
-            seq.pop()
-
-    extend([], 0)
-    return tuple(best)
+    """Largest theta-straight increasing subset (the lexicographically
+    smallest among maxima)."""
+    return _hypergraph._in_order_search(d.n, _straight_third(d, theta, tol))
 
 
 # ----------------------------------------------------------------------------
@@ -592,16 +565,19 @@ def color_triples_red(d: np.ndarray, indices: Sequence[int], alpha: float
                       ) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
     """Two-color the in-order triples of ``indices``: a triple (i, j, k) is
     red when d(y_j, y_k) <= d(y_i, y_k) + alpha d(y_i, y_j), blue otherwise.
-    Returns (red, blue) as triples of positions within ``indices``."""
-    red: list[tuple[int, int, int]] = []
-    blue: list[tuple[int, int, int]] = []
-    for a, b, c in combinations(range(len(indices)), 3):
-        i, j, k = indices[a], indices[b], indices[c]
-        if d[j, k] <= d[i, k] + alpha * d[i, j]:
-            red.append((a, b, c))
-        else:
-            blue.append((a, b, c))
-    return red, blue
+    Returns (red, blue) as triples of positions within ``indices``, each in
+    lexicographic order."""
+    idx = np.asarray(indices, dtype=np.intp)
+    sub = d[np.ix_(idx, idx)]
+    a, b, c = np.ogrid[:len(idx), :len(idx), :len(idx)]
+    in_order = (a < b) & (b < c)
+    # Entry [a, b, c] is the test of the triple (a, b, c) of positions.
+    red = sub[b, c] <= sub[a, c] + alpha * sub[a, b]
+
+    def triples(mask: np.ndarray) -> list[tuple[int, int, int]]:
+        return list(zip(*(p.tolist() for p in np.nonzero(mask & in_order))))
+
+    return triples(red), triples(~red)
 
 
 @dataclass(frozen=True)

@@ -190,10 +190,11 @@ def _middle_scan(d: np.ndarray, alpha: Optional[float], tol: Optional[float],
     diam = float(np.max(d))
     # With both asked for, skip the slack (None) where need <= alpha + tol/(2*diam):
     # one branch's slack is then <= tol/2, plus rounding of about 1e-15*diam.  A NaN
-    # need (0/0, a repeated point) has slack exactly 0.  The bound needs d symmetric,
-    # non-negative and tol well above rounding; else every middle is exact.
+    # need (0/0, a repeated point) has slack exactly 0.  The bound needs d symmetric
+    # (the only caller asking for both, sra_analysis._violations, refuses anything
+    # else), non-negative and tol well above rounding; else every middle is exact.
     gate = (critical and alpha is not None and diam > 0.0 and tol >= 1e-12 * (1.0 + diam)
-            and not np.any(d < 0.0) and np.array_equal(d, d.T))
+            and not np.any(d < 0.0))
     for z in range(n):
         col, row = d[:, z], d[z, :]
         need = None

@@ -6,11 +6,12 @@ ordered triple (x, z, y) of distinct points obeys
     d(x,y) <= max{ d(x,z) + alpha * d(z,y),  alpha * d(x,z) + d(z,y) }.
 
 The inequality is symmetric in x and y, so triples are enumerated with x < y
-and every distinct middle z, by the per-middle scan of ``metric_core`` that
-also yields critical alpha (in the same pass for ``sra_report``) and checks
-triangles.  Violating unordered triples form a 3-uniform
-hypergraph; a subset is SRA(alpha) exactly when it spans no violating triple,
-which turns maximum-subspace search into a maximum independent set problem.
+and every distinct middle z (asymmetric matrices are refused), by the
+per-middle scan of ``metric_core`` that also yields critical alpha (in the
+same pass for ``sra_report``) and checks triangles.  Violating unordered
+triples form a 3-uniform hypergraph; a subset is SRA(alpha) exactly when it
+spans no violating triple, which turns maximum-subspace search into a maximum
+independent set problem.
 """
 
 from __future__ import annotations
@@ -65,7 +66,12 @@ def _violations(d: np.ndarray, alpha: float, tol: float,
     """Yield (x, z, y, slack) for every triple whose slack
     d(x,y) - max{d(x,z)+a*d(z,y), a*d(x,z)+d(z,y)} exceeds ``tol``: middle z
     first, then x < y row-major, with x and y distinct from z.  Given a list
-    ``needs``, the same pass appends each middle's largest need to it."""
+    ``needs``, the same pass appends each middle's largest need to it.
+
+    Only symmetric ``d`` is accepted: x < y covers both orientations of a
+    triple only when d(x,y) = d(y,x)."""
+    if not np.array_equal(d, d.T):
+        raise ValueError("SRA analysis needs a symmetric distance matrix")
     for z, need, slack in _middle_scan(d, alpha, tol, needs is not None):
         if needs is not None:
             needs.append(need)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from rough_angles import FiniteMetricSpace
+from rough_angles import FiniteMetricSpace, curve_to_dse, gen_gradient_trajectory
 
 
 def band_metric(n: int, rng: np.random.Generator) -> FiniteMetricSpace:
@@ -54,6 +54,16 @@ def random_metric(n: int, rng: np.random.Generator) -> FiniteMetricSpace:
 def collinear(n: int, spacing: float = 1.0) -> FiniteMetricSpace:
     pos = np.arange(n, dtype=np.float64) * spacing
     return FiniteMetricSpace(np.abs(pos[:, None] - pos[None, :]))
+
+
+def gradient_dse(seed: int, steps: int = 40):
+    """Reversed gradient-descent polyline of a random 2-D quadratic with step
+    0.9/lambda_max (the gen-curve recipe): a DSE space of steps + 1 points."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((2, 2))
+    q = a.T @ a + 0.5 * np.eye(2)
+    step = 0.9 / float(np.max(np.linalg.eigvalsh(q)))
+    return curve_to_dse(gen_gradient_trajectory(q, rng.standard_normal(2), step, steps))
 
 
 def boundary_triple(alpha: float, frac: float, scale: float = 1.0) -> FiniteMetricSpace:

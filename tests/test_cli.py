@@ -13,6 +13,7 @@ from rough_angles.dse_spaces import RejectionError
 from rough_angles.io import save_distance_matrix, save_point_cloud
 from rough_angles.metric_core import (
     EUCLIDEAN_L2,
+    MODEL_KINDS,
     FiniteMetricSpace,
     ModelSpaceSpec,
     PointCloud,
@@ -93,6 +94,20 @@ def test_error_exit_code(capsys, tmp_path):
     assert rc == 1
     rc = main(["snowflake", "--in", str(missing), "--beta", "0.5"])
     assert rc == 1
+
+
+def test_gen_curve_refuses_other_models(capsys, tmp_path):
+    out = tmp_path / "c.json"
+    for kind in MODEL_KINDS:
+        if kind == EUCLIDEAN_L2:
+            continue
+        rc = main(["gen-curve", "--model", kind, "--seed", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and kind in err
+        assert not out.exists()
+    rc, rep = run(capsys, "gen-curve", "--model", EUCLIDEAN_L2, "--seed", "1", "--out", str(out))
+    assert rc == 0 and out.exists()
 
 
 def test_generator_failures_exit_with_error(capsys, tmp_path, monkeypatch):

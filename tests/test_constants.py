@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rough_angles import (
+    DseSpace,
     FiniteMetricSpace,
     all_pair_colorings_force_triangle,
     as_dse,
@@ -29,13 +30,15 @@ from rough_angles import (
     weird_conditions_satisfied,
 )
 
+from rough_angles._hypergraph import _in_order_search
 from rough_angles.constants_extraction import (
     _candidate_batch,
     _grid_probes,
     _violation_totals,
+    color_triples_red,
 )
 
-from _generators import collinear
+from _generators import collinear, gradient_dse
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +203,204 @@ def test_max_theta_straight_subset():
         assert dist[a, c] <= dist[a, b] + theta * dist[b, c] + 1e-15
     coll = as_dse(collinear(6))
     assert len(max_theta_straight_subset(coll, 0.4)) == 2
+
+
+# Reference copies of the depth-first searches that _in_order_search
+# replaced, kept verbatim as test oracles.
+
+def _straight_ok(d, seq, v, theta, tol):
+    # All new in-order triples (a, b, v) introduced by appending v.
+    for ai in range(len(seq)):
+        for bi in range(ai + 1, len(seq)):
+            a, b = seq[ai], seq[bi]
+            if d[a, v] > d[a, b] + theta * d[b, v] + tol:
+                return False
+    return True
+
+
+def reference_find_straight(d, m, theta, tol=0.0):
+    if m < 2:
+        raise ValueError("need m >= 2")
+    n = d.n
+    if m > n:
+        return None
+    if m == 2:
+        return (0, 1)
+    dist = d.dist
+
+    def extend(seq, start):
+        if len(seq) == m:
+            return tuple(seq)
+        if n - start < m - len(seq):
+            return None
+        for v in range(start, n):
+            if len(seq) >= 2 and not _straight_ok(dist, seq, v, theta, tol):
+                continue
+            seq.append(v)
+            got = extend(seq, v + 1)
+            if got is not None:
+                return got
+            seq.pop()
+        return None
+
+    return extend([], 0)
+
+
+def reference_max_straight(d, theta, tol=0.0):
+    n = d.n
+    dist = d.dist
+    best = []
+
+    def extend(seq, start):
+        nonlocal best
+        if len(seq) > len(best):
+            best = list(seq)
+        if len(seq) + (n - start) <= len(best):
+            return
+        for v in range(start, n):
+            if len(seq) >= 2 and not _straight_ok(dist, seq, v, theta, tol):
+                continue
+            seq.append(v)
+            extend(seq, v + 1)
+            seq.pop()
+
+    extend([], 0)
+    return tuple(best)
+
+
+def straight_corpus():
+    """(space, theta, tol): snowflaked paths n = 3..18 and 20 gradient-descent
+    DSE spaces of 41 points."""
+    for n in range(3, 19):
+        for beta in (0.3, 0.5, 0.7, 0.9):
+            d = gen_snowflaked_path(n, beta)
+            for theta in (0.05, 0.115, 0.3, 0.5, 0.9):
+                for tol in (0.0, 1e-9):
+                    yield d, theta, tol
+    for seed in range(20):
+        d = gradient_dse(seed)
+        for theta in (0.05, 0.115, 0.3, 0.5):
+            yield d, theta, 0.0
+
+
+def test_straight_searches_match_reference_dfs():
+    cases = 0
+    for d, theta, tol in straight_corpus():
+        assert max_theta_straight_subset(d, theta, tol) == reference_max_straight(d, theta, tol)
+        for m in range(2, 7):
+            assert (find_theta_straight_subset(d, m, theta, tol)
+                    == reference_find_straight(d, m, theta, tol))
+        cases += 1
+    assert cases == 720
+    one = as_dse(FiniteMetricSpace([[0.0]]))
+    assert max_theta_straight_subset(one, 0.3) == reference_max_straight(one, 0.3) == (0,)
+    for d in (one, gen_snowflaked_path(4, 0.5)):
+        for m in (d.n + 1, d.n + 3):
+            assert find_theta_straight_subset(d, m, 0.3) is None
+            assert reference_find_straight(d, m, 0.3) is None
+        with pytest.raises(ValueError):
+            find_theta_straight_subset(d, 1, 0.3)
+
+
+def test_straightness_boundary_at_tolerance():
+    # d(a,c) at exactly d(a,b) + theta d(b,c) + tol is straight; one ulp
+    # above is not, one ulp below is.
+    theta = 0.3
+    for tol in (0.0, 1e-9, 1e-3):
+        for ab, bc in ((1.0, 1.0), (0.7, 1.3), (2.5, 0.1)):
+            edge = ab + theta * bc + tol
+            for ac, straight in ((edge, True), (np.nextafter(edge, np.inf), False),
+                                 (np.nextafter(edge, -np.inf), True)):
+                d = DseSpace(FiniteMetricSpace([[0.0, ab, ac], [ab, 0.0, bc], [ac, bc, 0.0]]))
+                want = (0, 1, 2) if straight else (0, 1)
+                assert max_theta_straight_subset(d, theta, tol) == want
+                assert reference_max_straight(d, theta, tol) == want
+                assert find_theta_straight_subset(d, 3, theta, tol) == (want if straight else None)
+
+
+def brute_independent(n, edges, size):
+    """First increasing ``size``-tuple in lexicographic order spanning no edge."""
+    for combo in combinations(range(n), size):
+        if not any(set(e) <= set(combo) for e in edges):
+            return combo
+    return None
+
+
+def hypergraph_corpus():
+    """(n, edges): hand-made hypergraphs, then 300 random ones with n < 10."""
+    # Every triple through 0 is an edge: the maximum (1, 2, 3, 4) skips 0,
+    # while the first pair is (0, 1).
+    yield 5, [(0, b, c) for b, c in combinations(range(1, 5), 2)]
+    yield 6, list(combinations(range(6), 3))
+    yield 3, []
+    yield 0, []
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n = int(rng.integers(0, 10))
+        p = rng.uniform(0.0, 0.6)
+        yield n, [t for t in combinations(range(n), 3) if rng.random() < p]
+
+
+def test_in_order_search_matches_brute_force():
+    for n, edges in hypergraph_corpus():
+        calls = []
+
+        def third(a, b):
+            calls.append((a, b))
+            return sum(1 << c for x, y, c in edges if (x, y) == (a, b))
+
+        best = _in_order_search(n, third)
+        assert len(calls) == len(set(calls)) and all(a < b for a, b in calls)
+        top = max(k for k in range(n + 1) if brute_independent(n, edges, k) is not None)
+        assert best == brute_independent(n, edges, top)
+        for k in range(1, n + 1):
+            want = brute_independent(n, edges, k)
+            assert _in_order_search(n, third, target=k) == (best if want is None else want)
+
+
+def test_in_order_search_prunes_ties():
+    # With the one edge {0, 1, 2} the first maximum is (0, 1, 3); every other
+    # branch can at best tie it, so no other pair's mask is asked for.
+    calls = []
+
+    def third(a, b):
+        calls.append((a, b))
+        return 1 << 2 if (a, b) == (0, 1) else 0
+
+    assert _in_order_search(4, third) == (0, 1, 3)
+    assert calls == [(0, 1), (0, 3), (1, 3)]
+
+
+def reference_color_triples_red(d, indices, alpha):
+    red = []
+    blue = []
+    for a, b, c in combinations(range(len(indices)), 3):
+        i, j, k = indices[a], indices[b], indices[c]
+        if d[j, k] <= d[i, k] + alpha * d[i, j]:
+            red.append((a, b, c))
+        else:
+            blue.append((a, b, c))
+    return red, blue
+
+
+def test_color_triples_red_matches_reference_loop():
+    rng = np.random.default_rng(11)
+    spaces = [gen_snowflaked_path(14, 0.5).dist, gradient_dse(3).dist]
+    for _ in range(6):
+        a = rng.uniform(1.0, 2.0, size=(15, 15))
+        spaces.append(np.triu(a, 1) + np.triu(a, 1).T)
+    for d in spaces:
+        for k in range(0, 13):
+            idx = sorted(rng.choice(d.shape[0], size=k, replace=False).tolist())
+            for alpha in (0.55, 0.8, 0.95):
+                got = color_triples_red(d, idx, alpha)
+                assert got == reference_color_triples_red(d, idx, alpha)
+                assert all(type(v) is int for t in got[0] + got[1] for v in t)
+    # A tie is red: d(y_j, y_k) == d(y_i, y_k) + alpha d(y_i, y_j).
+    tie = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.5], [1.0, 1.5, 0.0]])
+    assert color_triples_red(tie, [0, 1, 2], 0.5) == ([(0, 1, 2)], [])
+    tie[1, 2] = tie[2, 1] = np.nextafter(1.5, np.inf)
+    assert color_triples_red(tie, [0, 1, 2], 0.5) == ([], [(0, 1, 2)])
 
 
 # ---------------------------------------------------------------------------

@@ -304,15 +304,34 @@ def test_boundary_triples_straddle_the_tolerance():
                 assert sra_report(m, alpha, tol=-default_tol(m))["is_sra"] == v.is_sra
 
 
-def test_asymmetric_input_reads_d_z_y_from_row_z():
+def test_asymmetric_input_is_refused():
+    # x < y covers both orientations only on a symmetric matrix: here the
+    # ordered triple (x=2, z=1, y=0) violates SRA(0.5) by 3.5, but (0, 1, 2)
+    # does not, so a scan of x < y alone would report SRA.
+    example = FiniteMetricSpace([[0, 1, 1], [1, 0, 1], [5, 1, 0]])
+    d = example.dist
+    assert d[2, 0] - max(d[2, 1] + 0.5 * d[1, 0], 0.5 * d[2, 1] + d[1, 0]) == 3.5
+    assert oracle_violations(example, 0.5, 0.0) == []
     rng = np.random.default_rng(46)
+    spaces = [example]
     for n in range(3, 9):
         d = rng.uniform(0.5, 2.0, size=(n, n))
         np.fill_diagonal(d, 0.0)
-        m = FiniteMetricSpace(d)
-        for alpha in (0.2, 0.8):
+        spaces.append(FiniteMetricSpace(d))
+    tiny = collinear(4).dist.copy()
+    tiny[0, 3] = np.nextafter(tiny[0, 3], np.inf)
+    spaces.append(FiniteMetricSpace(tiny))
+    for m in spaces:
+        for alpha in (0.2, 0.5, 0.8):
             for tol in (None, 0.0):
-                check_against_oracles(m, alpha, tol, 500_000)
+                with pytest.raises(ValueError, match="symmetric"):
+                    is_sra(m, alpha, tol=tol)
+                with pytest.raises(ValueError, match="symmetric"):
+                    violating_triples(m, alpha, tol=tol)
+                with pytest.raises(ValueError, match="symmetric"):
+                    sra_report(m, alpha, tol=tol)
+                with pytest.raises(ValueError, match="symmetric"):
+                    max_sra_subset(m, alpha, tol=tol)
 
 
 def test_violations_truncated_at_max():
