@@ -329,21 +329,18 @@ def _cmd_net_embed(args) -> int:
     r = args.r if args.r is not None else 0.1 * diameter(m)
     net = greedy_net(m, r)
     emb = net_embed(m, net)
-    if args.out and args.format == "csv":
+    result = {"gamma": emb.gamma, "upper": emb.upper, "net_size": len(emb.net),
+              "net": list(emb.net), "r": r}
+    csv_out = bool(args.out) and args.format == "csv"
+    if csv_out:
         with Path(args.out).open("w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow([f"d_to_net_{z}" for z in emb.net])
             for row in emb.coords:
                 w.writerow([repr(float(x)) for x in row])
-        sys.stdout.write(json.dumps({
-            "schema_version": report_schema_version(),
-            "command": "net-embed", "gamma": emb.gamma, "upper": emb.upper,
-            "net_size": len(emb.net), "out": args.out,
-        }, indent=2, sort_keys=True) + "\n")
-        return EXIT_OK
-    result = {"gamma": emb.gamma, "upper": emb.upper, "net_size": len(emb.net),
-              "net": list(emb.net), "r": r}
-    return _emit(args, "net-embed", {"in": args.in_path, "r": r}, result, {}, None)
+        result["out"] = args.out
+    return _emit(args, "net-embed", {"in": args.in_path, "r": r}, result, {}, None,
+                 data_out=csv_out)
 
 
 def _cmd_doubling(args) -> int:

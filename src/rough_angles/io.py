@@ -55,7 +55,7 @@ def load_distance_matrix(path: PathLike) -> FiniteMetricSpace:
 def save_distance_matrix(m: FiniteMetricSpace, path: PathLike) -> None:
     p = Path(path)
     if p.suffix.lower() == ".json":
-        payload = {"n": m.n, "dist": [[float(x) for x in row] for row in m.dist]}
+        payload = {"n": m.n, "dist": m.dist.tolist()}
         p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         with p.open("w", newline="") as fh:
@@ -74,7 +74,7 @@ def save_point_cloud(pc: PointCloud, path: PathLike) -> None:
     payload = {
         "model": pc.model.kind,
         "dim": pc.model.dim,
-        "coords": [[float(x) for x in row] for row in pc.coords],
+        "coords": pc.coords.tolist(),
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -90,8 +90,8 @@ def save_curve(c: SampledCurve, path: PathLike) -> None:
     payload = {
         "model": c.model.kind,
         "dim": c.model.dim,
-        "times": [float(t) for t in c.times],
-        "points": [[float(x) for x in row] for row in c.points],
+        "times": c.times.tolist(),
+        "points": c.points.tolist(),
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -111,7 +111,7 @@ def load_dse(path: PathLike) -> DseSpace:
 def save_dse(d: DseSpace, path: PathLike) -> None:
     payload = {
         "n": d.n,
-        "dist": [[float(x) for x in row] for row in d.dist],
+        "dist": d.dist.tolist(),
         "order": "identity",
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -213,32 +213,35 @@ def euclidean_angle_audit(pc: PointCloud, alpha: float) -> AngleAudit:
     diff_all = coords[:, None, :] - coords[None, :, :]
     dmat = np.sqrt(np.sum(diff_all * diff_all, axis=2))
 
+    # The matmul cosines differ from the scalar ones below by a few ulps, so
+    # the candidate cut sits 1e-9 above -alpha: every triple whose scalar
+    # angle exceeds the threshold is a candidate, and the scalar code alone
+    # decides.  A NaN cosine (overflow) is a candidate too: the scalar code
+    # clamps it to an angle of pi.
+    cut = -alpha + 1e-9
     for z in range(n):
         v = coords - coords[z]
         norms = np.linalg.norm(v, axis=1)
-        for x in range(n):
-            if x == z:
+        degenerate = norms <= 1e-12  # holds at z itself: v[z] is exactly 0
+        skipped += [(x, z) for x in np.flatnonzero(degenerate).tolist() if x != z]
+        legs = ~degenerate
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cos = (v @ v.T) / (norms[:, None] * norms[None, :])
+        candidates = np.triu(~(cos >= cut), 1) & legs[:, None] & legs[None, :]
+        xs, ys = np.nonzero(candidates)
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            cosang = float(np.dot(v[x], v[y]) / (norms[x] * norms[y]))
+            ang = math.acos(min(1.0, max(-1.0, cosang)))
+            if ang <= threshold:
                 continue
-            if norms[x] <= 1e-12:
-                skipped.append((x, z))
+            a, b = dmat[x, z], dmat[z, y]
+            slack = dmat[x, y] - max(a + alpha * b, alpha * a + b)
+            if slack <= 0.0:
+                dropped += 1
                 continue
-            for y in range(x + 1, n):
-                if y == z or norms[y] <= 1e-12:
-                    continue
-                cosang = float(np.dot(v[x], v[y]) / (norms[x] * norms[y]))
-                ang = math.acos(min(1.0, max(-1.0, cosang)))
-                if ang <= threshold:
-                    continue
-                a, b = dmat[x, z], dmat[z, y]
-                slack = dmat[x, y] - max(a + alpha * b, alpha * a + b)
-                if slack <= 0.0:
-                    dropped += 1
-                    continue
-                entries.append(AngleAuditEntry(x, z, y, ang))
-    # Deduplicate degenerate notices and keep output order stable.
-    seen = sorted(set(skipped))
+            entries.append(AngleAuditEntry(x, z, y, ang))
     return AngleAudit(alpha=float(alpha), threshold=threshold, entries=tuple(entries),
-                      skipped_degenerate=tuple(seen), boundary_dropped=dropped)
+                      skipped_degenerate=tuple(sorted(skipped)), boundary_dropped=dropped)
 
 
 def sra_report(

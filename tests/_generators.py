@@ -109,3 +109,64 @@ def scan_corpus(rng: np.random.Generator, alphas=(0.2, 0.5, 0.8, 0.95, 1.0)):
             out += [(f"boundary-{alpha}-{scale}-{f}", boundary_triple(alpha, f, scale))
                     for f in BOUNDARY_FRACS]
     return out
+
+
+ANGLE_ALPHAS = (0.1, 0.5, 0.8, 0.95)
+
+
+def _fan(alpha: float, rays: int, dim: int, rng: np.random.Generator,
+         short: float = 1.0) -> np.ndarray:
+    """The origin plus a chain of rays, each at vertex angle arccos(-alpha)
+    from the one before up to rounding: the threshold of the angle audit.
+    Every second ray is scaled by ``short``; at 1e-9 the SRA slack of a
+    threshold pair falls below the rounding of its long side."""
+    theta = float(np.arccos(-alpha))
+    u = rng.standard_normal(dim)
+    u /= np.linalg.norm(u)
+    pts = [np.zeros(dim)]
+    for i in range(rays):
+        pts.append(rng.uniform(0.5, 2.0) * (short if i % 2 else 1.0) * u)
+        w = rng.standard_normal(dim)
+        w -= np.dot(w, u) * u
+        u = np.cos(theta) * u + np.sin(theta) * w / np.linalg.norm(w)
+        u /= np.linalg.norm(u)
+    return np.array(pts)
+
+
+def angle_corpus(rng: np.random.Generator):
+    """(name, coords) pairs for the angle-audit tests: Gaussian clouds with
+    n = 1..30 in dims 1..4; clouds with one or two repeated points, or with a
+    point 1e-14 (a degenerate leg of nonzero length) or 1e-9 from another;
+    integer lattices, whose exact 90 and 120 degree vertices (the 120 degree
+    vertex sits exactly at the alpha = 0.5 threshold) meet rounded norms; a
+    rounded hexagonal lattice; collinear runs; and 12-point fans (``_fan``)
+    for every alpha in ``ANGLE_ALPHAS``, more of them at the larger alphas,
+    where a few ulps of cosine move the rounded angle across the threshold."""
+    out = []
+    for n in range(1, 31):
+        dim = 1 + n % 4
+        out.append((f"gauss-{n}-{dim}", rng.standard_normal((n, dim))))
+    for k in range(16):
+        n, dim = int(rng.integers(3, 16)), int(rng.integers(1, 5))
+        c = rng.standard_normal((n, dim))
+        offset = (0.0, 0.0, 1e-14, 1e-9)[k % 4]
+        for src in rng.choice(n, size=1 + k % 2, replace=False).tolist():
+            c[int(rng.integers(0, n))] = c[src] + offset * rng.standard_normal(dim)
+        out.append((f"repeated-{k}", c))
+    out.append(("grid-4x4", np.array([(i, j) for i in range(4) for j in range(4)], dtype=float)))
+    out.append(("cube-3", np.array([(i, j, k) for i in range(3) for j in range(3)
+                                    for k in range(3)], dtype=float)))
+    out.append(("triad-120", np.array([[0, 0, 0], [1, 1, 0], [0, -1, -1], [-1, 0, 1],
+                                       [2, 2, 0], [0, -2, -2]], dtype=float)))
+    out.append(("hex", np.array([(i + j / 2, j * np.sqrt(3) / 2)
+                                 for i in range(-2, 3) for j in range(-2, 3)])))
+    for dim in range(1, 5):
+        step = rng.standard_normal(dim)
+        run = np.arange(8)[:, None] * step
+        out.append((f"collinear-{dim}", run))
+        out.append((f"collinear-bent-{dim}", np.vstack([run, rng.standard_normal((3, dim))])))
+    for alpha in ANGLE_ALPHAS:
+        for k in range(40 if alpha > 0.7 else 8):
+            out.append((f"fan-{alpha}-{k}",
+                        _fan(alpha, 11, 2 + k % 3, rng, 1e-9 if k % 4 == 3 else 1.0)))
+    return out

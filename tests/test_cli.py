@@ -207,6 +207,11 @@ def test_net_embed_and_csv(capsys, tmp_path):
     assert rc == 0
     header = csv_out.read_text().splitlines()[0]
     assert header.startswith("d_to_net_")
+    assert sorted(rep) == ["command", "generated_at", "params", "result",
+                          "schema_version", "tolerances", "verdict"]
+    assert rep["command"] == "net-embed" and rep["verdict"] is None
+    assert rep["result"]["out"] == str(csv_out)
+    assert rep["result"]["net_size"] == len(header.split(","))
 
 
 def test_doubling_cli(capsys, collinear6):

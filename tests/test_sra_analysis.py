@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -25,9 +26,17 @@ from rough_angles import (
 )
 
 from rough_angles._hypergraph import max_independent_subset
-from rough_angles.sra_analysis import MAX_VIOLATIONS
+from rough_angles.sra_analysis import MAX_VIOLATIONS, AngleAudit, AngleAuditEntry
 
-from _generators import BOUNDARY_FRACS, boundary_triple, collinear, random_metric, scan_corpus
+from _generators import (
+    ANGLE_ALPHAS,
+    BOUNDARY_FRACS,
+    angle_corpus,
+    boundary_triple,
+    collinear,
+    random_metric,
+    scan_corpus,
+)
 
 
 def equilateral(n=3, side=1.0):
@@ -441,3 +450,82 @@ def test_sra_violation_does_not_imply_wide_angle():
     assert ang < math.acos(-0.5)
     audit = euclidean_angle_audit(cloud(pts), 0.5)
     assert audit.entries == ()  # wide-angle set misses this violation
+
+
+def reference_angle_audit(pc, alpha):
+    """The triple loop the audit used before its per-middle matmul candidate
+    mask, kept verbatim as the oracle."""
+    threshold = math.acos(-alpha)
+    coords = pc.coords
+    n = pc.n
+    entries: list[AngleAuditEntry] = []
+    skipped: list[tuple[int, int]] = []
+    dropped = 0
+
+    diff_all = coords[:, None, :] - coords[None, :, :]
+    dmat = np.sqrt(np.sum(diff_all * diff_all, axis=2))
+
+    for z in range(n):
+        v = coords - coords[z]
+        norms = np.linalg.norm(v, axis=1)
+        for x in range(n):
+            if x == z:
+                continue
+            if norms[x] <= 1e-12:
+                skipped.append((x, z))
+                continue
+            for y in range(x + 1, n):
+                if y == z or norms[y] <= 1e-12:
+                    continue
+                cosang = float(np.dot(v[x], v[y]) / (norms[x] * norms[y]))
+                ang = math.acos(min(1.0, max(-1.0, cosang)))
+                if ang <= threshold:
+                    continue
+                a, b = dmat[x, z], dmat[z, y]
+                slack = dmat[x, y] - max(a + alpha * b, alpha * a + b)
+                if slack <= 0.0:
+                    dropped += 1
+                    continue
+                entries.append(AngleAuditEntry(x, z, y, ang))
+    # Deduplicate degenerate notices and keep output order stable.
+    seen = sorted(set(skipped))
+    return AngleAudit(alpha=float(alpha), threshold=threshold, entries=tuple(entries),
+                      skipped_degenerate=tuple(seen), boundary_dropped=dropped)
+
+
+def audit_key(audit):
+    """Everything an audit reports, with the Python types it reports them in."""
+    entries = [(e.x, e.z, e.y, e.angle) for e in audit.entries]
+    types = {tuple(type(f).__name__ for f in e) for e in entries}
+    types |= {tuple(type(f).__name__ for f in p) for p in audit.skipped_degenerate}
+    return (audit.alpha, audit.threshold, entries, list(audit.skipped_degenerate),
+            audit.boundary_dropped, sorted(types))
+
+
+def test_angle_audit_matches_reference_loop():
+    """Entries (angles bit for bit), degenerate notices and boundary drops of
+    the per-middle candidate mask equal those of the triple loop on every
+    cloud of the corpus at every alpha."""
+    corpus = angle_corpus(np.random.default_rng(2024))
+    hits = drops = skips = 0
+    for name, coords in corpus:
+        pc = cloud(coords)
+        for alpha in ANGLE_ALPHAS:
+            got, want = euclidean_angle_audit(pc, alpha), reference_angle_audit(pc, alpha)
+            assert audit_key(got) == audit_key(want), (name, alpha)
+            hits += len(want.entries)
+            drops += want.boundary_dropped
+            skips += len(want.skipped_degenerate)
+    # the corpus reaches every outcome of the scalar confirmation
+    assert hits > 0 and drops > 0 and skips > 0
+
+
+def test_angle_audit_repeated_point_raises_no_warning():
+    """A repeated point makes some matmul cosines 0/0; the audit must not
+    warn, even with every warning turned into an error."""
+    pts = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [-1.0, 0.1], [2.0, 0.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        audit = euclidean_angle_audit(cloud(pts), 0.5)
+    assert audit.skipped_degenerate == ((1, 2), (2, 1))
+    assert audit == reference_angle_audit(cloud(pts), 0.5)
