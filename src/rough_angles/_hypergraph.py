@@ -2,11 +2,13 @@
 
 A subset of vertices is independent when it contains no hyperedge entirely.
 ``max_independent_subset`` solves the complementary minimum hitting-set
-problem by branch and bound: every edge needs at least one vertex outside the
-subset.  ``_in_order_search`` grows increasing tuples in index order instead,
-with the hyperedges handed over lazily as bitmasks.  Vertices are
-bitmask-encoded; all tie-breaks are by smallest index so results are
-deterministic regardless of schedule.
+problem by budgeted branch and bound: every edge needs at least one vertex
+outside the subset.  ``_in_order_search`` grows increasing tuples in index
+order instead, with the hyperedges handed over lazily as bitmasks; given the
+optimum size found by the former, one in-order pass returns the
+lexicographically smallest maximum subset.  Vertices are bitmask-encoded; all
+tie-breaks are by smallest index so results are deterministic regardless of
+schedule.
 """
 
 from __future__ import annotations
@@ -52,26 +54,19 @@ def _canonical_edges(triples: Iterable[Sequence[int]]) -> list[tuple[int, int, i
     return sorted(seen)
 
 
-def _greedy_cover(n: int, edges: list[tuple[int, int, int]], banned: int) -> Optional[int]:
-    """Cover all edges by repeatedly taking the non-banned vertex of highest
-    remaining degree.  Returns a cover bitmask, or None if some edge consists
-    of banned vertices only."""
+def _greedy_cover(n: int, edges: list[tuple[int, int, int]]) -> int:
+    """Cover all edges by repeatedly taking the vertex of highest remaining
+    degree.  Returns the cover as a bitmask."""
     cover = 0
     remaining = list(edges)
     while remaining:
         deg = [0] * n
-        for a, b, c in remaining:
-            for v in (a, b, c):
-                if not (banned >> v) & 1:
-                    deg[v] += 1
-        best_v, best_d = -1, 0
-        for v in range(n):
-            if deg[v] > best_d:
-                best_v, best_d = v, deg[v]
-        if best_v < 0:
-            return None
+        for e in remaining:
+            for v in e:
+                deg[v] += 1
+        best_v = max(range(n), key=lambda v: (deg[v], -v))
         cover |= 1 << best_v
-        remaining = [e for e in remaining if not any(v == best_v for v in e)]
+        remaining = [e for e in remaining if best_v not in e]
     return cover
 
 
@@ -93,42 +88,19 @@ def max_independent_subset(
     n: int,
     triples: Iterable[Sequence[int]],
     budget: Optional[int] = 500_000,
-    forced: Sequence[int] = (),
-    target: Optional[int] = None,
 ) -> SearchResult:
-    """Largest subset of range(n) spanning no triple.
-
-    ``forced`` vertices must belong to the subset (used for lexicographic
-    reconstruction); if they already span an edge the result has size -1.
-    ``target`` short-circuits the search once a subset of that size is known,
-    returning it with ``optimal=False`` unless the search also completed.
-    """
+    """Largest subset of range(n) spanning no triple.  On budget exhaustion
+    the best subset found is returned with ``optimal=False``."""
     edges = _canonical_edges(triples)
-    forced_mask = 0
-    for v in forced:
-        if not (0 <= v < n):
-            raise ValueError(f"forced vertex {v} out of range")
-        forced_mask |= 1 << v
-    for a, b, c in edges:
-        if (forced_mask >> a) & 1 and (forced_mask >> b) & 1 and (forced_mask >> c) & 1:
-            return SearchResult((), -1, True, -1, 0)
-
-    all_mask = (1 << n) - 1
-    root_lb = _matching_bound(edges)
-    upper = n - root_lb
-
-    greedy = _greedy_cover(n, edges, banned=forced_mask)
-    if greedy is None:
-        return SearchResult((), -1, True, -1, 0)
-    best_cover = greedy
-    best_cover_size = bin(greedy).count("1")
+    upper = n - _matching_bound(edges)
+    best_cover = _greedy_cover(n, edges)
+    best_cover_size = best_cover.bit_count()
 
     budget_box = _Budget(budget)
-    hit_target = False
 
     def recurse(cover: int, keep: int, cover_size: int) -> None:
-        nonlocal best_cover, best_cover_size, hit_target
-        if hit_target or not budget_box.tick():
+        nonlocal best_cover, best_cover_size
+        if not budget_box.tick():
             return
         # Unit propagation: an edge with no covered vertex and <= 1 vertex
         # still undecided forces that vertex into the cover.
@@ -163,8 +135,6 @@ def max_independent_subset(
             if cover_size < best_cover_size:
                 best_cover_size = cover_size
                 best_cover = cover
-                if target is not None and n - cover_size >= target:
-                    hit_target = True
             return
         if cover_size + _matching_bound(active) >= best_cover_size:
             return
@@ -179,35 +149,11 @@ def max_independent_subset(
         recurse(cover | (1 << v), keep, cover_size + 1)
         recurse(cover, keep | (1 << v), cover_size)
 
-    recurse(0, forced_mask, 0)
+    recurse(0, 0, 0)
 
-    subset_mask = all_mask & ~best_cover
-    subset = tuple(v for v in range(n) if (subset_mask >> v) & 1)
-    size = len(subset)
-    optimal = not budget_box.exhausted and not hit_target
-    return SearchResult(subset, size, optimal, max(upper, size), budget_box.used)
-
-
-def lexicographically_smallest_mis(
-    n: int,
-    triples: Iterable[Sequence[int]],
-    size: int,
-    budget: Optional[int] = 500_000,
-) -> tuple[int, ...]:
-    """Lexicographically smallest independent subset of the given (optimal)
-    size, built by prefix forcing.  Assumes such a subset exists."""
-    edges = _canonical_edges(triples)
-    chosen: list[int] = []
-    for v in range(n):
-        if len(chosen) == size:
-            break
-        trial = chosen + [v]
-        res = max_independent_subset(n, edges, budget=budget, forced=trial, target=size)
-        if res.size >= size:
-            chosen = trial
-    if len(chosen) != size:
-        raise RuntimeError("failed to reconstruct certificate; budget too small")
-    return tuple(chosen)
+    subset = tuple(v for v in range(n) if not (best_cover >> v) & 1)
+    return SearchResult(subset, len(subset), not budget_box.exhausted,
+                        max(upper, len(subset)), budget_box.used)
 
 
 def _in_order_search(n: int, third: Callable[[int, int], int],

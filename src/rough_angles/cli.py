@@ -184,12 +184,13 @@ def _cmd_dse_check(args) -> int:
 def _cmd_gen_dse(args) -> int:
     if args.seed is None:
         raise ValueError("--seed is required for gen-dse")
+    n = 8 if args.n is None else args.n
     if args.beta is not None:
-        d = gen_snowflaked_path(args.n or 8, args.beta)
+        d = gen_snowflaked_path(n, args.beta)
         kind = "snowflaked-path"
     else:
         model = ModelSpaceSpec(args.model, args.dim)
-        d = gen_random_dse(args.n or 8, args.seed, model=model)
+        d = gen_random_dse(n, args.seed, model=model)
         kind = "random"
     if not args.out:
         raise ValueError("--out is required for gen-dse")
@@ -259,11 +260,12 @@ def _cmd_constants(args) -> int:
         result["c_of_m_theta_exact"] = f"{c_exact.numerator}/{c_exact.denominator}"
     gq = None
     if args.big_r is not None and args.r is not None and args.lam is not None:
-        gq = (args.k or 1, args.lam, args.big_r, args.r)
+        gq = (1 if args.k is None else args.k, args.lam, args.big_r, args.r)
     # The full bundle needs alpha above the limit of the supplied theta;
     # report what is computable otherwise instead of failing.
     try:
-        bundle = make_bundle(args.alpha, args.k or 3, theta=args.theta, globq_args=gq)
+        bundle = make_bundle(args.alpha, 3 if args.k is None else args.k, theta=args.theta,
+                             globq_args=gq)
         merged = bundle.as_dict()
         merged.update(result)
         result = merged
@@ -281,7 +283,8 @@ def _cmd_constants(args) -> int:
 
 def _cmd_extract(args) -> int:
     d = rio.load_dse(args.in_path)
-    res = extract_sra_subspace(d, args.alpha, args.k or 3, budget=args.budget)
+    res = extract_sra_subspace(d, args.alpha, 3 if args.k is None else args.k,
+                               budget=args.budget)
     result = {
         "branch": res.branch,
         "theta": res.theta,
@@ -305,7 +308,7 @@ def _cmd_refute_weird(args) -> int:
         raise ValueError("--seed is required for refute-weird")
     if args.theta is None or args.alpha is None:
         raise ValueError("--theta and --alpha are required")
-    n = args.n or n_of_theta_alpha(args.theta, args.alpha)
+    n = n_of_theta_alpha(args.theta, args.alpha) if args.n is None else args.n
     rep = refute_weird_angles(args.theta, args.alpha, n, args.trials, args.seed)
     result = {
         "n": rep.n,
@@ -357,8 +360,8 @@ def _cmd_freeness_cover(args) -> int:
     m = _load_space(args)
     if args.r is None or args.big_r is None:
         raise ValueError("--r and --R are required")
-    rep = freeness_via_cover(m, args.alpha, args.r, args.big_r, args.k or 3,
-                             budget=args.budget)
+    rep = freeness_via_cover(m, args.alpha, args.r, args.big_r,
+                             3 if args.k is None else args.k, budget=args.budget)
     result = {
         "cover_size": len(rep.cover_centers),
         "cover_centers": list(rep.cover_centers),

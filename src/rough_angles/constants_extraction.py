@@ -550,6 +550,8 @@ def make_bundle(
     theta: Optional[float] = None,
     globq_args: Optional[tuple[int, int, float, float]] = None,
 ) -> ConstantsBundle:
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
     if theta is None:
         theta = default_theta(alpha)
     n_blue = n_of_theta_alpha(theta, alpha)

@@ -147,6 +147,8 @@ def freeness_via_cover(
     """
     if not (0.0 < r < big_r):
         raise ValueError("need 0 < r < R")
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
     if not (0 <= basepoint < m.n):
         raise ValueError("basepoint out of range")
     d = m.dist

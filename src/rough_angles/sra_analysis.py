@@ -130,12 +130,18 @@ def violating_triples(
 def _certificate(
     n: int, edges: list[tuple[int, int, int]], alpha: float, budget: Optional[int]
 ) -> SubsetCertificate:
-    """Maximum independent subset of the violating-triple hypergraph, replaced
-    by the lexicographically smallest optimum when the search completed."""
+    """Maximum independent subset of the sorted violating-triple hypergraph
+    ``edges``.  One budgeted search gives the size, ``optimal`` and the bound;
+    when it completed, one in-order pass for the first independent tuple of
+    that size replaces its subset by the lexicographically smallest optimum."""
     res = _hypergraph.max_independent_subset(n, edges, budget=budget)
     subset = res.subset
     if res.optimal and res.size < n:
-        subset = _hypergraph.lexicographically_smallest_mis(n, edges, res.size, budget=budget)
+        third: dict[tuple[int, int], int] = {}
+        for a, b, c in edges:
+            third[a, b] = third.get((a, b), 0) | (1 << c)
+        subset = _hypergraph._in_order_search(n, lambda a, b: third.get((a, b), 0),
+                                              target=res.size)
     return SubsetCertificate(alpha=float(alpha), subset=subset, size=res.size,
                              optimal=res.optimal, bound=res.upper_bound)
 

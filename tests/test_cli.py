@@ -19,7 +19,7 @@ from rough_angles.metric_core import (
     PointCloud,
 )
 
-from _generators import collinear
+from _generators import collinear, random_metric
 
 
 def run(capsys, *argv):
@@ -75,6 +75,19 @@ def test_max_sra_collinear(capsys, collinear6):
     assert rep["result"]["max_subset"]["optimal"]
 
 
+def test_max_sra_small_budget_prints_brute_force_subset(capsys, tmp_path):
+    # The budget-1 search completes here, so the report must carry the
+    # lexicographically smallest maximum whatever the budget.
+    path = tmp_path / "m.json"
+    save_distance_matrix(random_metric(10, np.random.default_rng(348)), path)
+    rc, rep = run(capsys, "max-sra", "--in", str(path), "--alpha", "0.5",
+                  "--budget", "1", "--tol", "0")
+    assert rc == 0
+    best = rep["result"]["max_subset"]
+    assert best["optimal"]
+    assert best["indices"] == [0, 1, 2, 3, 4, 6, 9]  # brute force
+
+
 def test_constants_report(capsys):
     rc, rep = run(capsys, "constants", "--alpha", "0.8", "--theta", "0.5",
                   "--m", "3", "--k", "4")
@@ -94,6 +107,30 @@ def test_error_exit_code(capsys, tmp_path):
     assert rc == 1
     rc = main(["snowflake", "--in", str(missing), "--beta", "0.5"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--alpha", "0.8", "--k", "0"],
+    ["freeness-cover", "--alpha", "0.8", "--r", "1.5", "--R", "5.0", "--k", "0"],
+    ["constants", "--alpha", "0.8", "--k", "0"],
+    ["gen-dse", "--n", "0", "--beta", "0.5", "--seed", "1"],
+    ["refute-weird", "--theta", "0.2", "--alpha", "0.9", "--n", "0", "--trials", "10",
+     "--seed", "1"],
+], ids=lambda argv: argv[0])
+def test_explicit_zero_is_not_replaced_by_default(capsys, tmp_path, argv):
+    """--k 0 and --n 0 reach the library's range checks instead of turning
+    into the default."""
+    snow = tmp_path / "snow.json"
+    assert main(["gen-dse", "--n", "6", "--beta", "0.5", "--seed", "1",
+                 "--out", str(snow)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    rc = main(argv + ["--in", str(snow), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    flag = argv[argv.index("--k") if "--k" in argv else argv.index("--n")]
+    assert captured.err.startswith(f"error: need {flag[2:]} >=")
+    assert not captured.out and not out.exists()
 
 
 def test_gen_curve_refuses_other_models(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import math
 import warnings
 from itertools import combinations
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from rough_angles import (
     violating_triples,
 )
 
-from rough_angles._hypergraph import max_independent_subset
+from rough_angles._hypergraph import (SearchResult, _Budget, _canonical_edges, _matching_bound,
+                                      max_independent_subset)
 from rough_angles.sra_analysis import MAX_VIOLATIONS, AngleAudit, AngleAuditEntry
 
 from _generators import (
@@ -34,6 +36,8 @@ from _generators import (
     angle_corpus,
     boundary_triple,
     collinear,
+    gradient_dse,
+    graph_metric,
     random_metric,
     scan_corpus,
 )
@@ -155,12 +159,29 @@ def test_max_sra_matches_brute_force_random():
         n = int(rng.integers(4, 9))
         m = random_metric(n, rng)
         alpha = float(rng.uniform(0.2, 0.95))
-        cert = max_sra_subset(m, alpha, tol=0.0)
         oracle = brute_force_max_sra(m, alpha)
+        cert = max_sra_subset(m, alpha, budget=None, tol=0.0)
         assert cert.optimal
         assert cert.size == len(oracle)
+        assert cert.subset == oracle
         # the certificate itself re-verifies
         assert is_sra(subspace(m, cert.subset), alpha, tol=0.0).is_sra
+        for budget in (1, 2, 5):
+            capped = max_sra_subset(m, alpha, budget=budget, tol=0.0)
+            if capped.optimal:
+                assert capped.subset == oracle
+
+
+@pytest.mark.parametrize("n, seed, want", [(8, 201, (0, 1, 2, 3, 5, 6)),
+                                           (10, 348, (0, 1, 2, 3, 4, 6, 9))])
+def test_max_sra_small_budget_certificate_is_lexicographically_smallest(n, seed, want):
+    # The budget-1 search completes on both, so the certificate must be the
+    # lexicographically smallest maximum however small the budget.
+    m = random_metric(n, np.random.default_rng(seed))
+    assert brute_force_max_sra(m, 0.5) == want
+    cert = max_sra_subset(m, 0.5, budget=1, tol=0.0)
+    assert cert.optimal
+    assert cert.subset == want
 
 
 def test_max_sra_lexicographic_certificate():
@@ -355,11 +376,217 @@ def test_violations_truncated_at_max():
                                  for x, z, y, s in expect[:MAX_VIOLATIONS]]
 
 
+def test_budgeted_search_matches_reference():
+    # Under a budget the incumbent comes from the greedy cover, so subset and
+    # bound on exhaustion depend on its tie-breaks.
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        m = random_metric(int(rng.integers(6, 13)), rng)
+        edges = violating_triples(m, float(rng.uniform(0.3, 0.9)))
+        for budget in (1, 3, 10, 100, None):
+            assert max_independent_subset(m.n, edges, budget=budget) == \
+                reference_max_independent_subset(m.n, edges, budget=budget)
+
+
 def test_search_counts_nodes_without_budget():
     edges = [(0, 1, 2), (1, 2, 3), (0, 2, 4), (2, 3, 4)]
     free = max_independent_subset(5, edges, budget=None)
     capped = max_independent_subset(5, edges, budget=10**6)
     assert free.nodes == capped.nodes > 0
+
+
+# Reference copies of the certificate rebuild that the in-order pass
+# replaced: prefix forcing, one forced and targeted re-search per vertex.
+# Kept verbatim as test oracles.
+
+def _reference_greedy_cover(n: int, edges: list[tuple[int, int, int]], banned: int) -> Optional[int]:
+    """Cover all edges by repeatedly taking the non-banned vertex of highest
+    remaining degree.  Returns a cover bitmask, or None if some edge consists
+    of banned vertices only."""
+    cover = 0
+    remaining = list(edges)
+    while remaining:
+        deg = [0] * n
+        for a, b, c in remaining:
+            for v in (a, b, c):
+                if not (banned >> v) & 1:
+                    deg[v] += 1
+        best_v, best_d = -1, 0
+        for v in range(n):
+            if deg[v] > best_d:
+                best_v, best_d = v, deg[v]
+        if best_v < 0:
+            return None
+        cover |= 1 << best_v
+        remaining = [e for e in remaining if not any(v == best_v for v in e)]
+    return cover
+
+
+def reference_max_independent_subset(
+    n: int,
+    triples: Iterable[Sequence[int]],
+    budget: Optional[int] = 500_000,
+    forced: Sequence[int] = (),
+    target: Optional[int] = None,
+) -> SearchResult:
+    """Largest subset of range(n) spanning no triple.
+
+    ``forced`` vertices must belong to the subset (used for lexicographic
+    reconstruction); if they already span an edge the result has size -1.
+    ``target`` short-circuits the search once a subset of that size is known,
+    returning it with ``optimal=False`` unless the search also completed.
+    """
+    edges = _canonical_edges(triples)
+    forced_mask = 0
+    for v in forced:
+        if not (0 <= v < n):
+            raise ValueError(f"forced vertex {v} out of range")
+        forced_mask |= 1 << v
+    for a, b, c in edges:
+        if (forced_mask >> a) & 1 and (forced_mask >> b) & 1 and (forced_mask >> c) & 1:
+            return SearchResult((), -1, True, -1, 0)
+
+    all_mask = (1 << n) - 1
+    root_lb = _matching_bound(edges)
+    upper = n - root_lb
+
+    greedy = _reference_greedy_cover(n, edges, banned=forced_mask)
+    if greedy is None:
+        return SearchResult((), -1, True, -1, 0)
+    best_cover = greedy
+    best_cover_size = bin(greedy).count("1")
+
+    budget_box = _Budget(budget)
+    hit_target = False
+
+    def recurse(cover: int, keep: int, cover_size: int) -> None:
+        nonlocal best_cover, best_cover_size, hit_target
+        if hit_target or not budget_box.tick():
+            return
+        # Unit propagation: an edge with no covered vertex and <= 1 vertex
+        # still undecided forces that vertex into the cover.
+        while True:
+            active: list[tuple[int, int, int]] = []
+            forced_v = -1
+            infeasible = False
+            for e in edges:
+                a, b, c = e
+                em = (1 << a) | (1 << b) | (1 << c)
+                if em & cover:
+                    continue
+                free = [v for v in e if not (keep >> v) & 1]
+                if not free:
+                    infeasible = True
+                    break
+                if len(free) == 1:
+                    forced_v = free[0]
+                    break
+                active.append(e)
+            if infeasible:
+                return
+            if forced_v >= 0:
+                cover |= 1 << forced_v
+                cover_size += 1
+                if cover_size >= best_cover_size:
+                    return
+                continue
+            break
+
+        if not active:
+            if cover_size < best_cover_size:
+                best_cover_size = cover_size
+                best_cover = cover
+                if target is not None and n - cover_size >= target:
+                    hit_target = True
+            return
+        if cover_size + _matching_bound(active) >= best_cover_size:
+            return
+
+        # Branch on the vertex appearing in the most active edges.
+        deg = {}
+        for e in active:
+            for v in e:
+                if not (keep >> v) & 1:
+                    deg[v] = deg.get(v, 0) + 1
+        v = min(deg, key=lambda u: (-deg[u], u))
+        recurse(cover | (1 << v), keep, cover_size + 1)
+        recurse(cover, keep | (1 << v), cover_size)
+
+    recurse(0, forced_mask, 0)
+
+    subset_mask = all_mask & ~best_cover
+    subset = tuple(v for v in range(n) if (subset_mask >> v) & 1)
+    size = len(subset)
+    optimal = not budget_box.exhausted and not hit_target
+    return SearchResult(subset, size, optimal, max(upper, size), budget_box.used)
+
+
+def reference_lexicographically_smallest_mis(
+    n: int,
+    triples: Iterable[Sequence[int]],
+    size: int,
+    budget: Optional[int] = 500_000,
+) -> tuple[int, ...]:
+    """Lexicographically smallest independent subset of the given (optimal)
+    size, built by prefix forcing.  Assumes such a subset exists."""
+    edges = _canonical_edges(triples)
+    chosen: list[int] = []
+    for v in range(n):
+        if len(chosen) == size:
+            break
+        trial = chosen + [v]
+        res = reference_max_independent_subset(n, edges, budget=budget, forced=trial, target=size)
+        if res.size >= size:
+            chosen = trial
+    if len(chosen) != size:
+        raise RuntimeError("failed to reconstruct certificate; budget too small")
+    return tuple(chosen)
+
+
+def reference_certificate(m, alpha):
+    """(subset, size, optimal, bound) as the unbudgeted certificate used to be
+    built: one search, then the lexicographic rebuild by prefix forcing."""
+    edges = violating_triples(m, alpha)
+    res = reference_max_independent_subset(m.n, edges, budget=None)
+    subset = res.subset
+    if res.optimal and res.size < m.n:
+        subset = reference_lexicographically_smallest_mis(m.n, edges, res.size, budget=None)
+    return subset, res.size, res.optimal, res.upper_bound
+
+
+def _euclidean(pts):
+    diff = pts[:, None, :] - pts[None, :, :]
+    return FiniteMetricSpace(np.sqrt(np.sum(diff * diff, axis=2)))
+
+
+def certificate_corpus(rng):
+    """(name, space, alpha): the scan corpus at alphas 0.5 and 0.8 without
+    collinear-41, whose search alone takes about 20 s and whose only maximum,
+    (0, 1), test_max_sra_collinear6 pins; then, at alpha 0.8, jittered 5x5
+    lattices, 16-point disk samples, 18-point graph metrics and 21-point
+    gradient-descent DSE spaces (the 41-point ones search for 7-30 s each)."""
+    out = [(name, m, alpha) for name, m in scan_corpus(rng) if name != "collinear-41"
+           for alpha in (0.5, 0.8)]
+    grid = np.array([(i, j) for i in range(5) for j in range(5)], dtype=float)
+    for k in range(4):
+        r, t = np.sqrt(rng.uniform(size=16)), rng.uniform(0.0, 2.0 * np.pi, size=16)
+        out.append((f"disk-{k}", _euclidean(np.c_[r * np.cos(t), r * np.sin(t)]), 0.8))
+        out.append((f"graph-{k}", graph_metric(18, rng), 0.8))
+    for k in range(2):
+        out.append((f"lattice-{k}", _euclidean(grid + 0.05 * rng.standard_normal(grid.shape)),
+                    0.8))
+        out.append((f"gradient-dse-{k}", FiniteMetricSpace(gradient_dse(k, steps=20).dist), 0.8))
+    return out
+
+
+def test_certificate_matches_prefix_forcing_oracle():
+    for name, m, alpha in certificate_corpus(np.random.default_rng(9)):
+        subset, size, optimal, bound = reference_certificate(m, alpha)
+        cert = max_sra_subset(m, alpha, budget=None)
+        assert (cert.subset, cert.size, cert.optimal, cert.bound) == \
+            (subset, size, optimal, bound), name
+        assert sra_report(m, alpha, budget=None)["max_subset"] == {
+            "indices": list(subset), "size": size, "optimal": optimal, "bound": bound}, name
 
 
 def test_sra_report_schema():
