@@ -1,10 +1,11 @@
-"""Command-line surface.
+"""Command-line surface: ``rough-angles <command> [flags]``.
 
-Every subcommand writes a JSON report (stdout by default, ``--out`` to a
-file) and exits 0 on success, 2 on a negative analysis verdict (violated /
-absent / unknown), 1 on errors such as malformed files or out-of-range
-parameters.  Reports are deterministic for a fixed configuration apart from
-the ``generated_at`` timestamp.
+The command comes first.  Each command takes only the flags it reads, and
+``rough-angles <command> --help`` lists them.  Every command writes a JSON
+report (stdout by default, ``--out`` to a file) and exits 0 on success, 2 on
+a negative analysis verdict (violated / absent / unknown), 1 on errors: usage
+errors, malformed files, out-of-range parameters.  Reports are deterministic
+for a fixed configuration apart from the ``generated_at`` timestamp.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .constants_extraction import (
 )
 from .curves import (DivergenceError, curve_length, curve_diameter, curve_to_dse,
                      gen_gradient_trajectory, is_self_contracted)
-from .dse_spaces import (RejectionError, as_dse, check_two_lemma, gap_D, gen_random_dse,
+from .dse_spaces import (DseSpace, RejectionError, check_two_lemma, gap_D, gen_random_dse,
                          gen_snowflaked_path, is_dse, length_L)
 from .metric_core import (
     EUCLIDEAN_L2,
@@ -87,12 +88,6 @@ def _jsonable(x):
     raise TypeError(f"not JSON-serializable: {type(x)}")
 
 
-def _load_space(args: argparse.Namespace) -> FiniteMetricSpace:
-    if not args.in_path:
-        raise ValueError("--in is required for this command")
-    return rio.load_distance_matrix(args.in_path)
-
-
 def _tol_of(args: argparse.Namespace, m: FiniteMetricSpace) -> float:
     return args.tol if args.tol is not None else default_tol(m)
 
@@ -102,7 +97,7 @@ def _tol_of(args: argparse.Namespace, m: FiniteMetricSpace) -> float:
 # ----------------------------------------------------------------------------
 
 def _cmd_validate(args) -> int:
-    m = _load_space(args)
+    m = rio.load_distance_matrix(args.in_path)
     tol = _tol_of(args, m)
     rep = validate_metric(m, tri_tol=tol)
     result = {
@@ -119,7 +114,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_sra_check(args) -> int:
-    m = _load_space(args)
+    m = rio.load_distance_matrix(args.in_path)
     tol = _tol_of(args, m)
     rep = sra_report(m, args.alpha, budget=args.budget, tol=tol)
     return _emit(args, "sra-check", {"in": args.in_path, "alpha": args.alpha},
@@ -127,13 +122,13 @@ def _cmd_sra_check(args) -> int:
 
 
 def _cmd_critical_alpha(args) -> int:
-    m = _load_space(args)
+    m = rio.load_distance_matrix(args.in_path)
     return _emit(args, "critical-alpha", {"in": args.in_path},
                  {"critical_alpha": critical_alpha(m), "n": m.n}, {}, None)
 
 
 def _cmd_max_sra(args) -> int:
-    m = _load_space(args)
+    m = rio.load_distance_matrix(args.in_path)
     tol = _tol_of(args, m)
     rep = sra_report(m, args.alpha, budget=args.budget, tol=tol)
     verdict = None if rep["max_subset"]["optimal"] else "unknown"
@@ -143,12 +138,8 @@ def _cmd_max_sra(args) -> int:
 
 
 def _cmd_snowflake(args) -> int:
-    m = _load_space(args)
-    if args.beta is None:
-        raise ValueError("--beta is required")
+    m = rio.load_distance_matrix(args.in_path)
     out_space = snowflake(m, args.beta)
-    if not args.out:
-        raise ValueError("--out is required for snowflake")
     rio.save_distance_matrix(out_space, args.out)
     return _emit(args, "snowflake", {"in": args.in_path, "beta": args.beta},
                  {"n": out_space.n, "diameter": diameter(out_space), "out": args.out},
@@ -156,7 +147,7 @@ def _cmd_snowflake(args) -> int:
 
 
 def _cmd_dse_check(args) -> int:
-    m = _load_space(args)
+    m = rio.load_distance_matrix(args.in_path)
     tol = _tol_of(args, m)
     verdict = is_dse(m, tol=tol)
     result = {
@@ -168,7 +159,7 @@ def _cmd_dse_check(args) -> int:
         ],
     }
     if verdict.ok:
-        d = as_dse(m, tol=tol)
+        d = DseSpace(m)
         two = check_two_lemma(d, tol=tol)
         result.update({
             "length_L": length_L(d),
@@ -182,8 +173,6 @@ def _cmd_dse_check(args) -> int:
 
 
 def _cmd_gen_dse(args) -> int:
-    if args.seed is None:
-        raise ValueError("--seed is required for gen-dse")
     n = 8 if args.n is None else args.n
     if args.beta is not None:
         d = gen_snowflaked_path(n, args.beta)
@@ -192,8 +181,6 @@ def _cmd_gen_dse(args) -> int:
         model = ModelSpaceSpec(args.model, args.dim)
         d = gen_random_dse(n, args.seed, model=model)
         kind = "random"
-    if not args.out:
-        raise ValueError("--out is required for gen-dse")
     rio.save_dse(d, args.out)
     return _emit(args, "gen-dse", {"n": d.n, "seed": args.seed, "beta": args.beta,
                                    "kind": kind},
@@ -202,8 +189,6 @@ def _cmd_gen_dse(args) -> int:
 
 
 def _cmd_gen_curve(args) -> int:
-    if args.seed is None:
-        raise ValueError("--seed is required for gen-curve")
     if canonical_kind(args.model) != EUCLIDEAN_L2:
         raise ValueError(f"gen-curve builds {EUCLIDEAN_L2} curves only, got --model {args.model}")
     rng = np.random.default_rng(args.seed)
@@ -214,8 +199,6 @@ def _cmd_gen_curve(args) -> int:
     step = args.step if args.step is not None else 0.9 / lam_max
     start = rng.standard_normal(dim)
     curve = gen_gradient_trajectory(q, start, step, args.steps)
-    if not args.out:
-        raise ValueError("--out is required for gen-curve")
     rio.save_curve(curve, args.out)
     return _emit(args, "gen-curve",
                  {"seed": args.seed, "dim": dim, "steps": args.steps, "step": step},
@@ -244,8 +227,6 @@ def _cmd_curve_check(args) -> int:
 def _cmd_curve_to_dse(args) -> int:
     c = rio.load_curve(args.in_path)
     d = curve_to_dse(c, tol=args.tol)
-    if not args.out:
-        raise ValueError("--out is required for curve-to-dse")
     rio.save_dse(d, args.out)
     return _emit(args, "curve-to-dse", {"in": args.in_path},
                  {"n": d.n, "length_L": length_L(d), "gap_D": gap_D(d),
@@ -304,10 +285,6 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_refute_weird(args) -> int:
-    if args.seed is None:
-        raise ValueError("--seed is required for refute-weird")
-    if args.theta is None or args.alpha is None:
-        raise ValueError("--theta and --alpha are required")
     n = n_of_theta_alpha(args.theta, args.alpha) if args.n is None else args.n
     rep = refute_weird_angles(args.theta, args.alpha, n, args.trials, args.seed)
     result = {
@@ -328,7 +305,7 @@ def _cmd_refute_weird(args) -> int:
 
 
 def _cmd_net_embed(args) -> int:
-    m = _load_space(args)
+    m = rio.load_distance_matrix(args.in_path)
     r = args.r if args.r is not None else 0.1 * diameter(m)
     net = greedy_net(m, r)
     emb = net_embed(m, net)
@@ -347,7 +324,7 @@ def _cmd_net_embed(args) -> int:
 
 
 def _cmd_doubling(args) -> int:
-    m = _load_space(args)
+    m = rio.load_distance_matrix(args.in_path)
     scales = args.scales or [diameter(m) / 4.0]
     est = doubling_estimate(m, scales)
     result = {"estimates": [{"scale": e.scale, "covering_number": e.covering_number}
@@ -357,9 +334,7 @@ def _cmd_doubling(args) -> int:
 
 
 def _cmd_freeness_cover(args) -> int:
-    m = _load_space(args)
-    if args.r is None or args.big_r is None:
-        raise ValueError("--r and --R are required")
+    m = rio.load_distance_matrix(args.in_path)
     rep = freeness_via_cover(m, args.alpha, args.r, args.big_r,
                              3 if args.k is None else args.k, budget=args.budget)
     result = {
@@ -396,59 +371,84 @@ def _cmd_angles(args) -> int:
 # Parser
 # ----------------------------------------------------------------------------
 
+# Each flag's argparse spec, defined once; "--" + key is its option string.
+_FLAGS = {
+    "in": dict(dest="in_path"),
+    "out": dict(),
+    "tol": dict(type=float),
+    "alpha": dict(type=float, default=0.8),
+    "theta": dict(type=float),
+    "beta": dict(type=float),
+    "k": dict(type=int),
+    "n": dict(type=int),
+    "m": dict(type=int),
+    "r": dict(type=float),
+    "R": dict(dest="big_r", type=float),
+    "lam": dict(type=int, help="doubling constant for the pigeonhole bound"),
+    "seed": dict(type=int),
+    "budget": dict(type=int, default=500_000),
+    "trials": dict(type=int, default=10_000),
+    "steps": dict(type=int, default=40),
+    "step": dict(type=float),
+    "dim": dict(type=int, default=2),
+    "model": dict(default=EUCLIDEAN_L2),
+    "scales": dict(type=float, nargs="*"),
+    "format": dict(choices=["json", "csv"], default="json"),
+}
+
+# command: (handler, required flags, optional flags); a command's parser
+# takes exactly these flags, which are the ones its handler reads.
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "sra-check": _cmd_sra_check,
-    "critical-alpha": _cmd_critical_alpha,
-    "max-sra": _cmd_max_sra,
-    "snowflake": _cmd_snowflake,
-    "dse-check": _cmd_dse_check,
-    "gen-dse": _cmd_gen_dse,
-    "gen-curve": _cmd_gen_curve,
-    "curve-check": _cmd_curve_check,
-    "curve-to-dse": _cmd_curve_to_dse,
-    "constants": _cmd_constants,
-    "extract": _cmd_extract,
-    "refute-weird": _cmd_refute_weird,
-    "net-embed": _cmd_net_embed,
-    "doubling": _cmd_doubling,
-    "freeness-cover": _cmd_freeness_cover,
-    "angles": _cmd_angles,
+    "validate": (_cmd_validate, "in", "tol out"),
+    "sra-check": (_cmd_sra_check, "in", "tol alpha budget out"),
+    "critical-alpha": (_cmd_critical_alpha, "in", "out"),
+    "max-sra": (_cmd_max_sra, "in", "tol alpha budget out"),
+    "snowflake": (_cmd_snowflake, "in beta out", ""),
+    "dse-check": (_cmd_dse_check, "in", "tol out"),
+    "gen-dse": (_cmd_gen_dse, "seed out", "n beta model dim"),
+    "gen-curve": (_cmd_gen_curve, "seed out", "model dim step steps"),
+    "curve-check": (_cmd_curve_check, "in", "tol out"),
+    "curve-to-dse": (_cmd_curve_to_dse, "in out", "tol"),
+    "constants": (_cmd_constants, "", "alpha theta k m r R lam out"),
+    "extract": (_cmd_extract, "in", "alpha k budget out"),
+    "refute-weird": (_cmd_refute_weird, "seed theta alpha", "n trials out"),
+    "net-embed": (_cmd_net_embed, "in", "r format out"),
+    "doubling": (_cmd_doubling, "in", "scales out"),
+    "freeness-cover": (_cmd_freeness_cover, "in r R", "alpha k budget out"),
+    "angles": (_cmd_angles, "in", "alpha out"),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="rough-angles",
-                                description="Rough-angle analysis of finite metric spaces")
-    p.add_argument("command", choices=sorted(_COMMANDS))
-    p.add_argument("--alpha", type=float, default=0.8)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--R", dest="big_r", type=float, default=None)
-    p.add_argument("--lam", type=int, default=None, help="doubling constant for the pigeonhole bound")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--budget", type=int, default=500_000)
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--steps", type=int, default=40)
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--model", type=str, default=EUCLIDEAN_L2)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--scales", type=float, nargs="*", default=None)
-    p.add_argument("--in", dest="in_path", type=str, default=None)
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # A usage error exits 1 through main like any other error; argparse
+        # would exit 2, the code of a negative verdict.
+        raise ValueError(f"{message}\n{self.format_usage().rstrip()}")
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of one command's flags; for ``None``, the top-level parser,
+    which only names the commands."""
+    if command is None:
+        p = _Parser(prog="rough-angles",
+                    description="Rough-angle analysis of finite metric spaces",
+                    epilog="'rough-angles <command> --help' lists the flags of a command.")
+        p.add_argument("command", choices=sorted(_COMMANDS))
+        return p
+    p = _Parser(prog=f"rough-angles {command}")
+    required = _COMMANDS[command][1].split()
+    for name in required + _COMMANDS[command][2].split():
+        p.add_argument(f"--{name}", required=name in required, **_FLAGS[name])
     return p
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        return _COMMANDS[args.command](args)
+        # Without a known command first, the top-level parser reports the error.
+        args = build_parser(command).parse_args(argv[1:] if command else argv)
+        return _COMMANDS[command][0](args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError,
             DivergenceError, RejectionError) as exc:
         sys.stderr.write(f"error: {exc}\n")

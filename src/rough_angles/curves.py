@@ -109,7 +109,7 @@ def is_self_contracted(c: SampledCurve, tol: Optional[float] = None,
         if truncated:
             break
     out.sort(key=lambda v: v.indices)
-    return ContractionVerdict(ok=not out, violations=tuple(out), tol=float(tol),
+    return ContractionVerdict(ok=not out and not truncated, violations=tuple(out), tol=float(tol),
                               truncated=truncated)
 
 

@@ -91,7 +91,8 @@ def is_dse(m: FiniteMetricSpace, tol: Optional[float] = None,
             out.append(DseViolation(i, j, k, float(d[i, j] - d[i, k])))
         if truncated:
             break
-    return DseVerdict(ok=not out, violations=tuple(out), tol=float(tol), truncated=truncated)
+    return DseVerdict(ok=not out and not truncated, violations=tuple(out), tol=float(tol),
+                      truncated=truncated)
 
 
 def as_dse(m: FiniteMetricSpace, tol: Optional[float] = None) -> DseSpace:

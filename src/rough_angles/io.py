@@ -29,6 +29,10 @@ def _checked_matrix(p: Path, dist: np.ndarray, declared_n=None) -> np.ndarray:
     return dist
 
 
+def _write_json(path: PathLike, payload: dict) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def load_distance_matrix(path: PathLike) -> FiniteMetricSpace:
     """CSV (one row per point, optional header) or JSON {"n":..,"dist":[[..]]},
     chosen by extension.  Asymmetric matrices are rejected."""
@@ -55,8 +59,7 @@ def load_distance_matrix(path: PathLike) -> FiniteMetricSpace:
 def save_distance_matrix(m: FiniteMetricSpace, path: PathLike) -> None:
     p = Path(path)
     if p.suffix.lower() == ".json":
-        payload = {"n": m.n, "dist": m.dist.tolist()}
-        p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(p, {"n": m.n, "dist": m.dist.tolist()})
     else:
         with p.open("w", newline="") as fh:
             w = csv.writer(fh)
@@ -76,7 +79,7 @@ def save_point_cloud(pc: PointCloud, path: PathLike) -> None:
         "dim": pc.model.dim,
         "coords": pc.coords.tolist(),
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(path, payload)
 
 
 def load_curve(path: PathLike) -> SampledCurve:
@@ -93,7 +96,7 @@ def save_curve(c: SampledCurve, path: PathLike) -> None:
         "times": c.times.tolist(),
         "points": c.points.tolist(),
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(path, payload)
 
 
 def load_dse(path: PathLike) -> DseSpace:
@@ -114,4 +117,4 @@ def save_dse(d: DseSpace, path: PathLike) -> None:
         "dist": d.dist.tolist(),
         "order": "identity",
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(path, payload)

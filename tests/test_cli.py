@@ -1,7 +1,11 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -110,22 +114,24 @@ def test_error_exit_code(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["extract", "--alpha", "0.8", "--k", "0"],
-    ["freeness-cover", "--alpha", "0.8", "--r", "1.5", "--R", "5.0", "--k", "0"],
+    ["extract", "--in", "snow.json", "--alpha", "0.8", "--k", "0"],
+    ["freeness-cover", "--in", "snow.json", "--alpha", "0.8", "--r", "1.5", "--R", "5.0",
+     "--k", "0"],
     ["constants", "--alpha", "0.8", "--k", "0"],
     ["gen-dse", "--n", "0", "--beta", "0.5", "--seed", "1"],
     ["refute-weird", "--theta", "0.2", "--alpha", "0.9", "--n", "0", "--trials", "10",
      "--seed", "1"],
 ], ids=lambda argv: argv[0])
-def test_explicit_zero_is_not_replaced_by_default(capsys, tmp_path, argv):
+def test_explicit_zero_is_not_replaced_by_default(capsys, tmp_path, monkeypatch, argv):
     """--k 0 and --n 0 reach the library's range checks instead of turning
     into the default."""
+    monkeypatch.chdir(tmp_path)
     snow = tmp_path / "snow.json"
     assert main(["gen-dse", "--n", "6", "--beta", "0.5", "--seed", "1",
                  "--out", str(snow)]) == 0
     capsys.readouterr()
     out = tmp_path / "out.json"
-    rc = main(argv + ["--in", str(snow), "--out", str(out)])
+    rc = main(argv + ["--out", str(out)])
     captured = capsys.readouterr()
     assert rc == 1
     flag = argv[argv.index("--k") if "--k" in argv else argv.index("--n")]
@@ -297,3 +303,243 @@ def test_reports_reparse(capsys, collinear6):
         rc = main([cmd, "--in", collinear6] + extra)
         out = json.loads(capsys.readouterr().out)
         assert out["schema_version"] == report_schema_version()
+
+
+# ----------------------------------------------------------------------------
+# Golden reports: every command on small fixed inputs, with relative paths.
+# Each case is (argv, exit code, SHA-256 of the report with its generated_at
+# line removed, SHA-256 of the --out data artifact or None).  The cases run
+# in order, so later ones read the files earlier ones write.  A changed
+# digest means a report or data file changed byte for byte; record a new one
+# only for an intended change of output.
+# ----------------------------------------------------------------------------
+
+GOLDEN = [
+    (["gen-dse", "--n", "6", "--beta", "0.5", "--seed", "1", "--out", "path.json"],
+     0, "f05b4eb39d305fe33043b9de080cd8cc9e102ef809c332230a753eb61e199ba9",
+     "c947812a1419bde496466933f07189b340dc64f1892aa4e24337a072461b4224"),
+    (["gen-dse", "--n", "5", "--seed", "2", "--dim", "3", "--out", "random_dse.json"],
+     0, "2c0b720166e536826a07b73d62935d56d363575b34edd41a3dc1c3a859a4867c",
+     "352143e47be394b45ac51743f686f8866cb1f3a337744b0a3356e2118b7b959b"),
+    (["gen-curve", "--seed", "9", "--dim", "3", "--steps", "12", "--out", "curve.json"],
+     0, "b16d8a10dcd982d37971569a4f900997eec0070c183cb22f4e6534e22aef7c8f",
+     "c2ab60acb82ba72b8f6ffd4e756743b0160ab29be7893742969d0e63f1f961ff"),
+    (["gen-curve", "--seed", "4", "--step", "0.05", "--steps", "8", "--out", "slow.json"],
+     0, "ee93e765b679b30f4881c6eb807ee62c73bb45d5503ac171f71a8cf1d891d593",
+     "635cbae058a5778103b6fa243f9449ed95ed63829cbdb4c759214123af3572c9"),
+    (["curve-check", "--in", "curve.json"],
+     0, "5b2ca2911dc7e346bd3a700f2fcc32dd27281ece6689b943dcb3051c92c5c929",
+     None),
+    (["curve-check", "--in", "slow.json", "--tol", "0"],
+     0, "e0dd5f7bbae9b48cabc412e9a6e1a8ac652bf34e3ee2fb0727d4f1fbe67b65bb",
+     None),
+    (["curve-to-dse", "--in", "curve.json", "--out", "curve_dse.json"],
+     0, "1e2adf744a6d554499f02f87bd590a88e50c6cb003b85018c925d47eef669faf",
+     "65200f00f8c3f2e2b414d3b55d500d604c3c0b95476fa5aa1fd094e3cc98661c"),
+    (["dse-check", "--in", "path.json"],
+     0, "e0e5dcc05b5065f4eb30cde5483d622e4f080cf58494a8503bf4e4d1a9d617e8",
+     None),
+    (["dse-check", "--in", "m.json", "--tol", "0"],
+     0, "c313300ea80b247c6a74d01f8fb9f9b95e2dd2d4ac86e5fb06bedb48c6bd70d5",
+     None),
+    (["validate", "--in", "m.json"],
+     0, "3c914cfb6ddb57589dce031219cfdcc39a7c35d1f3f624489f9db8a996b44660",
+     None),
+    (["validate", "--in", "bad.json", "--tol", "0"],
+     2, "1a29fb9ada348d1b83fa544e9936fb6963118773449f06263d83d19579b08714",
+     None),
+    (["sra-check", "--in", "path.json", "--alpha", "0.5"],
+     0, "bf1fef24bfb826f7a9be7c54fa494033d3ca41d0b106ce4970f9a247f9eb5508",
+     None),
+    (["sra-check", "--in", "m.json", "--alpha", "0.9", "--budget", "50"],
+     2, "8bf29fcc018f30e1303e01b055b0da84812f60a4ead0462568e8c180bfd6776b",
+     None),
+    (["critical-alpha", "--in", "m.json", "--out", "critical.json"],
+     0, "2d6a5f1c19614db47f5808631e803e2c7e659496fd816baeffc703ff97483d4f",
+     None),
+    (["max-sra", "--in", "random.csv", "--alpha", "0.5", "--tol", "0"],
+     0, "d503050397d5aae6ad49c68bd562a762fc0fd1367628aa106c38d11153b78531",
+     None),
+    (["max-sra", "--in", "m.json", "--alpha", "0.9", "--budget", "1"],
+     2, "6e65bac87ce0108911a52dba7242794717fe453d2e3984965a6441478cb1930a",
+     None),
+    (["snowflake", "--in", "m.json", "--beta", "0.5", "--out", "snow.json"],
+     0, "d1237741a2c93e8a43362f0efb1d0886b921f2b20d9e57020fa76aaac90d1bcd",
+     "309407c197f3106d834fec1be848c8138a9b2bb79fc19c8330c0cebbe22f9e65"),
+    (["constants", "--alpha", "0.8", "--theta", "0.5", "--m", "3", "--k", "4"],
+     0, "33c97968b32544c78015020d3899e89bf6409928052d818c71b1afac13739b1d",
+     None),
+    (["constants", "--alpha", "0.9", "--theta", "0.2", "--k", "4", "--r", "1", "--R", "4",
+      "--lam", "3"],
+     0, "b30e2e1bf0b8c688343b56f93c8d4fe8ba69d645c644c65f812c126492585687",
+     None),
+    (["extract", "--in", "curve_dse.json", "--alpha", "0.8", "--k", "2"],
+     0, "3bb3699fa339670a04928eb802cdabcd7df3c532b6e9e06984f954c3acaa1097",
+     None),
+    (["extract", "--in", "path.json", "--alpha", "0.8", "--k", "3", "--budget", "100"],
+     0, "41d1b4570f6bdbbbc7d468b937b11d5ee6c9401b0bebb0664032086a137fb868",
+     None),
+    (["extract", "--in", "random_dse.json", "--alpha", "0.8", "--k", "3"],
+     0, "2c380cce194ec0442c36092a5d36554ed5185f42fdbbb9a52cce9930dc7dde54",
+     None),
+    (["refute-weird", "--theta", "0.2", "--alpha", "0.9", "--n", "4", "--trials", "200",
+      "--seed", "3"],
+     0, "ff610a5cc1b267ec531ac4d1b9fad1c638206a50700732ac0f56dc6f22b2c0d6",
+     None),
+    (["refute-weird", "--theta", "0.3", "--alpha", "0.95", "--trials", "50", "--seed", "1"],
+     0, "b44062030e4acdcfc16d699f49537227f35d1b7245c646368fe711791b5394e7",
+     None),
+    (["net-embed", "--in", "m.json"],
+     0, "fe95637f3b84f535aa7783396a48fdf02ca2335c39557a25d1a6adff6d68e09a",
+     None),
+    (["net-embed", "--in", "random.csv", "--r", "0.8", "--format", "csv", "--out", "emb.csv"],
+     0, "ad7478457e5f59b3203fa587f9acca8f54c772173909a3167e030788e42b1210",
+     "a843d9e86f1cbb62f34f4ba0f8f3599b23df5221ac82cc717ebacacb3d6cf196"),
+    (["doubling", "--in", "m.json"],
+     0, "e6b828ca1b8df7c6bcd2030a7d146f8269b8a6f81338a034ccd5ccfdc2d6220a",
+     None),
+    (["doubling", "--in", "snow.json", "--scales", "1.0", "2.0"],
+     0, "888cc1e955c843f81e6db34910a7628e2ce67cf60faa06f3763984f4a8e31524",
+     None),
+    (["freeness-cover", "--in", "m.json", "--alpha", "0.8", "--r", "1.5", "--R", "5", "--k",
+      "3"],
+     0, "cfec66db1c41152d5df273565708e6dec9ce0d5e0e370e3613ab8bff8aa0f93a",
+     None),
+    (["freeness-cover", "--in", "random.csv", "--alpha", "0.6", "--r", "0.8", "--R", "2",
+      "--budget", "20"],
+     0, "a0bfe188afc9ce7e2687089e4b75a87e90b2d487477e135927f191aba9490fda",
+     None),
+    (["angles", "--in", "cloud.json", "--alpha", "0.9"],
+     0, "11aaac9e39526716566f8a6301ab4409857553308a80650264e9e55ef29548ac",
+     None),
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden_runs(tmp_path_factory):
+    work = tmp_path_factory.mktemp("golden")
+    home = os.getcwd()
+    os.chdir(work)
+    try:
+        save_distance_matrix(collinear(6), "m.json")
+        Path("bad.json").write_text(json.dumps({"dist": [[0, 1, 3], [1, 0, 1], [3, 1, 0]]}))
+        save_distance_matrix(random_metric(10, np.random.default_rng(348)), "random.csv")
+        save_point_cloud(PointCloud(ModelSpaceSpec(EUCLIDEAN_L2, 2),
+                                    [[0, 0], [1, 0], [2, 0], [1, 0.2], [3, 1]]), "cloud.json")
+        runs = []
+        for argv, _, _, artifact in GOLDEN:
+            buf = StringIO()
+            with redirect_stdout(buf):
+                rc = main(list(argv))
+            out = argv[argv.index("--out") + 1] if "--out" in argv else None
+            text = buf.getvalue() if artifact is not None or out is None \
+                else Path(out).read_text()
+            text = re.sub(r'^  "generated_at": ".*",\n', "", text, flags=re.M)
+            art = None if artifact is None else _sha(Path(out).read_bytes())
+            runs.append((rc, _sha(text.encode()), art))
+        return runs
+    finally:
+        os.chdir(home)
+
+
+@pytest.mark.parametrize("case", range(len(GOLDEN)),
+                         ids=[f"{i:02d}-{GOLDEN[i][0][0]}" for i in range(len(GOLDEN))])
+def test_golden_report(golden_runs, case):
+    argv, rc, report, artifact = GOLDEN[case]
+    assert golden_runs[case] == (rc, report, artifact), argv
+
+
+# ----------------------------------------------------------------------------
+# Parser: each command takes exactly the flags it reads.
+# ----------------------------------------------------------------------------
+
+# command: (required flags, optional flags)
+FLAGS = {
+    "validate": ("in", "tol out"),
+    "sra-check": ("in", "tol alpha budget out"),
+    "critical-alpha": ("in", "out"),
+    "max-sra": ("in", "tol alpha budget out"),
+    "snowflake": ("in beta out", ""),
+    "dse-check": ("in", "tol out"),
+    "gen-dse": ("seed out", "n beta model dim"),
+    "gen-curve": ("seed out", "model dim step steps"),
+    "curve-check": ("in", "tol out"),
+    "curve-to-dse": ("in out", "tol"),
+    "constants": ("", "alpha theta k m r R lam out"),
+    "extract": ("in", "alpha k budget out"),
+    "refute-weird": ("seed theta alpha", "n trials out"),
+    "net-embed": ("in", "r format out"),
+    "doubling": ("in", "scales out"),
+    "freeness-cover": ("in r R", "alpha k budget out"),
+    "angles": ("in", "alpha out"),
+}
+ALL_FLAGS = {f for flags in FLAGS.values() for f in " ".join(flags).split()}
+# The first golden invocation of each command, which passes all its required flags.
+VALID = {}
+for _argv, *_ in GOLDEN:
+    VALID.setdefault(_argv[0], _argv)
+
+
+def usage_error(capsys, argv, message):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert f"usage: rough-angles {argv[0]}" in captured.err
+
+
+def test_flag_table_has_75_pairs():
+    assert set(FLAGS) == set(VALID) == set(cli._COMMANDS)
+    assert sum(len(" ".join(flags).split()) for flags in FLAGS.values()) == 75
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_unread_flag_is_a_usage_error(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    own = " ".join(FLAGS[command]).split()
+    for flag in sorted(ALL_FLAGS - set(own)):
+        if any(name.startswith(flag) for name in own):
+            continue  # argparse reads --m as an abbreviation of --model
+        usage_error(capsys, VALID[command] + [f"--{flag}", "1"],
+                    f"unrecognized arguments: --{flag} 1")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command,flag", [(c, f) for c in sorted(FLAGS)
+                                          for f in FLAGS[c][0].split()])
+def test_missing_required_flag_is_a_usage_error(capsys, tmp_path, monkeypatch, command, flag):
+    monkeypatch.chdir(tmp_path)
+    argv = list(VALID[command])
+    i = argv.index(f"--{flag}")
+    del argv[i:i + 2]
+    usage_error(capsys, argv, f"the following arguments are required: --{flag}")
+    assert not any(tmp_path.iterdir())
+
+
+def test_malformed_value_is_a_usage_error(capsys, collinear6):
+    usage_error(capsys, ["sra-check", "--in", collinear6, "--alpha", "abc"],
+                "argument --alpha: invalid float value: 'abc'")
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["--in", "m.json", "validate"]],
+                         ids=["none", "unknown", "not-first"])
+def test_command_must_come_first(capsys, argv):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "usage: rough-angles [-h]" in captured.err
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_help_lists_exactly_the_command_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: rough-angles {command} ")
+    listed = re.findall(r"^  (-h, --help|--\w+)", out, flags=re.M)
+    assert listed == ["-h, --help"] + [f"--{f}" for f in " ".join(FLAGS[command]).split()]

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from rough_angles import (
     EUCLIDEAN_L2,
     DivergenceError,
+    FiniteMetricSpace,
     ModelSpaceSpec,
     SampledCurve,
     curve_diameter,
@@ -186,3 +187,15 @@ def test_subgradient_trajectory_runs_and_is_measured():
 def test_times_must_increase():
     with pytest.raises(ValueError):
         euclid_curve([0.0, 0.0], [[0, 0], [1, 1]])
+
+
+def test_truncated_before_any_violation_is_not_ok():
+    """A cap of 0 stops both checks at their first violation, before it is
+    recorded; the verdict must still be negative."""
+    pos = np.array([0.0, 2.0, 1.0])
+    dse = is_dse(FiniteMetricSpace(np.abs(pos[:, None] - pos[None, :])), tol=0.0,
+                 max_violations=0)
+    assert dse.truncated and not dse.violations and not dse.ok
+    curve = is_self_contracted(euclid_curve([0.0, 1.0, 2.0], [[0.0], [3.0], [1.0]]),
+                               max_violations=0)
+    assert curve.truncated and not curve.violations and not curve.ok
