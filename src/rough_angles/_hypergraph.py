@@ -4,17 +4,19 @@ A subset of vertices is independent when it contains no hyperedge entirely.
 ``max_independent_subset`` solves the complementary minimum hitting-set
 problem by budgeted branch and bound: every edge needs at least one vertex
 outside the subset.  ``_in_order_search`` grows increasing tuples in index
-order instead, with the hyperedges handed over lazily as bitmasks; given the
-optimum size found by the former, one in-order pass returns the
-lexicographically smallest maximum subset.  Vertices are bitmask-encoded; all
-tie-breaks are by smallest index so results are deterministic regardless of
-schedule.
+order instead, with the hyperedges handed over lazily as bitmasks, which only
+``row_third`` and ``edge_third`` build; given the optimum size found by the
+former, one in-order pass returns the lexicographically smallest maximum
+subset.  Vertices are bitmask-encoded; all tie-breaks are by smallest index
+so results are deterministic regardless of schedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -154,6 +156,21 @@ def max_independent_subset(
     subset = tuple(v for v in range(n) if not (best_cover >> v) & 1)
     return SearchResult(subset, len(subset), not budget_box.exhausted,
                         max(upper, len(subset)), budget_box.used)
+
+
+def row_third(bad: Callable[[int, int], np.ndarray]) -> Callable[[int, int], int]:
+    """``third`` for ``_in_order_search`` from ``bad(a, b)``, a boolean numpy
+    row over c = b+1..n-1 that is true where {a, b, c} is a hyperedge."""
+    return lambda a, b: int.from_bytes(
+        np.packbits(bad(a, b), bitorder="little").tobytes(), "little") << (b + 1)
+
+
+def edge_third(edges: Iterable[tuple[int, int, int]]) -> Callable[[int, int], int]:
+    """``third`` for ``_in_order_search`` from increasing triples (a, b, c)."""
+    masks: dict[tuple[int, int], int] = {}
+    for a, b, c in edges:
+        masks[a, b] = masks.get((a, b), 0) | (1 << c)
+    return lambda a, b: masks.get((a, b), 0)
 
 
 def _in_order_search(n: int, third: Callable[[int, int], int],

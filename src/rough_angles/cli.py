@@ -420,6 +420,10 @@ _COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # Flags are spelled in full: a prefix such as --m never stands for --model.
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         # A usage error exits 1 through main like any other error; argparse
         # would exit 2, the code of a negative verdict.
@@ -444,10 +448,14 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    first = argv[0] if argv else ""
+    command = first if first in _COMMANDS else None
     try:
         # Without a known command first, the top-level parser reports the error.
-        args = build_parser(command).parse_args(argv[1:] if command else argv)
+        parser = build_parser(command)
+        if command is None and first.startswith("-") and first not in ("-h", "--help"):
+            parser.error(f"the command must come first, found {first!r}")
+        args = parser.parse_args(argv[1:] if command else argv)
         return _COMMANDS[command][0](args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError,
             DivergenceError, RejectionError) as exc:

@@ -17,17 +17,15 @@ Contents:
 * ``find_theta_straight_subset`` / ``max_theta_straight_subset``: exact
   ordered-subset search.  Straightness is hereditary, so a theta-straight
   subset is an independent set of the 3-uniform hypergraph of non-straight
-  in-order triples; both run the in-order bitset search of ``_hypergraph``
-  and build each triple mask from one numpy row, only for pairs it reaches.
+  in-order triples; both run the in-order bitset search of ``_hypergraph``.
   They return the lexicographically smallest maximum and the lexicographically
   first m-tuple.
-* ``color_triples_red``: the red/blue colouring of the in-order triples of a
-  straight subset, from one numpy broadcast.
 * ``refute_weird_angles``: randomized plus grid search for DSE spaces
   satisfying both the straightness and the expansion conditions; any hit is
   dumped verbatim as a fatal inconsistency flag.
 * ``extract_sra_subspace``: the two-coloring extraction pipeline, with a
-  direct-search fallback and explicit branch reporting.
+  direct-search fallback and explicit branch reporting; its all-red and
+  all-blue searches are in-order searches too.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -262,15 +260,10 @@ def globq_bound(k: int, lam: int, big_r: float, small_r: float) -> int:
 # ----------------------------------------------------------------------------
 
 def _straight_third(d: DseSpace, theta: float, tol: float) -> Callable[[int, int], int]:
-    """``third(a, b)`` for the in-order search: the bitmask of every c > b
-    with d(a,c) > d(a,b) + theta d(b,c) + tol, from one row of numpy."""
+    """``third`` of the non-straight triples: d(a,c) > d(a,b) + theta d(b,c) + tol."""
     dist = d.dist
-
-    def third(a: int, b: int) -> int:
-        bad = dist[a, b + 1:] > dist[a, b] + theta * dist[b, b + 1:] + tol
-        return int.from_bytes(np.packbits(bad, bitorder="little").tobytes(), "little") << (b + 1)
-
-    return third
+    return _hypergraph.row_third(
+        lambda a, b: dist[a, b + 1:] > dist[a, b] + theta * dist[b, b + 1:] + tol)
 
 
 def find_theta_straight_subset(
@@ -563,23 +556,8 @@ def make_bundle(
                            ramsey_bound=m, globq=gq)
 
 
-def color_triples_red(d: np.ndarray, indices: Sequence[int], alpha: float
-                      ) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
-    """Two-color the in-order triples of ``indices``: a triple (i, j, k) is
-    red when d(y_j, y_k) <= d(y_i, y_k) + alpha d(y_i, y_j), blue otherwise.
-    Returns (red, blue) as triples of positions within ``indices``, each in
-    lexicographic order."""
-    idx = np.asarray(indices, dtype=np.intp)
-    sub = d[np.ix_(idx, idx)]
-    a, b, c = np.ogrid[:len(idx), :len(idx), :len(idx)]
-    in_order = (a < b) & (b < c)
-    # Entry [a, b, c] is the test of the triple (a, b, c) of positions.
-    red = sub[b, c] <= sub[a, c] + alpha * sub[a, b]
-
-    def triples(mask: np.ndarray) -> list[tuple[int, int, int]]:
-        return list(zip(*(p.tolist() for p in np.nonzero(mask & in_order))))
-
-    return triples(red), triples(~red)
+# Tolerance of the ``is_sra`` re-check of every extracted certificate.
+VERIFY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -601,25 +579,28 @@ def extract_sra_subspace(
     alpha: float,
     k: int,
     budget: Optional[int] = 500_000,
-    verify_tol: float = 1e-12,
 ) -> ExtractionResult:
     """Extract a k-point SRA(alpha) subspace from a DSE space.
 
     Stages, reported through ``branch``:
 
     1. "straight-red": the two-coloring route.  Find the largest
-       theta-straight subset Y (theta from ``default_theta``); search Y's
-       blue-triple hypergraph for an all-red k-subset.  Straightness plus
-       redness imply SRA(alpha) for in-order subsets of a DSE space, and the
-       certificate is re-verified with ``is_sra`` before being returned.
-    2. "blue-breach": an all-blue subset of size n_of_theta_alpha inside Y is
-       a direct counterexample to the nonexistence claim at that size and is
-       returned verbatim as a diagnostic.
+       theta-straight subset Y (theta from ``default_theta``); the
+       certificate is the lexicographically first k-tuple of Y whose in-order
+       triples are all red.  Straightness plus redness imply SRA(alpha) for
+       in-order subsets of a DSE space, and the certificate is re-verified
+       with ``is_sra`` before being returned.
+    2. "blue-breach": the lexicographically first all-blue n_of_theta_alpha
+       subset of Y is a direct counterexample to the nonexistence claim at
+       that size and is returned verbatim as a diagnostic.
     3. "direct-search": the coloring route needs straight subsets far larger
        than desk-scale inputs provide, so fall back to the exact freeness
        search on the whole space and trim to k points.
     4. "below-threshold": no route produced k points; the sizes reached are
        reported and no certificate is fabricated.
+
+    ``budget`` bounds only the direct search; the in-order searches for Y
+    and the coloured subsets have none.
     """
     if not (0.5 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (1/2, 1), got {alpha}")
@@ -627,7 +608,6 @@ def extract_sra_subspace(
         raise ValueError("need k >= 2")
     theta = default_theta(alpha)
     n_blue = n_of_theta_alpha(theta, alpha)
-    dist = d.dist
 
     if k == 2 and d.n >= 2:
         cert = SubsetCertificate(alpha=float(alpha), subset=(0, 1), size=2,
@@ -635,30 +615,27 @@ def extract_sra_subspace(
         return ExtractionResult(alpha, theta, k, n_blue, "trivial-pair", cert, ())
 
     straight = max_theta_straight_subset(d, theta)
-    blue_found: Optional[tuple[int, ...]] = None
+    sub = d.dist[np.ix_(straight, straight)]
 
-    if len(straight) >= 3:
-        red, blue = color_triples_red(dist, straight, alpha)
-        if len(straight) >= k:
-            res = _hypergraph.max_independent_subset(len(straight), blue, budget=budget)
-            if res.size >= k:
-                chosen = tuple(straight[p] for p in res.subset[:k])
-                verdict = is_sra(subspace(d.space, chosen), alpha, tol=verify_tol)
-                if verdict.is_sra:
-                    cert = SubsetCertificate(alpha=float(alpha), subset=chosen,
-                                             size=k, optimal=False, bound=d.n)
-                    return ExtractionResult(alpha, theta, k, n_blue, "straight-red",
-                                            cert, straight)
-        if len(straight) >= n_blue >= 3:
-            res_blue = _hypergraph.max_independent_subset(len(straight), red, budget=budget)
-            if res_blue.size >= n_blue:
-                blue_found = tuple(straight[p] for p in res_blue.subset[:n_blue])
+    def monochrome(red: bool, size: int) -> Optional[tuple[int, ...]]:
+        # The first increasing size-tuple of Y whose in-order triples are all red
+        # (or all blue); (a, b, c) is red when d(b,c) <= d(a,c) + alpha d(a,b).
+        third = _hypergraph.row_third(
+            lambda a, b: (sub[b, b + 1:] <= sub[a, b + 1:] + alpha * sub[a, b]) != red)
+        got = _hypergraph._in_order_search(len(straight), third, target=size)
+        return tuple(straight[p] for p in got) if len(got) == size else None
+
+    chosen = monochrome(True, k)
+    if chosen is not None and is_sra(subspace(d.space, chosen), alpha, tol=VERIFY_TOL).is_sra:
+        cert = SubsetCertificate(alpha=float(alpha), subset=chosen, size=k,
+                                 optimal=False, bound=d.n)
+        return ExtractionResult(alpha, theta, k, n_blue, "straight-red", cert, straight)
+    blue_found = monochrome(False, n_blue)
 
     direct = max_sra_subset(d.space, alpha, budget=budget)
     if direct.size >= k:
         chosen = direct.subset[:k]
-        verdict = is_sra(subspace(d.space, chosen), alpha, tol=verify_tol)
-        if verdict.is_sra:
+        if is_sra(subspace(d.space, chosen), alpha, tol=VERIFY_TOL).is_sra:
             cert = SubsetCertificate(alpha=float(alpha), subset=chosen, size=k,
                                      optimal=False, bound=direct.bound)
             return ExtractionResult(

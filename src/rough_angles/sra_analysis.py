@@ -24,7 +24,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import _hypergraph
-from .metric_core import EUCLIDEAN_L2, FiniteMetricSpace, PointCloud, _middle_scan, default_tol
+from .metric_core import (EUCLIDEAN_L2, FiniteMetricSpace, PointCloud, _middle_scan, _pairwise,
+                          default_tol)
 
 # Most violations a verdict or report lists.
 MAX_VIOLATIONS = 10_000
@@ -137,10 +138,7 @@ def _certificate(
     res = _hypergraph.max_independent_subset(n, edges, budget=budget)
     subset = res.subset
     if res.optimal and res.size < n:
-        third: dict[tuple[int, int], int] = {}
-        for a, b, c in edges:
-            third[a, b] = third.get((a, b), 0) | (1 << c)
-        subset = _hypergraph._in_order_search(n, lambda a, b: third.get((a, b), 0),
+        subset = _hypergraph._in_order_search(n, _hypergraph.edge_third(edges),
                                               target=res.size)
     return SubsetCertificate(alpha=float(alpha), subset=subset, size=res.size,
                              optimal=res.optimal, bound=res.upper_bound)
@@ -216,8 +214,7 @@ def euclidean_angle_audit(pc: PointCloud, alpha: float) -> AngleAudit:
     skipped: list[tuple[int, int]] = []
     dropped = 0
 
-    diff_all = coords[:, None, :] - coords[None, :, :]
-    dmat = np.sqrt(np.sum(diff_all * diff_all, axis=2))
+    dmat = _pairwise(pc.model, coords)
 
     # The matmul cosines differ from the scalar ones below by a few ulps, so
     # the candidate cut sits 1e-9 above -alpha: every triple whose scalar

@@ -502,8 +502,6 @@ def test_unread_flag_is_a_usage_error(capsys, tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
     own = " ".join(FLAGS[command]).split()
     for flag in sorted(ALL_FLAGS - set(own)):
-        if any(name.startswith(flag) for name in own):
-            continue  # argparse reads --m as an abbreviation of --model
         usage_error(capsys, VALID[command] + [f"--{flag}", "1"],
                     f"unrecognized arguments: --{flag} 1")
     assert not any(tmp_path.iterdir())
@@ -532,6 +530,8 @@ def test_command_must_come_first(capsys, argv):
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and "usage: rough-angles [-h]" in captured.err
+    if argv[:1] == ["--in"]:
+        assert captured.err.startswith("error: the command must come first, found '--in'\n")
 
 
 @pytest.mark.parametrize("command", sorted(FLAGS))

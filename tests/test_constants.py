@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -30,12 +30,12 @@ from rough_angles import (
     weird_conditions_satisfied,
 )
 
-from rough_angles._hypergraph import _in_order_search
+from rough_angles._hypergraph import _in_order_search, edge_third, row_third
 from rough_angles.constants_extraction import (
+    VERIFY_TOL,
     _candidate_batch,
     _grid_probes,
     _violation_totals,
-    color_triples_red,
 )
 
 from _generators import collinear, gradient_dse
@@ -371,36 +371,69 @@ def test_in_order_search_prunes_ties():
     assert calls == [(0, 1), (0, 3), (1, 3)]
 
 
-def reference_color_triples_red(d, indices, alpha):
-    red = []
-    blue = []
-    for a, b, c in combinations(range(len(indices)), 3):
-        i, j, k = indices[a], indices[b], indices[c]
-        if d[j, k] <= d[i, k] + alpha * d[i, j]:
-            red.append((a, b, c))
-        else:
-            blue.append((a, b, c))
-    return red, blue
+def test_row_third_and_edge_third_match_edge_lists():
+    rng = np.random.default_rng(5)
+    big = [(20, [t for t in combinations(range(20), 3) if rng.random() < p])
+           for p in (0.05, 0.3)]
+    for n, edges in chain(hypergraph_corpus(), big):
+        edge_set = set(edges)
+        by_edges = edge_third(edges)
+        by_rows = row_third(lambda a, b: np.array(
+            [(a, b, c) in edge_set for c in range(b + 1, n)], dtype=bool))
+        for a, b in combinations(range(n), 2):
+            want = sum(1 << c for x, y, c in edges if (x, y) == (a, b))
+            assert by_edges(a, b) == want
+            assert by_rows(a, b) == want and type(by_rows(a, b)) is int
 
 
-def test_color_triples_red_matches_reference_loop():
-    rng = np.random.default_rng(11)
-    spaces = [gen_snowflaked_path(14, 0.5).dist, gradient_dse(3).dist]
-    for _ in range(6):
-        a = rng.uniform(1.0, 2.0, size=(15, 15))
-        spaces.append(np.triu(a, 1) + np.triu(a, 1).T)
-    for d in spaces:
-        for k in range(0, 13):
-            idx = sorted(rng.choice(d.shape[0], size=k, replace=False).tolist())
-            for alpha in (0.55, 0.8, 0.95):
-                got = color_triples_red(d, idx, alpha)
-                assert got == reference_color_triples_red(d, idx, alpha)
-                assert all(type(v) is int for t in got[0] + got[1] for v in t)
-    # A tie is red: d(y_j, y_k) == d(y_i, y_k) + alpha d(y_i, y_j).
-    tie = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.5], [1.0, 1.5, 0.0]])
-    assert color_triples_red(tie, [0, 1, 2], 0.5) == ([(0, 1, 2)], [])
-    tie[1, 2] = tie[2, 1] = np.nextafter(1.5, np.inf)
-    assert color_triples_red(tie, [0, 1, 2], 0.5) == ([], [(0, 1, 2)])
+def first_monochrome(sub, alpha, size, red):
+    """First increasing ``size``-tuple of positions whose in-order triples
+    (a, b, c) are all red (``red=True``) or all blue, where (a, b, c) is red
+    when sub[b, c] <= sub[a, c] + alpha sub[a, b]; None if there is none."""
+    for combo in combinations(range(len(sub)), size):
+        if all((sub[b, c] <= sub[a, c] + alpha * sub[a, b]) == red
+               for a, b, c in combinations(combo, 3)):
+            return combo
+    return None
+
+
+def colouring_corpus():
+    """(distance matrix, alpha, k): equality ties, snowflaked paths, then
+    random non-metric symmetric matrices.  On several of the latter the
+    first k (or n_blue) points of a branch-and-bound maximum are not the
+    first all-red (or all-blue) tuple."""
+    # d(y_1, y_2) == d(y_0, y_2) + alpha d(y_0, y_1) is red; one ulp above is blue.
+    tie = 1.0 + 0.8 * 1.0
+    for d12 in (tie, np.nextafter(tie, np.inf)):
+        yield np.array([[0.0, 1.0, 1.0], [1.0, 0.0, d12], [1.0, d12, 0.0]]), 0.8, 3
+    for n, beta in ((8, 0.05), (12, 0.1), (14, 0.2), (10, 0.3)):
+        for alpha, k in ((0.6, 3), (0.8, 4), (0.9, 5)):
+            yield gen_snowflaked_path(n, beta).dist, alpha, k
+    rng = np.random.default_rng(17)
+    for _ in range(120):
+        n = int(rng.integers(4, 10))
+        a = rng.uniform(0.5, 2.0, size=(n, n))
+        yield (np.triu(a, 1) + np.triu(a, 1).T, float(rng.choice([0.6, 0.7, 0.8, 0.9])),
+               int(rng.integers(3, 6)))
+
+
+def test_colouring_searches_match_brute_force():
+    # The certificate of "straight-red" is the first all-red k-tuple of the
+    # straight subset Y, when it passes the SRA re-check; otherwise the
+    # reported blue subset is the first all-blue n_blue-tuple of Y.
+    for dist, alpha, k in colouring_corpus():
+        d = DseSpace(FiniteMetricSpace(dist))
+        res = extract_sra_subspace(d, alpha, k)
+        y = res.straight_subset
+        sub = dist[np.ix_(y, y)]
+        red = first_monochrome(sub, alpha, k, True)
+        chosen = None if red is None else tuple(y[p] for p in red)
+        if chosen is not None and is_sra(subspace(d.space, chosen), alpha, VERIFY_TOL).is_sra:
+            assert res.branch == "straight-red" and res.certificate.subset == chosen
+            continue
+        assert res.branch != "straight-red"
+        blue = first_monochrome(sub, alpha, res.n_blue, False)
+        assert res.blue_subset == (None if blue is None else tuple(y[p] for p in blue))
 
 
 # ---------------------------------------------------------------------------
