@@ -92,7 +92,10 @@ def max_independent_subset(
     budget: Optional[int] = 500_000,
 ) -> SearchResult:
     """Largest subset of range(n) spanning no triple.  On budget exhaustion
-    the best subset found is returned with ``optimal=False``."""
+    the best subset found is returned with ``optimal=False``, so budget 0
+    returns the complement of the greedy cover.  A negative budget is refused."""
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     edges = _canonical_edges(triples)
     upper = n - _matching_bound(edges)
     best_cover = _greedy_cover(n, edges)

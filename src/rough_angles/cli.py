@@ -264,8 +264,7 @@ def _cmd_constants(args) -> int:
 
 def _cmd_extract(args) -> int:
     d = rio.load_dse(args.in_path)
-    res = extract_sra_subspace(d, args.alpha, 3 if args.k is None else args.k,
-                               budget=args.budget)
+    res = extract_sra_subspace(d, args.alpha, 3 if args.k is None else args.k)
     result = {
         "branch": res.branch,
         "theta": res.theta,
@@ -410,7 +409,7 @@ _COMMANDS = {
     "curve-check": (_cmd_curve_check, "in", "tol out"),
     "curve-to-dse": (_cmd_curve_to_dse, "in out", "tol"),
     "constants": (_cmd_constants, "", "alpha theta k m r R lam out"),
-    "extract": (_cmd_extract, "in", "alpha k budget out"),
+    "extract": (_cmd_extract, "in", "alpha k out"),
     "refute-weird": (_cmd_refute_weird, "seed theta alpha", "n trials out"),
     "net-embed": (_cmd_net_embed, "in", "r format out"),
     "doubling": (_cmd_doubling, "in", "scales out"),

@@ -24,8 +24,8 @@ Contents:
   satisfying both the straightness and the expansion conditions; any hit is
   dumped verbatim as a fatal inconsistency flag.
 * ``extract_sra_subspace``: the two-coloring extraction pipeline, with a
-  direct-search fallback and explicit branch reporting; its all-red and
-  all-blue searches are in-order searches too.
+  direct-search fallback and explicit branch reporting; all three of its
+  searches are unbudgeted in-order searches.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 from . import _hypergraph
 from .dse_spaces import DseSpace
 from .metric_core import subspace
-from .sra_analysis import SubsetCertificate, is_sra, max_sra_subset
+from .sra_analysis import SubsetCertificate, is_sra, violating_triples
 
 Rational = Union[int, float, str, Fraction]
 
@@ -567,7 +567,7 @@ class ExtractionResult:
     k: int
     n_blue: int
     branch: str  # "trivial-pair" | "straight-red" | "direct-search"
-    #             | "blue-breach" | "below-threshold" | "unknown"
+    #             | "blue-breach" | "below-threshold"
     certificate: Optional[SubsetCertificate]
     straight_subset: tuple[int, ...]
     blue_subset: Optional[tuple[int, ...]] = None
@@ -578,7 +578,6 @@ def extract_sra_subspace(
     d: DseSpace,
     alpha: float,
     k: int,
-    budget: Optional[int] = 500_000,
 ) -> ExtractionResult:
     """Extract a k-point SRA(alpha) subspace from a DSE space.
 
@@ -594,13 +593,14 @@ def extract_sra_subspace(
        subset of Y is a direct counterexample to the nonexistence claim at
        that size and is returned verbatim as a diagnostic.
     3. "direct-search": the coloring route needs straight subsets far larger
-       than desk-scale inputs provide, so fall back to the exact freeness
-       search on the whole space and trim to k points.
+       than desk-scale inputs provide, so fall back to the lexicographically
+       first k-tuple of the whole space that spans no violating triple.
     4. "below-threshold": no route produced k points; the sizes reached are
        reported and no certificate is fabricated.
 
-    ``budget`` bounds only the direct search; the in-order searches for Y
-    and the coloured subsets have none.
+    No search is budgeted.  The direct search visits only independent tuples
+    of at most k points, at most 1 + sum_{j<k} C(n, j): O(n^3) for k <= 4;
+    when it finds no k-tuple, the size it reports is the exact maximum.
     """
     if not (0.5 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (1/2, 1), got {alpha}")
@@ -632,16 +632,15 @@ def extract_sra_subspace(
         return ExtractionResult(alpha, theta, k, n_blue, "straight-red", cert, straight)
     blue_found = monochrome(False, n_blue)
 
-    direct = max_sra_subset(d.space, alpha, budget=budget)
-    if direct.size >= k:
-        chosen = direct.subset[:k]
-        if is_sra(subspace(d.space, chosen), alpha, tol=VERIFY_TOL).is_sra:
-            cert = SubsetCertificate(alpha=float(alpha), subset=chosen, size=k,
-                                     optimal=False, bound=direct.bound)
-            return ExtractionResult(
-                alpha, theta, k, n_blue, "direct-search", cert, straight,
-                blue_subset=blue_found,
-                notes="coloring route below threshold; certificate from direct search")
+    direct = _hypergraph._in_order_search(
+        d.n, _hypergraph.edge_third(violating_triples(d.space, alpha)), target=k)
+    if len(direct) == k and is_sra(subspace(d.space, direct), alpha, tol=VERIFY_TOL).is_sra:
+        cert = SubsetCertificate(alpha=float(alpha), subset=direct, size=k,
+                                 optimal=False, bound=d.n)
+        return ExtractionResult(
+            alpha, theta, k, n_blue, "direct-search", cert, straight,
+            blue_subset=blue_found,
+            notes="coloring route below threshold; certificate from direct search")
 
     if blue_found is not None:
         return ExtractionResult(
@@ -651,8 +650,7 @@ def extract_sra_subspace(
                    "nonexistence claim at that size (the corrected size is "
                    f"{n_of_theta_alpha(theta, alpha, corrected=True)})"))
 
-    branch = "below-threshold" if direct.optimal else "unknown"
     return ExtractionResult(
-        alpha, theta, k, n_blue, branch, None, straight,
+        alpha, theta, k, n_blue, "below-threshold", None, straight,
         notes=(f"straight subset reached {len(straight)} points, direct search "
-               f"reached {direct.size} (optimal={direct.optimal}); k={k} not attained"))
+               f"reached {len(direct)} (optimal=True); k={k} not attained"))

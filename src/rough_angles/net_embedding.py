@@ -52,7 +52,11 @@ class NetEmbedding:
 
 
 def net_embed(m: FiniteMetricSpace, net: Sequence[int]) -> NetEmbedding:
-    """Distance-to-net coordinates with measured bi-Lipschitz factors."""
+    """Distance-to-net coordinates with measured bi-Lipschitz factors.
+
+    The factors divide by d(p, y), so every pair of distinct points must be
+    at positive distance; the first pair that is not is named in a
+    ValueError."""
     net = list(net)
     if not net:
         raise ValueError("net must be nonempty")
@@ -69,6 +73,11 @@ def net_embed(m: FiniteMetricSpace, net: Sequence[int]) -> NetEmbedding:
             diff = np.abs(coords[p + 1:, :] - coords[p, :][None, :])
             img = np.max(diff, axis=1)
             dd = m.dist[p, p + 1:]
+            positive = dd > 0.0
+            if not positive.all():
+                q = p + 1 + int(np.argmin(positive))
+                raise ValueError(f"net_embed needs positive distances between distinct "
+                                 f"points, got d({p},{q}) = {m.dist[p, q]}")
             ratio = img / dd
             gamma = min(gamma, float(np.min(ratio)))
             upper = max(upper, float(np.max(ratio)))

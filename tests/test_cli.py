@@ -72,6 +72,19 @@ def test_sra_check_exit_codes(capsys, tmp_path):
     assert rc == 2 and rep["verdict"] == "violated"
 
 
+@pytest.mark.parametrize("command", ["sra-check", "max-sra", "freeness-cover"])
+def test_negative_budget_is_an_error(capsys, collinear6, command):
+    cover = ["--r", "1.5", "--R", "5"] if command == "freeness-cover" else []
+    argv = [command, "--in", collinear6, "--alpha", "0.5"] + cover
+    rc = main(argv + ["--budget", "-3"])
+    out = capsys.readouterr()
+    assert rc == 1 and out.out == ""
+    assert out.err.startswith("error: budget must be >= 0, got -3")
+    # Budget 0 still runs: the greedy cover, not a proven optimum.
+    rc, rep = run(capsys, *argv, "--budget", "0")
+    assert rc == 2 and rep["verdict"] in ("violated", "unknown")
+
+
 def test_max_sra_collinear(capsys, collinear6):
     rc, rep = run(capsys, "max-sra", "--in", collinear6, "--alpha", "0.9")
     assert rc == 0
@@ -257,6 +270,15 @@ def test_net_embed_and_csv(capsys, tmp_path):
     assert rep["result"]["net_size"] == len(header.split(","))
 
 
+def test_net_embed_refuses_zero_distance(capsys, tmp_path):
+    src = tmp_path / "zero.json"
+    src.write_text(json.dumps({"n": 3, "dist": [[0, 0, 1], [0, 0, 3], [1, 3, 0]]}))
+    rc = main(["net-embed", "--in", str(src), "--r", "0.3"])
+    out = capsys.readouterr()
+    assert rc == 1 and out.out == ""
+    assert out.err.startswith("error:") and "d(0,1) = 0.0" in out.err
+
+
 def test_doubling_cli(capsys, collinear6):
     rc, rep = run(capsys, "doubling", "--in", collinear6, "--scales", "2.0")
     assert rc == 0
@@ -376,7 +398,7 @@ GOLDEN = [
     (["extract", "--in", "curve_dse.json", "--alpha", "0.8", "--k", "2"],
      0, "3bb3699fa339670a04928eb802cdabcd7df3c532b6e9e06984f954c3acaa1097",
      None),
-    (["extract", "--in", "path.json", "--alpha", "0.8", "--k", "3", "--budget", "100"],
+    (["extract", "--in", "path.json", "--alpha", "0.8", "--k", "3"],
      0, "41d1b4570f6bdbbbc7d468b937b11d5ee6c9401b0bebb0664032086a137fb868",
      None),
     (["extract", "--in", "random_dse.json", "--alpha", "0.8", "--k", "3"],
@@ -470,7 +492,7 @@ FLAGS = {
     "curve-check": ("in", "tol out"),
     "curve-to-dse": ("in out", "tol"),
     "constants": ("", "alpha theta k m r R lam out"),
-    "extract": ("in", "alpha k budget out"),
+    "extract": ("in", "alpha k out"),
     "refute-weird": ("seed theta alpha", "n trials out"),
     "net-embed": ("in", "r format out"),
     "doubling": ("in", "scales out"),
@@ -492,9 +514,9 @@ def usage_error(capsys, argv, message):
     assert f"usage: rough-angles {argv[0]}" in captured.err
 
 
-def test_flag_table_has_75_pairs():
+def test_flag_table_has_74_pairs():
     assert set(FLAGS) == set(VALID) == set(cli._COMMANDS)
-    assert sum(len(" ".join(flags).split()) for flags in FLAGS.values()) == 75
+    assert sum(len(" ".join(flags).split()) for flags in FLAGS.values()) == 74
 
 
 @pytest.mark.parametrize("command", sorted(FLAGS))

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -25,6 +26,7 @@ from rough_angles import (
     ramsey_triple_bound,
     refute_weird_angles,
     subspace,
+    violating_triples,
     weird_angle_limit,
     weird_angle_threshold,
     weird_conditions_satisfied,
@@ -434,6 +436,52 @@ def test_colouring_searches_match_brute_force():
         assert res.branch != "straight-red"
         blue = first_monochrome(sub, alpha, res.n_blue, False)
         assert res.blue_subset == (None if blue is None else tuple(y[p] for p in blue))
+
+
+def first_independent(n, edges, size):
+    """First increasing ``size``-tuple of range(n) spanning no triple of
+    ``edges`` (a set of increasing triples), or None."""
+    for combo in combinations(range(n), size):
+        if not any(t in edges for t in combinations(combo, 3)):
+            return combo
+    return None
+
+
+def direct_search_corpus():
+    """(DSE space, alpha, k): the colouring corpus, then gradient-descent DSE
+    spaces at alpha 0.8."""
+    for dist, alpha, k in colouring_corpus():
+        yield DseSpace(FiniteMetricSpace(dist)), alpha, k
+    for seed in range(12):
+        for k in (3, 4):
+            yield gradient_dse(seed, 20), 0.8, k
+    yield gradient_dse(9, 40), 0.8, 4
+
+
+def test_direct_search_matches_brute_force():
+    # The "direct-search" certificate is the first k-tuple of the whole space
+    # spanning no violating triple; "below-threshold" reports the exact
+    # maximum SRA subset size, which is below k.
+    branches = set()
+    for d, alpha, k in direct_search_corpus():
+        res = extract_sra_subspace(d, alpha, k)
+        branches.add(res.branch)
+        edges = set(violating_triples(d.space, alpha))
+        if res.branch == "direct-search":
+            assert res.certificate.subset == first_independent(d.n, edges, k)
+        elif res.branch == "below-threshold":
+            size = int(re.search(r"direct search reached (\d+) \(optimal=True\)",
+                                 res.notes).group(1))
+            assert size < k
+            assert first_independent(d.n, edges, size) is not None
+            assert first_independent(d.n, edges, size + 1) is None
+    assert {"direct-search", "below-threshold"} <= branches
+
+
+def test_direct_search_on_gradient_dse():
+    res = extract_sra_subspace(gradient_dse(9, 40), 0.8, 4)
+    assert res.branch == "direct-search"
+    assert res.certificate.subset == (0, 1, 38, 39) and res.certificate.bound == 41
 
 
 # ---------------------------------------------------------------------------

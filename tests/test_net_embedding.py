@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,17 @@ def test_net_embed_gamma_monotone_in_net():
     for size in range(2, 12):
         gammas.append(net_embed(m, order[:size]).gamma)
     assert all(b >= a for a, b in zip(gammas, gammas[1:]))
+
+
+@pytest.mark.parametrize("dist,pair", [
+    ([[0, 0, 1], [0, 0, 3], [1, 3, 0]], "d(0,1) = 0.0"),
+    ([[0, 1, 2], [1, 0, 0], [2, 0, 0]], "d(1,2) = 0.0"),
+])
+def test_net_embed_refuses_zero_distance(dist, pair):
+    # The pair's ratio would be 0/0, and its NaN would hide the other pairs
+    # of its row from gamma and upper.
+    with pytest.raises(ValueError, match=re.escape(pair)):
+        net_embed(FiniteMetricSpace(dist), [0])
 
 
 def test_doubling_estimate_collinear():

@@ -207,6 +207,17 @@ def test_max_sra_budget_exhaustion_is_reported():
     assert cert.bound >= cert.size
 
 
+def test_negative_budget_is_refused():
+    # Budget 0 keeps the greedy cover, reported as not optimal, after no node.
+    zero = max_independent_subset(3, [(0, 1, 2)], budget=0)
+    assert (zero.subset, zero.optimal, zero.nodes) == ((1, 2), False, 0)
+    for search in (lambda b: max_independent_subset(3, [(0, 1, 2)], budget=b),
+                   lambda b: max_sra_subset(collinear(6), 0.9, budget=b),
+                   lambda b: sra_report(collinear(6), 0.9, budget=b)):
+        with pytest.raises(ValueError, match="budget must be >= 0, got -3"):
+            search(-3)
+
+
 def test_heredity():
     rng = np.random.default_rng(31)
     for _ in range(15):
