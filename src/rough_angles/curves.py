@@ -7,7 +7,8 @@ A sampled curve gamma is self-contracted when
 the curve keeps approaching every later point.  Gradient descent on a
 positive-definite quadratic with step <= 1/lambda_max produces exactly such
 polylines, and reversing the sample order of any self-contracted curve yields
-a DSE space (the same inequalities read backwards).
+a DSE space (the same inequalities read backwards), so the check below is the
+DSE scan run on negated distance columns.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dse_spaces import DseSpace, as_dse
+from . import dse_spaces
+from .dse_spaces import DseSpace, _monotone_breaks, as_dse
 from .metric_core import (
     EUCLIDEAN_L2,
     FiniteMetricSpace,
     ModelSpaceSpec,
     PointCloud,
+    _capped,
     _pairwise,
 )
 
@@ -46,6 +49,8 @@ class SampledCurve:
             raise ValueError("points must be a (len(times), arity) array")
         if t.shape[0] < 1:
             raise ValueError("need at least one sample")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("times must be finite")
         if t.shape[0] >= 2 and np.any(np.diff(t) <= 0.0):
             raise ValueError("times must be strictly increasing")
         # Route coordinate validation through PointCloud.
@@ -81,35 +86,22 @@ class ContractionVerdict:
     truncated: bool = False
 
 
-def is_self_contracted(c: SampledCurve, tol: Optional[float] = None,
-                       max_violations: int = 1000) -> ContractionVerdict:
-    """Check all sample-time triples t1 <= t2 <= t3.
-
-    Equivalent formulation used here: for every endpoint k, the distances
-    d(gamma(t_i), gamma(t_k)) for i <= k never rise above an earlier value.
+def is_self_contracted(c: SampledCurve, tol: Optional[float] = None) -> ContractionVerdict:
+    """Check all sample-time triples t1 <= t2 <= t3: for each endpoint k, from
+    the last down, d(gamma(t_i), gamma(t_k)) for i <= k never rises above an
+    earlier value.  That is the DSE scan on the (exactly) negated column; the
+    first ``dse_spaces.MAX_VIOLATIONS`` witnesses are kept, sorted by indices.
     """
     d = _curve_distances(c)
-    n = c.n
     if tol is None:
-        tol = 1e-9 * (1.0 + (float(np.max(d)) if n > 1 else 0.0))
-    out: list[ContractionViolation] = []
-    truncated = False
-    for k in range(n - 1, 0, -1):
-        col = d[: k + 1, k]
-        prefix_min = np.minimum.accumulate(col)
-        bad = np.nonzero(col > prefix_min + tol)[0]
-        for j in bad:
-            i = int(np.argmin(col[: j + 1]))
-            if len(out) >= max_violations:
-                truncated = True
-                break
-            out.append(ContractionViolation(
-                float(c.times[i]), float(c.times[j]), float(c.times[k]),
-                (i, int(j), k), float(col[j] - col[i])))
-        if truncated:
-            break
-    out.sort(key=lambda v: v.indices)
-    return ContractionVerdict(ok=not out and not truncated, violations=tuple(out), tol=float(tol),
+        tol = 1e-9 * (1.0 + (float(np.max(d)) if c.n > 1 else 0.0))
+    found = ((i, j, k, amount) for k in range(c.n - 1, 0, -1)
+             for i, j, amount in _monotone_breaks(-d[: k + 1, k], tol))
+    out, truncated = _capped(found, dse_spaces.MAX_VIOLATIONS)
+    t = c.times
+    violations = tuple(ContractionViolation(float(t[i]), float(t[j]), float(t[k]), (i, j, k), a)
+                       for i, j, k, a in sorted(out))
+    return ContractionVerdict(ok=not out and not truncated, violations=violations, tol=float(tol),
                               truncated=truncated)
 
 

@@ -5,7 +5,9 @@ distance from any point to later points never decreases:
 
     d(x_i, x_j) <= d(x_i, x_k)   for all i <= j <= k.
 
-They arise by reversing the sample order of self-contracted curves.  The two
+They arise by reversing the sample order of self-contracted curves, so one
+lazy scan (``_monotone_breaks``) checks both orders; checkers list at most
+``MAX_VIOLATIONS`` witnesses, and yes/no callers stop at the first.  The two
 functionals of interest are the chain length L = sum d(x_i, x_i+1) and the gap
 D = d(x_1, x_n); the snowflaked path family below realizes arbitrarily large
 L/D ratios.
@@ -14,7 +16,7 @@ L/D ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -22,12 +24,17 @@ from .metric_core import (
     EUCLIDEAN_L2,
     FiniteMetricSpace,
     ModelSpaceSpec,
+    _capped,
     default_tol,
     diameter,
     from_point_cloud,
     sample_model,
     snowflake,
 )
+
+
+# Most violations an order check (DSE or self-contraction) lists.
+MAX_VIOLATIONS = 1000
 
 
 class RejectionError(RuntimeError):
@@ -66,39 +73,37 @@ class DseSpace:
         return self.space.dist
 
 
-def is_dse(m: FiniteMetricSpace, tol: Optional[float] = None,
-           max_violations: int = 1000) -> DseVerdict:
-    """Check d(x_i, x_j) <= d(x_i, x_k) + tol for all i <= j <= k."""
+def _monotone_breaks(row: np.ndarray, tol: float) -> Iterator[tuple[int, int, float]]:
+    """Yield (w, b, row[w] - row[b]) for each b, in order, at which a row
+    that should not decrease falls more than ``tol`` below its running
+    maximum; w is the first position of that maximum."""
+    prefix_max = np.maximum.accumulate(row)
+    for b in np.nonzero(row < prefix_max - tol)[0].tolist():
+        w = int(np.argmax(row[: b + 1]))
+        yield w, b, float(row[w] - row[b])
+
+
+def _dse_violations(d: np.ndarray, tol: float) -> Iterator[DseViolation]:
+    """Yield every DSE witness, row i by row i: d(x_i, x_j) exceeds
+    d(x_i, x_k) + tol with j the first farthest point of row i up to k."""
+    for i in range(d.shape[0]):
+        for w, b, amount in _monotone_breaks(d[i, i:], tol):
+            yield DseViolation(i, i + w, i + b, amount)
+
+
+def is_dse(m: FiniteMetricSpace, tol: Optional[float] = None) -> DseVerdict:
+    """Check d(x_i, x_j) <= d(x_i, x_k) + tol for all i <= j <= k, listing up
+    to ``MAX_VIOLATIONS`` witnesses."""
     if tol is None:
         tol = default_tol(m)
-    d = m.dist
-    n = m.n
-    out: list[DseViolation] = []
-    truncated = False
-    for i in range(n):
-        row = d[i, i:]
-        prefix_max = np.maximum.accumulate(row)
-        bad = np.nonzero(row < prefix_max - tol)[0]
-        if bad.size == 0:
-            continue
-        # Expand the cheap row check into explicit witness triples.
-        for rk in bad:
-            k = i + int(rk)
-            j = i + int(np.argmax(row[: rk + 1]))
-            if len(out) >= max_violations:
-                truncated = True
-                break
-            out.append(DseViolation(i, j, k, float(d[i, j] - d[i, k])))
-        if truncated:
-            break
-    return DseVerdict(ok=not out and not truncated, violations=tuple(out), tol=float(tol),
+    out, truncated = _capped(_dse_violations(m.dist, tol), MAX_VIOLATIONS)
+    return DseVerdict(ok=not out and not truncated, violations=out, tol=float(tol),
                       truncated=truncated)
 
 
 def as_dse(m: FiniteMetricSpace, tol: Optional[float] = None) -> DseSpace:
-    verdict = is_dse(m, tol=tol)
-    if not verdict.ok:
-        v = verdict.violations[0]
+    v = next(_dse_violations(m.dist, default_tol(m) if tol is None else tol), None)
+    if v is not None:
         raise ValueError(
             f"order is not DSE: d(x{v.i},x{v.j})={m.dist[v.i, v.j]:.6g} exceeds "
             f"d(x{v.i},x{v.k})={m.dist[v.i, v.k]:.6g}"
@@ -197,16 +202,15 @@ def gen_random_dse(
         cloud_seed = int(rng.integers(0, 2**31 - 1))
         cloud = sample_model(model, n, radius=1.0, seed=cloud_seed)
         space = from_point_cloud(cloud)
-        d = space.dist
+        d, tol = space.dist, default_tol(space)  # every reordering has the same tol
         candidates = [np.arange(n), np.argsort(d[0], kind="stable")]
         while len(candidates) < perms_per_cloud:
             candidates.append(rng.permutation(n))
         for perm in candidates:
             attempts += 1
             reordered = d[np.ix_(perm, perm)]
-            cand = FiniteMetricSpace(reordered)
-            if is_dse(cand).ok:
-                return DseSpace(cand)
+            if next(_dse_violations(reordered, tol), None) is None:
+                return DseSpace(FiniteMetricSpace(reordered))
             if attempts >= max_attempts:
                 break
     raise RejectionError(f"no DSE ordering found within {max_attempts} attempts")

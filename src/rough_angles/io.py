@@ -18,11 +18,24 @@ from .metric_core import FiniteMetricSpace, ModelSpaceSpec, PointCloud
 PathLike = Union[str, Path]
 
 
+def _read_object(p: Path) -> dict:
+    payload = json.loads(p.read_text())
+    if not isinstance(payload, dict):
+        raise ValueError(f"{p}: expected a JSON object, got {type(payload).__name__}")
+    return payload
+
+
+def _as_int(p: Path, value) -> int:
+    if not isinstance(value, (int, float, str)):
+        raise ValueError(f"{p}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def _checked_matrix(p: Path, dist: np.ndarray, declared_n=None) -> np.ndarray:
-    if declared_n is not None and int(declared_n) != dist.shape[0]:
-        raise ValueError(f"{p}: declared n={declared_n} but matrix has {dist.shape[0]} rows")
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValueError(f"{p}: matrix is not square, shape {dist.shape}")
+    if declared_n is not None and _as_int(p, declared_n) != dist.shape[0]:
+        raise ValueError(f"{p}: declared n={declared_n} but matrix has {dist.shape[0]} rows")
     if np.max(np.abs(dist - dist.T)) > 0.0:
         i, j = np.unravel_index(int(np.argmax(np.abs(dist - dist.T))), dist.shape)
         raise ValueError(f"{p}: matrix is not symmetric at ({i},{j})")
@@ -38,7 +51,7 @@ def load_distance_matrix(path: PathLike) -> FiniteMetricSpace:
     chosen by extension.  Asymmetric matrices are rejected."""
     p = Path(path)
     if p.suffix.lower() == ".json":
-        payload = json.loads(p.read_text())
+        payload = _read_object(p)
         return FiniteMetricSpace(_checked_matrix(p, np.asarray(payload["dist"], dtype=np.float64),
                                                  payload.get("n")))
     rows = []
@@ -68,8 +81,9 @@ def save_distance_matrix(m: FiniteMetricSpace, path: PathLike) -> None:
 
 
 def load_point_cloud(path: PathLike) -> PointCloud:
-    payload = json.loads(Path(path).read_text())
-    model = ModelSpaceSpec(payload["model"], int(payload.get("dim", 2)))
+    p = Path(path)
+    payload = _read_object(p)
+    model = ModelSpaceSpec(payload["model"], _as_int(p, payload.get("dim", 2)))
     return PointCloud(model, np.asarray(payload["coords"], dtype=np.float64))
 
 
@@ -83,8 +97,9 @@ def save_point_cloud(pc: PointCloud, path: PathLike) -> None:
 
 
 def load_curve(path: PathLike) -> SampledCurve:
-    payload = json.loads(Path(path).read_text())
-    model = ModelSpaceSpec(payload["model"], int(payload.get("dim", 2)))
+    p = Path(path)
+    payload = _read_object(p)
+    model = ModelSpaceSpec(payload["model"], _as_int(p, payload.get("dim", 2)))
     return SampledCurve(model, np.asarray(payload["times"], dtype=np.float64),
                         np.asarray(payload["points"], dtype=np.float64))
 
@@ -103,7 +118,7 @@ def load_dse(path: PathLike) -> DseSpace:
     """DSE file = distance-matrix JSON plus {"order": "identity"}; the matrix
     is checked as in ``load_distance_matrix`` and the monotonicity re-verified."""
     p = Path(path)
-    payload = json.loads(p.read_text())
+    payload = _read_object(p)
     order = payload.get("order", "identity")
     if order != "identity":
         raise ValueError(f"{p}: unsupported order {order!r}")

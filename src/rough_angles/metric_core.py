@@ -10,13 +10,17 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 # Dense matrices plus O(n^3) consumers: refuse anything bigger than this.
 MAX_POINTS = 4096
+
+# Most violations a validation report lists.
+MAX_VIOLATIONS = 100
 
 EUCLIDEAN_L2 = "euclidean-l2"
 NORMED_L1 = "normed-l1"
@@ -213,61 +217,46 @@ def _middle_scan(d: np.ndarray, alpha: Optional[float], tol: Optional[float],
         yield z, need, slack
 
 
-def validate_metric(
-    m: FiniteMetricSpace,
-    tri_tol: Optional[float] = None,
-    max_violations: int = 100,
-) -> ValidationReport:
-    """Check all four metric axioms, reporting up to ``max_violations`` failures.
+def _capped(found: Iterable, cap: int) -> tuple[tuple, bool]:
+    """The first ``cap`` items of ``found`` and whether it has more, drawing at
+    most cap + 1: the one place where a checker's witness list is cut."""
+    head = tuple(islice(found, cap + 1))
+    return head[:cap], len(head) > cap
+
+
+def _metric_violations(d: np.ndarray, tri_tol: float) -> Iterator[MetricViolation]:
+    """Yield every axiom failure: diagonal, symmetry, positivity, then the
+    triangles by middle j and row-major (i, k)."""
+    diag = np.abs(np.diag(d))
+    for i in np.nonzero(diag > 0.0)[0]:
+        yield MetricViolation("diagonal", (int(i),), float(diag[i]))
+    asym = d - d.T
+    for i, j in np.argwhere(np.triu(np.abs(asym), 1) > 0.0):
+        yield MetricViolation("symmetry", (int(i), int(j)), float(abs(asym[i, j])))
+    off = d + np.diag(np.full(d.shape[0], np.inf))
+    for i, j in np.argwhere(np.triu(off <= 0.0, 1)):
+        yield MetricViolation("positivity", (int(i), int(j)), float(d[i, j]))
+    # Triangle (SRA at alpha = 1): for each middle j, d[i,k] <= d[i,j] + d[j,k] + tol.
+    for j, _, slack in _middle_scan(d, 1.0, None, False):
+        over = slack > tri_tol
+        if not over.any():
+            continue
+        ii, kk = np.nonzero(over)
+        for i, k in zip(ii.tolist(), kk.tolist()):
+            if i != j and k != j and i != k:
+                yield MetricViolation("triangle", (i, j, k), float(slack[i, k]))
+
+
+def validate_metric(m: FiniteMetricSpace, tri_tol: Optional[float] = None) -> ValidationReport:
+    """Check all four metric axioms, reporting up to ``MAX_VIOLATIONS`` failures.
 
     The triangle inequality is checked additively: a triple (i, j, k) fails if
     d(i,k) > d(i,j) + d(j,k) + tri_tol.
     """
-    d = m.dist
-    n = m.n
     if tri_tol is None:
         tri_tol = default_tol(m)
-    out: list[MetricViolation] = []
-    truncated = False
-
-    def push(v: MetricViolation) -> bool:
-        nonlocal truncated
-        if len(out) >= max_violations:
-            truncated = True
-            return False
-        out.append(v)
-        return True
-
-    diag = np.abs(np.diag(d))
-    for i in np.nonzero(diag > 0.0)[0]:
-        if not push(MetricViolation("diagonal", (int(i),), float(diag[i]))):
-            break
-    asym = d - d.T
-    bad = np.argwhere(np.triu(np.abs(asym), 1) > 0.0)
-    for i, j in bad:
-        if not push(MetricViolation("symmetry", (int(i), int(j)), float(abs(asym[i, j])))):
-            break
-    off = d + np.diag(np.full(n, np.inf))
-    bad = np.argwhere(np.triu(off <= 0.0, 1))
-    for i, j in bad:
-        if not push(MetricViolation("positivity", (int(i), int(j)), float(d[i, j]))):
-            break
-    # Triangle (SRA at alpha = 1): for each middle j, d[i,k] <= d[i,j] + d[j,k] + tol.
-    if not truncated:
-        for j, _, slack in _middle_scan(d, 1.0, None, False):
-            over = slack > tri_tol
-            if not over.any():
-                continue
-            ii, kk = np.nonzero(over)
-            for i, k in zip(ii.tolist(), kk.tolist()):
-                if i == j or k == j or i == k:
-                    continue
-                if not push(MetricViolation("triangle", (i, j, k), float(slack[i, k]))):
-                    break
-            if truncated:
-                break
-
-    return ValidationReport(passed=not out and not truncated, violations=tuple(out),
+    out, truncated = _capped(_metric_violations(m.dist, tri_tol), MAX_VIOLATIONS)
+    return ValidationReport(passed=not out and not truncated, violations=out,
                             tri_tol=float(tri_tol), truncated=truncated)
 
 

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator, Optional
 
 import numpy as np
 
 from . import _hypergraph
-from .metric_core import (EUCLIDEAN_L2, FiniteMetricSpace, PointCloud, _middle_scan, _pairwise,
-                          default_tol)
+from .metric_core import (EUCLIDEAN_L2, FiniteMetricSpace, PointCloud, _capped, _middle_scan,
+                          _pairwise, default_tol)
 
 # Most violations a verdict or report lists.
 MAX_VIOLATIONS = 10_000
@@ -94,10 +93,10 @@ def is_sra(m: FiniteMetricSpace, alpha: float, tol: Optional[float] = None) -> S
     _check_alpha(alpha)
     if tol is None:
         tol = default_tol(m)
-    found = list(islice(_violations(m.dist, alpha, tol), MAX_VIOLATIONS + 1))
-    out = tuple(TripleViolation(*v) for v in found[:MAX_VIOLATIONS])
+    out, truncated = _capped((TripleViolation(*v) for v in _violations(m.dist, alpha, tol)),
+                             MAX_VIOLATIONS)
     return SraVerdict(alpha=float(alpha), is_sra=not out, violations=out,
-                      tol=float(tol), truncated=len(found) > MAX_VIOLATIONS)
+                      tol=float(tol), truncated=truncated)
 
 
 def critical_alpha(m: FiniteMetricSpace) -> float:

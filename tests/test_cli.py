@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -245,6 +246,27 @@ def test_extract_rejects_asymmetric_dse(capsys, tmp_path):
     out = capsys.readouterr()
     assert rc == 1 and out.out == ""
     assert out.err.startswith("error:") and "not symmetric at (0,3)" in out.err
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["validate"], {"n": 1, "dist": 5}),
+    (["validate"], [[0, 1], [1, 0]]),
+    (["angles", "--alpha", "0.5"], [[0, 1], [1, 0]]),
+    (["curve-check"], [[0, 1], [1, 0]]),
+    (["extract", "--alpha", "0.8", "--k", "2"], [[0, 1], [1, 0]]),
+    (["curve-check", "--tol", "0"],
+     {"model": "euclidean-l2", "dim": 1, "times": [0, math.nan, 2], "points": [[0], [1], [2]]}),
+    (["validate"], {"n": [1], "dist": [[0]]}),
+    (["angles", "--alpha", "0.5"], {"model": "euclidean-l2", "dim": None, "coords": [[0, 0]]}),
+], ids=["scalar-dist", "list-validate", "list-angles", "list-curve-check", "list-extract",
+        "nan-time", "list-n", "null-dim"])
+def test_malformed_json_exits_with_error(capsys, tmp_path, argv, payload):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(payload))
+    rc = main([argv[0], "--in", str(src)] + argv[1:])
+    out = capsys.readouterr()
+    assert rc == 1 and out.out == ""
+    assert out.err.startswith("error:")
 
 
 def test_net_embed_and_csv(capsys, tmp_path):

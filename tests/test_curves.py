@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from rough_angles import (
     EUCLIDEAN_L2,
+    NORMED_L1,
     DivergenceError,
     FiniteMetricSpace,
     ModelSpaceSpec,
@@ -20,6 +21,7 @@ from rough_angles import (
     is_self_contracted,
     length_L,
 )
+from rough_angles import dse_spaces
 
 
 def euclid_curve(times, points):
@@ -189,13 +191,66 @@ def test_times_must_increase():
         euclid_curve([0.0, 0.0], [[0, 0], [1, 1]])
 
 
-def test_truncated_before_any_violation_is_not_ok():
+@pytest.mark.parametrize("times", [[0.0, math.nan, 2.0], [0.0, 1.0, math.inf]],
+                         ids=["nan", "inf"])
+def test_times_must_be_finite(times):
+    with pytest.raises(ValueError, match="finite"):
+        euclid_curve(times, [[0.0], [1.0], [2.0]])
+
+
+def oracle_contraction(points, metric, tol, cap):
+    """Independent oracle: for each endpoint k from the last down, then each
+    j <= k, a witness (i, j, k) when d(j,k) > min_{i'<=j} d(i',k) + tol, with
+    i the first index attaining that minimum; the list is cut at ``cap`` and
+    then sorted by indices."""
+    n = len(points)
+    full = []
+    for k in range(n - 1, 0, -1):
+        col = [metric(points[i], points[k]) for i in range(k + 1)]
+        for j in range(k + 1):
+            low = min(col[:j + 1])
+            i = next(i for i in range(j + 1) if col[i] == low)
+            if col[j] > low + tol:
+                full.append(((i, j, k), col[j] - col[i]))
+    return sorted(full[:cap]), len(full) > cap
+
+
+def test_is_self_contracted_matches_witness_oracle(monkeypatch):
+    """Integer coordinates keep every distance exact (l1) or correctly
+    rounded (l2), so the oracle's distances are the checker's, ties included."""
+    metrics = {
+        NORMED_L1: lambda p, q: float(sum(abs(a - b) for a, b in zip(p, q))),
+        EUCLIDEAN_L2: lambda p, q: math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q))),
+    }
+    rng = np.random.default_rng(62)
+    for n in range(1, 10):
+        for rep in range(8):
+            kind = (NORMED_L1, EUCLIDEAN_L2)[rep % 2]
+            pts = rng.integers(0, 4, size=(n, 2)).astype(float)
+            times = np.arange(n) * 0.5
+            c = SampledCurve(ModelSpaceSpec(kind, 2), times, pts)
+            dmax = max((metrics[kind](p, q) for p in pts.tolist() for q in pts.tolist()),
+                       default=0.0)
+            for tol in (None, 0.0, 0.3, -1e-3):
+                t = 1e-9 * (1.0 + dmax) if tol is None else tol
+                for cap in (0, 1, 3, 1000):
+                    monkeypatch.setattr(dse_spaces, "MAX_VIOLATIONS", cap)
+                    verdict = is_self_contracted(c, tol=tol)
+                    expect, truncated = oracle_contraction(pts.tolist(), metrics[kind], t, cap)
+                    got = [(v.indices, v.amount) for v in verdict.violations]
+                    assert got == expect
+                    assert all((v.t1, v.t2, v.t3) == tuple(times[list(v.indices)])
+                               for v in verdict.violations)
+                    assert verdict.truncated == truncated and verdict.tol == t
+                    assert verdict.ok == (not expect and not truncated)
+
+
+def test_truncated_before_any_violation_is_not_ok(monkeypatch):
     """A cap of 0 stops both checks at their first violation, before it is
     recorded; the verdict must still be negative."""
+    monkeypatch.setattr(dse_spaces, "MAX_VIOLATIONS", 0)
     pos = np.array([0.0, 2.0, 1.0])
-    dse = is_dse(FiniteMetricSpace(np.abs(pos[:, None] - pos[None, :])), tol=0.0,
-                 max_violations=0)
+    dse = is_dse(FiniteMetricSpace(np.abs(pos[:, None] - pos[None, :])), tol=0.0)
     assert dse.truncated and not dse.violations and not dse.ok
-    curve = is_self_contracted(euclid_curve([0.0, 1.0, 2.0], [[0.0], [3.0], [1.0]]),
-                               max_violations=0)
+    curve = is_self_contracted(euclid_curve([0.0, 1.0, 2.0], [[0.0], [3.0], [1.0]]))
     assert curve.truncated and not curve.violations and not curve.ok

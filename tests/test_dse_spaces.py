@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from rough_angles import dse_spaces
 from rough_angles import (
     EUCLIDEAN_L2,
     FiniteMetricSpace,
@@ -173,3 +176,106 @@ def test_gen_random_dse_rejection():
 def test_single_point_two_lemma():
     d = as_dse(FiniteMetricSpace([[0.0]]))
     assert check_two_lemma(d).ok
+
+
+def oracle_dse(d, tol, cap):
+    """Independent oracle: for each i, then k >= i, a witness (i, j, k) when
+    d(i,k) < max_{i<=j'<=k} d(i,j') - tol, with j the first index attaining
+    that maximum; the list is cut at ``cap``."""
+    d = d.tolist()
+    n = len(d)
+    full = []
+    for i in range(n):
+        for k in range(i, n):
+            top = max(d[i][i:k + 1])
+            j = next(j for j in range(i, k + 1) if d[i][j] == top)
+            if d[i][k] < top - tol:
+                full.append((i, j, k, d[i][j] - d[i][k]))
+    return full[:cap], len(full) > cap
+
+
+def dse_corpus(rng):
+    """Small integer matrices with many ties: symmetric, asymmetric, collinear."""
+    for n in range(1, 10):
+        for _ in range(6):
+            sym = rng.integers(0, 4, size=(n, n)).astype(float)
+            yield np.triu(sym, 1) + np.triu(sym, 1).T
+            asym = rng.integers(0, 5, size=(n, n)).astype(float)
+            np.fill_diagonal(asym, 0.0)
+            yield asym
+            pos = rng.integers(0, 6, size=n).astype(float)
+            yield np.abs(pos[:, None] - pos[None, :])
+
+
+def test_is_dse_matches_witness_oracle(monkeypatch):
+    for d in dse_corpus(np.random.default_rng(61)):
+        m = FiniteMetricSpace(d)
+        for tol in (None, 0.0, 0.3, -1e-3):
+            t = default_tol(m) if tol is None else tol
+            for cap in (0, 1, 3, 1000):
+                monkeypatch.setattr(dse_spaces, "MAX_VIOLATIONS", cap)
+                verdict = is_dse(m, tol=tol)
+                expect, truncated = oracle_dse(d, t, cap)
+                assert [(v.i, v.j, v.k, v.amount) for v in verdict.violations] == expect
+                assert verdict.truncated == truncated and verdict.tol == t
+                assert verdict.ok == (not expect and not truncated)
+            first = oracle_dse(d, t, 1)[0]
+            if first:
+                i, j, k, _ = first[0]
+                with pytest.raises(ValueError, match=rf"d\(x{i},x{j}\)=.* d\(x{i},x{k}\)="):
+                    as_dse(m, tol=tol)
+            else:
+                assert as_dse(m, tol=tol).space is m
+
+
+# SHA-256 of gen_random_dse(n, seed).dist.tobytes(), recorded before the
+# generator stopped each rejection at the first DSE violation.
+GEN_RANDOM_DSE_DIGESTS = {
+    2: (
+        "5cbffe5a27430e87877f2146614378495d681154a23ce300c877caac11a56e85",
+        "3d7de7a024b94c28f7ac9bf5a19f874a86e6f5b44f46b8f21f0a25b912488b1e",
+        "e2209c8250f89fcbcc351e6de0fe5f0b4ab2bab5e97bd98856ae54db77deb325",
+        "c6ff28f5e3a43a0434e503501a0fd0803ea75591d7dad888d30a9493516762f9",
+        "71d0ac0a520adf0268bb51265e3f2ed828472514b93b2b3aa2f1e469b3eee9a9",
+        "186bb2c17b862ad6e6d3edfec57ad17be3eef2e6b09fd02b9bf7ca2bdf69f0b7",
+    ),
+    3: (
+        "6efb8639ec1ee99ee7cbb9a8778758890ab491afdaac7dd425a34754f38784bd",
+        "a1a64ec9d0ac7bbb5060ae20577449c9c8efaf34b5d1ab93eb097120e72dced5",
+        "24885ec13cddd4a8191ed1a6de95547e35e3b9497cbe0ec20e8f21635d24e09c",
+        "bb01cf957b98a60cbadbd146b354c0541858f9eadf8b71be17a2db3db277672d",
+        "0be5177da44edce5628f38e143675ef55a642fda3ab09592397b72a9458f25eb",
+        "7d54a7489f41fb0a92d8e0af7703eaa87634397a180cb654d38769495e2a62e9",
+    ),
+    4: (
+        "f88215356bfe53e9d42f8a3c9e733255ff4dbd64dc39fcf783ec2bdc878c2ac4",
+        "9a05148c3e9d3c3757fa680730d84870e627a7e0f03aede62a3af36491d3b3c5",
+        "7e11a90c5aa0f5b17a2f252db520d7c3a982a39e5fecc4d63a469f99966bb0b8",
+        "d1cba9e6cb07d7eeeb6b453727107ea03eb2cc00d639cebf62984086b60f7018",
+        "c81834c29bc00e016063dc0b85eccbce3b88fd071d0ec4b2fd618f43c368fa9d",
+        "213f6e47521937bf2e5de7f41ab128a2b011edd57751605c48228b3a040a3d2e",
+    ),
+    5: (
+        "30f43b9e8607c2fea39e47b72095ec790cf8081babc26d88f0f7dcc38a09c435",
+        "3a5e2d0db837c57f869bb1277ca1b16c3ef0153cd48eb49e013bf657800346e4",
+        "d1af9c4c1ae213984eadb2c5ed2e2ee9c0b9398680729fd864acb252b5563615",
+        "62bf80e94ba0fd902f3d30ed8f5582b8d61b4bfd5dd8195746b02260fbfc57c3",
+        "22375c50311760e5eed941695e2cd5a4d62e3f321564691a094cbdf4ddbcc9a5",
+        "3cb88ff66ad138d5bc60076dabad0e1743d694f11192e139b3ee4753f0844b4f",
+    ),
+    6: (
+        "ebac7ba72579567b1d136a82a1c0f779bc6a48fe731f2261d7d2c38f2252e82b",
+        "ca70b1075e415be2d4ba55a31cf7afd742437d48a90598058409b2fcd0595852",
+        "dcaf2c23d06459d18c5213613c5fb57d4769dd7a3e5f33ca28b0ddd9f01228d2",
+        "c75510bb793c90146f968fdf285da37a779614ddbcb272e9ca7ea9228050457f",
+        "07b94c7e25107a97de20a662679262d4bf5a946d2e3f142d32514492851eddb6",
+        "1de4051c53cdc50c8a6615fbc58c04da563e916c47abd4930c3f9683d8f447a7",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(GEN_RANDOM_DSE_DIGESTS))
+def test_gen_random_dse_digests_pinned(n):
+    got = tuple(hashlib.sha256(gen_random_dse(n, seed).dist.tobytes()).hexdigest()
+                for seed in range(6))
+    assert got == GEN_RANDOM_DSE_DIGESTS[n]

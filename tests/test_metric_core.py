@@ -23,6 +23,7 @@ from rough_angles import (
     subspace,
     validate_metric,
 )
+from rough_angles import metric_core
 from rough_angles.io import (
     load_distance_matrix,
     load_point_cloud,
@@ -59,11 +60,12 @@ def test_validate_triangle_violation():
     assert tri[0].magnitude == pytest.approx(1.0)
 
 
-def test_validate_cap_truncates():
+def test_validate_cap_truncates(monkeypatch):
+    monkeypatch.setattr(metric_core, "MAX_VIOLATIONS", 2)
     d = np.full((6, 6), 10.0)
     np.fill_diagonal(d, 0.0)
     d[0, 1] = d[1, 0] = 100.0  # breaks many triangles
-    rep = validate_metric(FiniteMetricSpace(d), max_violations=2)
+    rep = validate_metric(FiniteMetricSpace(d))
     assert not rep.passed
     assert rep.truncated
     assert len(rep.violations) == 2
@@ -111,12 +113,13 @@ def as_tuples(rep):
     return [(v.kind, v.indices, v.magnitude) for v in rep.violations]
 
 
-def test_validate_matches_oracle_on_scan_corpus():
+def test_validate_matches_oracle_on_scan_corpus(monkeypatch):
     for name, m in scan_corpus(np.random.default_rng(47)):
         for tol in (None, 0.0, 1e-12, -1e-6):
             t = default_tol(m) if tol is None else tol
             for cap in (1, 7, 100):
-                rep = validate_metric(m, tri_tol=tol, max_violations=cap)
+                monkeypatch.setattr(metric_core, "MAX_VIOLATIONS", cap)
+                rep = validate_metric(m, tri_tol=tol)
                 expect, truncated = oracle_validate(m.dist, t, cap)
                 assert as_tuples(rep) == expect, (name, tol, cap)
                 assert rep.truncated == truncated and rep.tri_tol == t
@@ -133,7 +136,7 @@ def test_validate_boundary_triangles_straddle_the_tolerance():
                 assert rep.violations[0].magnitude == pytest.approx(frac * default_tol(m), rel=1e-4)
 
 
-def test_validate_asymmetric_matches_seed_triangle_loop():
+def test_validate_asymmetric_matches_seed_triangle_loop(monkeypatch):
     rng = np.random.default_rng(48)
     for n in range(3, 12):
         d = rng.uniform(0.2, 2.0, size=(n, n))
@@ -142,7 +145,8 @@ def test_validate_asymmetric_matches_seed_triangle_loop():
         for tol in (None, 0.0, -1e-6):
             t = default_tol(m) if tol is None else tol
             for cap in (3, 100, 10_000):
-                rep = validate_metric(m, tri_tol=tol, max_violations=cap)
+                monkeypatch.setattr(metric_core, "MAX_VIOLATIONS", cap)
+                rep = validate_metric(m, tri_tol=tol)
                 head = [v for v in as_tuples(rep) if v[0] != "triangle"]
                 room = cap - len(head)
                 reference = seed_triangle_loop(d, t, room) if room > 0 else []
