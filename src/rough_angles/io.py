@@ -36,14 +36,39 @@ def _checked_matrix(p: Path, dist: np.ndarray, declared_n=None) -> np.ndarray:
         raise ValueError(f"{p}: matrix is not square, shape {dist.shape}")
     if declared_n is not None and _as_int(p, declared_n) != dist.shape[0]:
         raise ValueError(f"{p}: declared n={declared_n} but matrix has {dist.shape[0]} rows")
-    if np.max(np.abs(dist - dist.T)) > 0.0:
-        i, j = np.unravel_index(int(np.argmax(np.abs(dist - dist.T))), dist.shape)
+    with np.errstate(invalid="ignore"):  # inf - inf; non-finite is refused later
+        asym = np.abs(dist - dist.T)
+    if np.max(asym) > 0.0:
+        i, j = np.unravel_index(int(np.argmax(asym)), dist.shape)
         raise ValueError(f"{p}: matrix is not symmetric at ({i},{j})")
     return dist
 
 
 def _write_json(path: PathLike, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _parse_csv(p: Path, fh) -> np.ndarray:
+    """Cell by cell: padding and empty cells are dropped, and lines before the
+    first all-numeric row are skipped as a header."""
+    rows = []
+    reader = csv.reader(fh)
+    for rec in reader:
+        rec = [c.strip() for c in rec if c.strip() != ""]
+        if not rec:
+            continue
+        try:
+            rows.append([float(c) for c in rec])
+        except ValueError as exc:
+            if not rows:  # header line
+                continue
+            raise ValueError(f"{p}, line {reader.line_num}: {exc}") from None
+        if len(rec) != len(rows[0]):
+            raise ValueError(f"{p}, line {reader.line_num}: {len(rec)} cells, "
+                             f"but the first row has {len(rows[0])}")
+    if not rows:
+        raise ValueError(f"{p}: no numeric rows")
+    return np.asarray(rows, dtype=np.float64)
 
 
 def load_distance_matrix(path: PathLike) -> FiniteMetricSpace:
@@ -54,19 +79,19 @@ def load_distance_matrix(path: PathLike) -> FiniteMetricSpace:
         payload = _read_object(p)
         return FiniteMetricSpace(_checked_matrix(p, np.asarray(payload["dist"], dtype=np.float64),
                                                  payload.get("n")))
-    rows = []
     with p.open(newline="") as fh:
-        for rec in csv.reader(fh):
-            rec = [c.strip() for c in rec if c.strip() != ""]
-            if not rec:
-                continue
-            try:
-                rows.append([float(c) for c in rec])
-            except ValueError:
-                if not rows:  # header line
-                    continue
-                raise
-    return FiniteMetricSpace(_checked_matrix(p, np.asarray(rows, dtype=np.float64)))
+        # loadtxt warns on a file with no data lines; such a file has no numeric rows.
+        if not any(line.strip() for line in fh):
+            raise ValueError(f"{p}: no numeric rows")
+        fh.seek(0)
+        try:
+            # Plain numeric CSV in numpy's C parser, which rounds as float() does;
+            # anything it refuses (header, quotes, empty cells, ...) goes cell by cell.
+            dist = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        except ValueError:
+            fh.seek(0)
+            dist = _parse_csv(p, fh)
+    return FiniteMetricSpace(_checked_matrix(p, dist))
 
 
 def save_distance_matrix(m: FiniteMetricSpace, path: PathLike) -> None:
@@ -74,10 +99,9 @@ def save_distance_matrix(m: FiniteMetricSpace, path: PathLike) -> None:
     if p.suffix.lower() == ".json":
         _write_json(p, {"n": m.n, "dist": m.dist.tolist()})
     else:
-        with p.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            for row in m.dist:
-                w.writerow([repr(float(x)) for x in row])
+        # The bytes csv.writer writes for repr(float(x)) cells: no cell needs quoting.
+        p.write_text("".join(",".join(map(repr, row)) + "\r\n" for row in m.dist.tolist()),
+                     newline="")
 
 
 def load_point_cloud(path: PathLike) -> PointCloud:

@@ -212,7 +212,8 @@ def _middle_scan(d: np.ndarray, alpha: Optional[float], tol: Optional[float],
         slack = None
         if alpha is not None and not (gate and need <= alpha + tol / (2.0 * diam)):
             np.add(col[:, None], alpha * row[None, :], out=a)
-            np.maximum(a, np.add(alpha * col[:, None], row[None, :], out=b), out=a)
+            if alpha != 1.0:  # at alpha = 1 both branches are d(x,z) + d(z,y)
+                np.maximum(a, np.add(alpha * col[:, None], row[None, :], out=b), out=a)
             slack = np.subtract(d, a, out=a)
         yield z, need, slack
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -125,6 +126,27 @@ def test_error_exit_code(capsys, tmp_path):
     assert rc == 1
     rc = main(["snowflake", "--in", str(missing), "--beta", "0.5"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a,b\n0,1\n1,x\n", "bad.csv, line 3: could not convert string to float: 'x'"),
+    ("a,b\n0,1\n1,0,2\n", "bad.csv, line 3: 3 cells, but the first row has 2"),
+    ("", "bad.csv: no numeric rows"),
+    ("\n \n", "bad.csv: no numeric rows"),
+    ("0,1.5e\n1.5e,0\n", "bad.csv: no numeric rows"),
+    ("p0,p1\n", "bad.csv: no numeric rows"),
+    ("0,inf\ninf,0\n", "non-finite"),
+])
+def test_validate_bad_csv_says_where(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["validate", "--in", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and message in err
+    assert not caught
 
 
 @pytest.mark.parametrize("argv", [
@@ -456,6 +478,9 @@ GOLDEN = [
     (["angles", "--in", "cloud.json", "--alpha", "0.9"],
      0, "11aaac9e39526716566f8a6301ab4409857553308a80650264e9e55ef29548ac",
      None),
+    (["snowflake", "--in", "random.csv", "--beta", "0.5", "--out", "net.csv"],
+     0, "71eb1fe72b983418b3a6bfaea3f2b352d06b59b3168612002a5efaf5fd133a1c",
+     "525952d60a3b55cce9d1232dd4864586cc14d09450bad6278731d3aab23c1c90"),
 ]
 
 

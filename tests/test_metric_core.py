@@ -1,5 +1,9 @@
+import csv
 import json
 import math
+import warnings
+from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,7 @@ from rough_angles import (
     subspace,
     validate_metric,
 )
-from rough_angles import metric_core
+from rough_angles import io as rio, metric_core
 from rough_angles.io import (
     load_distance_matrix,
     load_point_cloud,
@@ -349,6 +353,123 @@ def test_csv_header_skipped(tmp_path):
     path.write_text("p0,p1\n0.0,1.0\n1.0,0.0\n")
     m = load_distance_matrix(path)
     assert m.dist[0, 1] == 1.0
+
+
+def seed_csv_load(path):
+    """The CSV loader as it was before the numpy fast path: the oracle."""
+    p = Path(path)
+    rows = []
+    with p.open(newline="") as fh:
+        for rec in csv.reader(fh):
+            rec = [c.strip() for c in rec if c.strip() != ""]
+            if not rec:
+                continue
+            try:
+                rows.append([float(c) for c in rec])
+            except ValueError:
+                if not rows:  # header line
+                    continue
+                raise
+    return FiniteMetricSpace(rio._checked_matrix(p, np.asarray(rows, dtype=np.float64)))
+
+
+def outcome(load, path):
+    """("ok", the matrix bits as int64 rows) or ("error", None); asserts no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = ("ok", load(path).dist.view(np.int64).tolist())
+        except ValueError:
+            got = ("error", None)
+    assert not caught, [str(w.message) for w in caught]
+    return got
+
+
+FLOAT_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["5e-324", "2.2250738585072014e-308", "1e300", "-1e300", "-0.0", "0",
+                     "1.5", "+2", ".5", "3."]))
+ODD_CELLS = st.sampled_from(["", '"1.5"', "1_0", "1_000", "nan", "inf", "-inf", "x", "p0",
+                             "1.5e", "1.5 2", "\u0663", "0x1p3", "#1"])
+PADDING = st.sampled_from([""] * 12 + [" ", "  ", "\t", "\xa0", "\x0c", "\x85"])
+
+
+@st.composite
+def csv_texts(draw):
+    n = draw(st.integers(1, 4))
+    cell = {}
+    for i in range(n):
+        for j in range(i, n):
+            cell[i, j] = cell[j, i] = draw(FLOAT_CELLS)
+    rows = []
+    for i in range(n):
+        row = [draw(PADDING) + cell[i, j] + draw(PADDING) for j in range(n)]
+        if draw(st.integers(0, 9)) == 0:
+            row[draw(st.integers(0, n - 1))] = draw(ODD_CELLS)
+        if draw(st.integers(0, 14)) == 0:
+            row = row[:-1]  # ragged
+        if draw(st.integers(0, 9)) == 0:
+            row.append("")  # trailing comma
+        rows.append(",".join(row))
+    if draw(st.integers(0, 3)) == 0:
+        rows.insert(0, draw(st.sampled_from(["p0,p1", "a", "1.5e,x", "x,1", '"a","b"'])))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(["", " ", "\t,", "#c"])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(rows) + draw(st.sampled_from(["", end, end + end]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_texts())
+def test_csv_loader_matches_seed_loop(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_text(text, newline="")
+    assert outcome(load_distance_matrix, path) == outcome(seed_csv_load, path)
+
+
+@pytest.mark.parametrize("text", [
+    "0,1e300,5e-324\n1e300,-0.0,1.5\n5e-324,1.5,0\n",
+    " 0 ,\t1\r\n\xa01, 0\xa0\r\n",
+    "0,1\r1,0\r",
+    "\n\n0,1\n\n1,0\n\n",
+    "p0,p1\n0,1\n1,0\n",
+    "0,1,\n1,0,\n",
+    "0,,1\n1,0\n",
+    '"0",1\n1,0\n',
+    "1_0,0\n0,1_0\n",
+    "\u0663,1\n1,0\n",
+    "0,1\n1,0\n2\n",
+    "0,1\n#note\n1,0\n",
+    "0,1\n1,0#x\n",
+    "0,nan\nnan,0\n",
+    "0,inf\ninf,0\n",
+])
+def test_csv_loader_edge_cases_match_seed_loop(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_text(text, newline="")
+    assert outcome(load_distance_matrix, path) == outcome(seed_csv_load, path)
+
+
+def seed_csv_bytes(m):
+    buf = StringIO(newline="")
+    w = csv.writer(buf)
+    for row in m.dist:
+        w.writerow([repr(float(x)) for x in row])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("m", [
+    FiniteMetricSpace([[0.0]]),
+    FiniteMetricSpace([[0.0, 5e-324, 1e300], [5e-324, -0.0, 2.2250738585072014e-308],
+                       [1e300, 2.2250738585072014e-308, 0.0]]),
+    random_metric(50, np.random.default_rng(50)),
+], ids=["one-point", "subnormal-1e300", "random-50"])
+def test_csv_saver_bytes_and_roundtrip(tmp_path, m):
+    path = tmp_path / "x.csv"
+    save_distance_matrix(m, path)
+    data = path.read_bytes()
+    assert data == seed_csv_bytes(m)
+    assert np.array_equal(load_distance_matrix(path).dist.view(np.int64), m.dist.view(np.int64))
 
 
 def test_point_cloud_roundtrip(tmp_path):
