@@ -11,8 +11,6 @@ for a fixed configuration apart from the ``generated_at`` timestamp.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -38,7 +36,6 @@ from .metric_core import (
     EUCLIDEAN_L2,
     FiniteMetricSpace,
     ModelSpaceSpec,
-    canonical_kind,
     default_tol,
     diameter,
     snowflake,
@@ -72,20 +69,12 @@ def _emit(args: argparse.Namespace, command: str, params: dict, result: dict,
         "result": result,
         "verdict": verdict,
     }
-    text = json.dumps(report, indent=2, sort_keys=True, default=_jsonable) + "\n"
+    text = rio.json_text(report)
     if args.out and not data_out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     return EXIT_VERDICT if verdict in ("violated", "absent", "unknown") else EXIT_OK
-
-
-def _jsonable(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    raise TypeError(f"not JSON-serializable: {type(x)}")
 
 
 def _tol_of(args: argparse.Namespace, m: FiniteMetricSpace) -> float:
@@ -189,8 +178,6 @@ def _cmd_gen_dse(args) -> int:
 
 
 def _cmd_gen_curve(args) -> int:
-    if canonical_kind(args.model) != EUCLIDEAN_L2:
-        raise ValueError(f"gen-curve builds {EUCLIDEAN_L2} curves only, got --model {args.model}")
     rng = np.random.default_rng(args.seed)
     dim = args.dim
     a = rng.standard_normal((dim, dim))
@@ -312,11 +299,7 @@ def _cmd_net_embed(args) -> int:
               "net": list(emb.net), "r": r}
     csv_out = bool(args.out) and args.format == "csv"
     if csv_out:
-        with Path(args.out).open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"d_to_net_{z}" for z in emb.net])
-            for row in emb.coords:
-                w.writerow([repr(float(x)) for x in row])
+        rio.save_net_coords(emb, args.out)
         result["out"] = args.out
     return _emit(args, "net-embed", {"in": args.in_path, "r": r}, result, {}, None,
                  data_out=csv_out)
@@ -405,7 +388,7 @@ _COMMANDS = {
     "snowflake": (_cmd_snowflake, "in beta out", ""),
     "dse-check": (_cmd_dse_check, "in", "tol out"),
     "gen-dse": (_cmd_gen_dse, "seed out", "n beta model dim"),
-    "gen-curve": (_cmd_gen_curve, "seed out", "model dim step steps"),
+    "gen-curve": (_cmd_gen_curve, "seed out", "dim step steps"),
     "curve-check": (_cmd_curve_check, "in", "tol out"),
     "curve-to-dse": (_cmd_curve_to_dse, "in out", "tol"),
     "constants": (_cmd_constants, "", "alpha theta k m r R lam out"),
@@ -456,8 +439,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             parser.error(f"the command must come first, found {first!r}")
         args = parser.parse_args(argv[1:] if command else argv)
         return _COMMANDS[command][0](args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError,
-            DivergenceError, RejectionError) as exc:
+    except (ValueError, KeyError, OSError, DivergenceError, RejectionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

@@ -76,17 +76,17 @@ def c_of_m_theta(m: int, theta: Rational) -> Fraction:
     return Fraction((m * (m - 1)) ** (m - 1)) / th ** (m - 2) + 2 * m
 
 
-def format_constant(value: Fraction, digits: int = 12) -> str:
-    """Decimal rendering of an exact rational, exact when it terminates."""
+def format_constant(value: Fraction) -> str:
+    """Decimal rendering of an exact rational, exact when it terminates; else
+    rounded at 12 digits, with "..." if inexact, and the fraction."""
     if value.denominator == 1:
         return str(value.numerator)
     f = float(value)
     if math.isfinite(f) and Fraction(str(f)) == value:
         return str(f)
-    scaled = value * 10**digits
-    approx = Fraction(round(scaled), 10**digits)
+    approx = Fraction(round(value * 10**12), 10**12)
     suffix = "" if approx == value else "..."
-    return f"{float(approx):.{digits}g}{suffix} ({value.numerator}/{value.denominator})"
+    return f"{float(approx):.12g}{suffix} ({value.numerator}/{value.denominator})"
 
 
 def weird_angle_limit(theta: Rational) -> Fraction:
@@ -292,9 +292,7 @@ def max_theta_straight_subset(
 # Refutation search for the combined conditions
 # ----------------------------------------------------------------------------
 
-def weird_conditions_satisfied(
-    dmat: np.ndarray, theta: float, alpha: float, tol: float = 0.0
-) -> bool:
+def weird_conditions_satisfied(dmat: np.ndarray, theta: float, alpha: float) -> bool:
     """Exact check of all requirements on a candidate distance matrix:
 
     metric axioms, DSE monotonicity, the straightness condition
@@ -308,28 +306,28 @@ def weird_conditions_satisfied(
     """
     d = np.asarray(dmat, dtype=np.float64)
     n = d.shape[0]
-    if np.any(np.abs(np.diag(d)) > tol):
+    if np.any(np.abs(np.diag(d)) > 0.0):
         return False
-    if np.any(np.abs(d - d.T) > tol):
+    if np.any(np.abs(d - d.T) > 0.0):
         return False
     off = d + np.diag(np.full(n, np.inf))
-    if np.min(off) <= tol:
+    if np.min(off) <= 0.0:
         return False
     for j in range(n):
-        if np.any(d > d[:, j][:, None] + d[j, None, :] + tol + 1e-15):
+        if np.any(d > d[:, j][:, None] + d[j, None, :] + 1e-15):
             return False
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j, n):
-                if d[i, j] > d[i, k] + tol:
+                if d[i, j] > d[i, k]:
                     return False
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                if d[i, k] > d[i, j] + theta * d[j, k] + tol:
+                if d[i, k] > d[i, j] + theta * d[j, k]:
                     return False
     for i in range(n - 2):
-        if d[n - 1, i + 1] < d[n - 1, i] + alpha * d[i, i + 1] - tol:
+        if d[n - 1, i + 1] < d[n - 1, i] + alpha * d[i, i + 1]:
             return False
     return True
 

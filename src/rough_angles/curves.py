@@ -27,6 +27,7 @@ from .metric_core import (
     PointCloud,
     _capped,
     _pairwise,
+    _tol_at,
 )
 
 
@@ -91,10 +92,11 @@ def is_self_contracted(c: SampledCurve, tol: Optional[float] = None) -> Contract
     the last down, d(gamma(t_i), gamma(t_k)) for i <= k never rises above an
     earlier value.  That is the DSE scan on the (exactly) negated column; the
     first ``dse_spaces.MAX_VIOLATIONS`` witnesses are kept, sorted by indices.
+    ``tol`` defaults to the verdict tolerance at the curve's diameter.
     """
     d = _curve_distances(c)
     if tol is None:
-        tol = 1e-9 * (1.0 + (float(np.max(d)) if c.n > 1 else 0.0))
+        tol = _tol_at(float(np.max(d)) if c.n > 1 else 0.0)
     found = ((i, j, k, amount) for k in range(c.n - 1, 0, -1)
              for i, j, amount in _monotone_breaks(-d[: k + 1, k], tol))
     out, truncated = _capped(found, dse_spaces.MAX_VIOLATIONS)
@@ -161,19 +163,14 @@ def _as_spd(q: Sequence[Sequence[float]]) -> np.ndarray:
     return qm
 
 
-def gen_gradient_trajectory(
-    q: Sequence[Sequence[float]],
-    start: Sequence[float],
-    step: float,
-    steps: int,
-    model: Optional[ModelSpaceSpec] = None,
-) -> SampledCurve:
+def gen_gradient_trajectory(q: Sequence[Sequence[float]], start: Sequence[float], step: float,
+                            steps: int) -> SampledCurve:
     """Explicit-Euler polyline of the gradient flow of f(x) = x^T Q x / 2:
     x_{k+1} = x_k - step * Q x_k.
 
     The objective must not increase at any step; the first offending step
     index is reported otherwise (step too large for the top eigenvalue).
-    Distances along the curve are measured in ``model`` (default Euclidean).
+    The curve lives in the Euclidean space of the matrix's dimension.
     """
     qm = _as_spd(q)
     x = np.asarray(start, dtype=np.float64)
@@ -181,8 +178,6 @@ def gen_gradient_trajectory(
         raise ValueError("start point dimension does not match the matrix")
     if step <= 0.0 or steps < 0:
         raise ValueError("need step > 0 and steps >= 0")
-    if model is None:
-        model = ModelSpaceSpec(EUCLIDEAN_L2, qm.shape[0])
     pts = [x.copy()]
     f_prev = 0.5 * float(x @ qm @ x)
     for k in range(steps):
@@ -196,7 +191,7 @@ def gen_gradient_trajectory(
         f_prev = f_next
         pts.append(x.copy())
     times = np.arange(steps + 1, dtype=np.float64) * step
-    return SampledCurve(model, times, np.asarray(pts))
+    return SampledCurve(ModelSpaceSpec(EUCLIDEAN_L2, qm.shape[0]), times, np.asarray(pts))
 
 
 def gen_quasiconvex_trajectory(

@@ -122,7 +122,6 @@ class FiniteMetricSpace:
     """
 
     dist: np.ndarray
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         d = np.array(self.dist, dtype=np.float64, copy=True)
@@ -136,11 +135,6 @@ class FiniteMetricSpace:
             raise ValueError("distance matrix contains non-finite values")
         d.setflags(write=False)
         object.__setattr__(self, "dist", d)
-        if self.labels is not None:
-            lab = tuple(str(x) for x in self.labels)
-            if len(lab) != d.shape[0]:
-                raise MetricStructureError("labels length must match point count")
-            object.__setattr__(self, "labels", lab)
 
     @property
     def n(self) -> int:
@@ -169,13 +163,18 @@ def diameter(m: FiniteMetricSpace) -> float:
     return float(np.max(m.dist))
 
 
-def default_tol(m: FiniteMetricSpace) -> float:
-    """Additive tolerance 1e-9 * (1 + diameter), shared by all verdicts.
+def _tol_at(diam: float) -> float:
+    """Additive tolerance 1e-9 * (1 + diam), shared by all verdicts.
 
     Model-space distance formulas accumulate rounding proportional to scale,
     so a purely relative or purely absolute tolerance misbehaves at one end.
     """
-    return 1e-9 * (1.0 + diameter(m))
+    return 1e-9 * (1.0 + diam)
+
+
+def default_tol(m: FiniteMetricSpace) -> float:
+    """The verdict tolerance at the diameter of ``m``."""
+    return _tol_at(diameter(m))
 
 
 def _middle_scan(d: np.ndarray, alpha: Optional[float], tol: Optional[float],
@@ -269,9 +268,7 @@ def subspace(m: FiniteMetricSpace, idx: Sequence[int]) -> FiniteMetricSpace:
     for i in idx:
         if not (0 <= i < m.n):
             raise MetricStructureError(f"index {i} out of range for n={m.n}")
-    sub = m.dist[np.ix_(idx, idx)]
-    labels = tuple(m.labels[i] for i in idx) if m.labels is not None else None
-    return FiniteMetricSpace(sub, labels)
+    return FiniteMetricSpace(m.dist[np.ix_(idx, idx)])
 
 
 def snowflake(m: FiniteMetricSpace, beta: float) -> FiniteMetricSpace:
@@ -282,7 +279,7 @@ def snowflake(m: FiniteMetricSpace, beta: float) -> FiniteMetricSpace:
     """
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must lie in (0,1), got {beta}")
-    return FiniteMetricSpace(np.power(m.dist, beta), m.labels)
+    return FiniteMetricSpace(np.power(m.dist, beta))
 
 
 # ----------------------------------------------------------------------------

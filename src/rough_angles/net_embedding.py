@@ -20,27 +20,28 @@ from .sra_analysis import max_sra_subset
 
 def greedy_net(m: FiniteMetricSpace, r: float,
                on: Optional[Sequence[int]] = None) -> list[int]:
-    """Farthest-point greedy r-net over ``on`` (default all points).
+    """Farthest-point greedy r-net over ``on`` (default all points; a list
+    or an index array), returned as a list of ints.
 
     The result is simultaneously an r-covering of ``on`` (every point within
     r of some net point) and an r-packing (net points pairwise > r apart).
-    Starts at the first listed point; ties go to the smallest index.
+    Starts at the first listed point; ties go to the first listed.
     """
     if r <= 0.0:
         raise ValueError("need r > 0")
-    pts = list(range(m.n)) if on is None else list(on)
-    if not pts:
+    idx = np.arange(m.n) if on is None else np.asarray(on, dtype=np.intp)
+    if not idx.size:
         return []
     d = m.dist
-    net = [pts[0]]
-    mind = d[np.ix_(pts, [pts[0]])].ravel().copy()
+    net = [int(idx[0])]
+    mind = d[idx, net[0]]
     while True:
         far = int(np.argmax(mind))
         if mind[far] <= r:
             return net
-        v = pts[far]
+        v = int(idx[far])
         net.append(v)
-        mind = np.minimum(mind, d[np.ix_(pts, [v])].ravel())
+        np.minimum(mind, d[idx, v], out=mind)
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,8 @@ def doubling_estimate(m: FiniteMetricSpace, scales: Sequence[float]) -> list[Sca
             raise ValueError("scales must be positive")
         worst = 1
         for center in range(m.n):
-            ball = [int(i) for i in np.nonzero(d[center] <= 2.0 * s)[0]]
-            if len(ball) <= 1:
+            ball = np.nonzero(d[center] <= 2.0 * s)[0]
+            if ball.size <= 1:
                 continue
             worst = max(worst, len(greedy_net(m, s, on=ball)))
         out.append(ScaleEstimate(scale=float(s), covering_number=worst))
@@ -125,7 +126,6 @@ class CoverFreenessReport:
     r: float
     big_r: float
     k: int
-    basepoint: int
     cover_centers: tuple[int, ...]
     per_ball: tuple[BallFreenessEntry, ...]
     global_max: int
@@ -141,10 +141,9 @@ def freeness_via_cover(
     r: float,
     big_r: float,
     k: int,
-    basepoint: int = 0,
     budget: Optional[int] = 500_000,
 ) -> CoverFreenessReport:
-    """Pigeonhole check: cover the R-ball around ``basepoint`` by greedy
+    """Pigeonhole check: cover the R-ball around point 0 by greedy
     r-balls, measure the exact maximum SRA(alpha) subset per ball and
     globally, and test
 
@@ -158,10 +157,8 @@ def freeness_via_cover(
         raise ValueError("need 0 < r < R")
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if not (0 <= basepoint < m.n):
-        raise ValueError("basepoint out of range")
     d = m.dist
-    ball_r = [int(i) for i in np.nonzero(d[basepoint] <= big_r)[0]]
+    ball_r = [int(i) for i in np.nonzero(d[0] <= big_r)[0]]
     centers = greedy_net(m, r, on=ball_r)
     entries: list[BallFreenessEntry] = []
     exact = True
@@ -182,7 +179,7 @@ def freeness_via_cover(
     holds: Optional[bool] = (global_cert.size <= bound) if exact else None
     return CoverFreenessReport(
         alpha=float(alpha), r=float(r), big_r=float(big_r), k=k,
-        basepoint=basepoint, cover_centers=tuple(centers), per_ball=tuple(entries),
+        cover_centers=tuple(centers), per_ball=tuple(entries),
         global_max=global_cert.size, global_optimal=global_cert.optimal,
         bound=bound, holds=holds,
         all_balls_free_of_k=all(e.max_sra_size < k for e in entries),

@@ -16,7 +16,7 @@ import pytest
 from rough_angles import cli
 from rough_angles.cli import main, report_schema_version
 from rough_angles.dse_spaces import RejectionError
-from rough_angles.io import save_distance_matrix, save_point_cloud
+from rough_angles.io import json_text, save_distance_matrix, save_point_cloud
 from rough_angles.metric_core import (
     EUCLIDEAN_L2,
     MODEL_KINDS,
@@ -128,17 +128,31 @@ def test_error_exit_code(capsys, tmp_path):
     assert rc == 1
 
 
-@pytest.mark.parametrize("text, message", [
-    ("a,b\n0,1\n1,x\n", "bad.csv, line 3: could not convert string to float: 'x'"),
-    ("a,b\n0,1\n1,0,2\n", "bad.csv, line 3: 3 cells, but the first row has 2"),
-    ("", "bad.csv: no numeric rows"),
-    ("\n \n", "bad.csv: no numeric rows"),
-    ("0,1.5e\n1.5e,0\n", "bad.csv: no numeric rows"),
-    ("p0,p1\n", "bad.csv: no numeric rows"),
-    ("0,inf\ninf,0\n", "non-finite"),
-])
-def test_validate_bad_csv_says_where(capsys, tmp_path, text, message):
-    path = tmp_path / "bad.csv"
+BAD_MATRIX_FILES = [
+    ("bad.csv", "a,b\n0,1\n1,x\n", "bad.csv, line 3: could not convert string to float: 'x'"),
+    ("bad.csv", "a,b\n0,1\n1,0,2\n", "bad.csv, line 3: 3 cells, but the first row has 2"),
+    ("bad.csv", "", "bad.csv: no numeric rows"),
+    ("bad.csv", "\n \n", "bad.csv: no numeric rows"),
+    ("bad.csv", "0,1.5e\n1.5e,0\n", "bad.csv: no numeric rows"),
+    ("bad.csv", "p0,p1\n", "bad.csv: no numeric rows"),
+    ("bad.csv", "0,inf\ninf,0\n", "non-finite"),
+    ("bad.json", '{"dist": [[0, 1], [1]]}', "bad.json, row 1: 1 cells, but the first row has 2"),
+    ("bad.json", '{"dist": [[0, "x"], ["x", 0]]}', 'bad.json, row 0: "x" is not a number'),
+    ("bad.json", '{"dist": [[0, true], [true, 0]]}', "bad.json, row 0: true is not a number"),
+    ("bad.json", '{"dist": [[0, 1], [1, null]]}', "bad.json, row 1: null is not a number"),
+    ("bad.json", '{"dist": [[0, 1], 1]}', "bad.json, row 1: expected a list of numbers, got 1"),
+    ("bad.json", '{"n": 2}', 'bad.json: expected "dist" to be a list of rows, got null'),
+    ("bad.json", '{"dist": [[0, 1e400], [1e400, 0]]}', "non-finite"),
+    ("bad.json", '{"dist": [[0, 1%s], [1%s, 0]]}' % ("0" * 400, "0" * 400),
+     "bad.json: int too large to convert to float"),
+]
+
+
+# Ids leave out the file name, which the message shows.
+@pytest.mark.parametrize("name, text, message", [pytest.param(*case, id=f"{case[1]}-{case[2]}")
+                                                  for case in BAD_MATRIX_FILES])
+def test_validate_bad_csv_says_where(capsys, tmp_path, name, text, message):
+    path = tmp_path / name
     path.write_text(text)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -176,16 +190,13 @@ def test_explicit_zero_is_not_replaced_by_default(capsys, tmp_path, monkeypatch,
 
 
 def test_gen_curve_refuses_other_models(capsys, tmp_path):
+    """gen-curve builds Euclidean curves only and takes no --model flag."""
     out = tmp_path / "c.json"
     for kind in MODEL_KINDS:
-        if kind == EUCLIDEAN_L2:
-            continue
-        rc = main(["gen-curve", "--model", kind, "--seed", "1", "--out", str(out)])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("error:") and kind in err
+        usage_error(capsys, ["gen-curve", "--model", kind, "--seed", "1", "--out", str(out)],
+                    f"unrecognized arguments: --model {kind}")
         assert not out.exists()
-    rc, rep = run(capsys, "gen-curve", "--model", EUCLIDEAN_L2, "--seed", "1", "--out", str(out))
+    rc, rep = run(capsys, "gen-curve", "--seed", "1", "--out", str(out))
     assert rc == 0 and out.exists()
 
 
@@ -289,6 +300,14 @@ def test_malformed_json_exits_with_error(capsys, tmp_path, argv, payload):
     out = capsys.readouterr()
     assert rc == 1 and out.out == ""
     assert out.err.startswith("error:")
+
+
+def test_json_text_converts_numpy():
+    payload = {"b": np.float64(0.1), "a": [np.int64(3), np.arange(2)], "c": np.zeros((1, 2))}
+    assert json_text(payload) == json.dumps(
+        {"a": [3, [0, 1]], "b": 0.1, "c": [[0.0, 0.0]]}, indent=2) + "\n"
+    with pytest.raises(TypeError):
+        json_text({"x": object()})
 
 
 def test_net_embed_and_csv(capsys, tmp_path):
@@ -535,7 +554,7 @@ FLAGS = {
     "snowflake": ("in beta out", ""),
     "dse-check": ("in", "tol out"),
     "gen-dse": ("seed out", "n beta model dim"),
-    "gen-curve": ("seed out", "model dim step steps"),
+    "gen-curve": ("seed out", "dim step steps"),
     "curve-check": ("in", "tol out"),
     "curve-to-dse": ("in out", "tol"),
     "constants": ("", "alpha theta k m r R lam out"),
@@ -561,9 +580,9 @@ def usage_error(capsys, argv, message):
     assert f"usage: rough-angles {argv[0]}" in captured.err
 
 
-def test_flag_table_has_74_pairs():
+def test_flag_table_has_73_pairs():
     assert set(FLAGS) == set(VALID) == set(cli._COMMANDS)
-    assert sum(len(" ".join(flags).split()) for flags in FLAGS.values()) == 74
+    assert sum(len(" ".join(flags).split()) for flags in FLAGS.values()) == 73
 
 
 @pytest.mark.parametrize("command", sorted(FLAGS))

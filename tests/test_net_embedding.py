@@ -73,6 +73,32 @@ def test_greedy_net_on_subset():
     assert_net_contract(m, net, 1.5, on=on)
 
 
+def farthest_point_net(d, r, pts):
+    """The farthest-point rule in plain Python: the first listed point, then,
+    while some point is farther than r from the net, the first farthest."""
+    net = [pts[0]]
+    while True:
+        gaps = [min(d[p][z] for z in net) for p in pts]
+        far = max(range(len(pts)), key=lambda i: (gaps[i], -i))
+        if gaps[far] <= r:
+            return net
+        net.append(pts[far])
+
+
+def test_greedy_net_matches_farthest_point_oracle():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        m = random_metric(15, rng)
+        d = m.dist.tolist()
+        on = [int(i) for i in rng.permutation(m.n)[: rng.integers(1, m.n + 1)]]
+        r = float(rng.uniform(0.05, 0.6)) * diameter(m)
+        want = farthest_point_net(d, r, on)
+        for arg in (on, np.asarray(on)):  # a list or an index array
+            net = greedy_net(m, r, on=arg)
+            assert net == want and all(type(z) is int for z in net)
+        assert greedy_net(m, r) == farthest_point_net(d, r, list(range(m.n)))
+
+
 def test_net_embed_full_net_gamma_one():
     rng = np.random.default_rng(4)
     m = random_metric(12, rng)
