@@ -1,10 +1,15 @@
 """File formats: distance matrices (CSV and JSON), point clouds, curves, DSE
-spaces, net coordinates and report JSON.  Loaders are strict: matrices must be
-symmetric, and DSE files are re-verified against the monotonicity."""
+spaces, net coordinates and report JSON.  Loaders are strict: every JSON cell
+must be a JSON number, matrices must be symmetric, and DSE files are
+re-verified against the monotonicity.  Writers give the bytes of
+``csv.writer`` and of ``json.dumps`` with indent 2 and sorted keys: every
+matrix entry is written with ``repr``, formatted once per unordered pair of a
+symmetric matrix, and the indent-2 layout is built around the C encoder."""
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from pathlib import Path
 from typing import Optional, Union
@@ -27,9 +32,16 @@ def _read_object(p: Path) -> dict:
 
 
 def _as_int(p: Path, value) -> int:
-    if not isinstance(value, (int, float, str)):
-        raise ValueError(f"{p}: expected an integer, got {value!r}")
-    return int(value)
+    """A JSON integer, a whole-number float or a numeric string; booleans and
+    fractions are refused, not truncated."""
+    if type(value) is int or isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{p}: expected an integer, got {value!r}")
 
 
 def _checked_matrix(p: Path, dist: np.ndarray, declared_n=None) -> np.ndarray:
@@ -45,26 +57,39 @@ def _checked_matrix(p: Path, dist: np.ndarray, declared_n=None) -> np.ndarray:
     return dist
 
 
-def _json_matrix(p: Path, payload: dict) -> np.ndarray:
-    """The checked "dist" of a JSON matrix file: rows of JSON numbers (not true
-    or false), each as long as the first, and as many as "n" if given."""
-    rows = payload.get("dist")
-    if not isinstance(rows, list):
-        raise ValueError(f'{p}: expected "dist" to be a list of rows, got {json.dumps(rows)}')
-    for i, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise ValueError(f"{p}, row {i}: expected a list of numbers, got {json.dumps(row)}")
-        if len(row) != len(rows[0]):
-            raise ValueError(f"{p}, row {i}: {len(row)} cells, "
-                             f"but the first row has {len(rows[0])}")
-        if not set(map(type, row)) <= {int, float}:  # the types json gives numbers
-            cell = next(c for c in row if type(c) not in (int, float))
-            raise ValueError(f"{p}, row {i}: {json.dumps(cell)} is not a number")
+def _numbers(p: Path, where: str, cells) -> None:
+    """Refuse ``cells`` unless it is a list of JSON numbers (not true or false)."""
+    if not isinstance(cells, list):
+        raise ValueError(f"{p}, {where}: expected a list of numbers, got {json.dumps(cells)}")
+    if not set(map(type, cells)) <= {int, float}:  # the types json gives numbers
+        cell = next(c for c in cells if type(c) not in (int, float))
+        raise ValueError(f"{p}, {where}: {json.dumps(cell)} is not a number")
+
+
+def _as_floats(p: Path, cells) -> np.ndarray:
     try:
-        dist = np.array(rows, dtype=np.float64)
+        return np.array(cells, dtype=np.float64)
     except OverflowError as exc:  # an integer beyond the float range
         raise ValueError(f"{p}: {exc}") from None
-    return _checked_matrix(p, dist, payload.get("n"))
+
+
+def _json_rows(p: Path, payload: dict, key: str) -> np.ndarray:
+    """``payload[key]`` as a float64 array: rows of JSON numbers, each as long
+    as the first; errors name the file and the row."""
+    rows = payload.get(key)
+    if not isinstance(rows, list):
+        raise ValueError(f'{p}: expected "{key}" to be a list of rows, got {json.dumps(rows)}')
+    for i, row in enumerate(rows):
+        if isinstance(row, list) and len(row) != len(rows[0]):
+            raise ValueError(f"{p}, row {i}: {len(row)} cells, "
+                             f"but the first row has {len(rows[0])}")
+        _numbers(p, f"row {i}", row)
+    return _as_floats(p, rows)
+
+
+def _json_matrix(p: Path, payload: dict) -> np.ndarray:
+    """The checked "dist" of a JSON matrix file, with as many rows as "n" if given."""
+    return _checked_matrix(p, _json_rows(p, payload, "dist"), payload.get("n"))
 
 
 def _jsonable(x):
@@ -73,21 +98,89 @@ def _jsonable(x):
     raise TypeError(f"not JSON-serializable: {type(x)}")
 
 
+def _cells(d: np.ndarray) -> list[list[str]]:
+    """The ``repr`` strings of a 2-D array's float64 entries, row by row.  A
+    square matrix equal to its transpose bit for bit (so 0.0 against -0.0
+    is no mirror) is formatted on its upper triangle and the strings mirrored."""
+    d = np.asarray(d, dtype=np.float64)
+    bits = d.view(np.int64)
+    if d.shape[0] != d.shape[1] or not np.array_equal(bits, bits.T):
+        return [list(map(repr, row)) for row in d.tolist()]
+    upper = np.triu_indices(d.shape[0])
+    cells = np.empty(d.shape, dtype=object)
+    cells[upper] = cells.T[upper] = list(map(repr, d[upper].tolist()))
+    return cells.tolist()
+
+
+_SCALARS = (str, int, float, type(None))
+
+
+@functools.lru_cache(maxsize=None)
+def _flat(pad: str):
+    """The C encoder's ``encode`` for a scalar or a container of scalars,
+    its items split as the indent-2 layout splits them on lines indented by
+    ``pad``."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + pad, ": ")).encode
+
+
+def _key(k) -> str:
+    """A dict key as json writes it: a number, bool or null becomes a string."""
+    if not isinstance(k, str):
+        if not isinstance(k, (int, float)) and k is not None:
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {k.__class__.__name__}")
+        k = json.dumps(k)
+    return json.dumps(k)
+
+
+def _block(items: str, pad: str, brackets: str) -> str:
+    return f"{brackets[0]}\n{pad}  {items}\n{pad}{brackets[1]}"
+
+
+def _layout(o, pad: str) -> str:
+    """The text of ``o`` as ``json.dumps`` writes it with indent 2, sorted
+    keys and ``default=_jsonable``, starting on a line indented by ``pad``."""
+    if isinstance(o, _SCALARS):
+        return _flat(pad)(o)
+    inner = pad + "  "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        if all(isinstance(v, _SCALARS) for v in o.values()):
+            return _block(_flat(inner)(o)[1:-1], pad, "{}")
+        items = [f"{_key(k)}: {_layout(v, inner)}" for k, v in sorted(o.items())]
+        return _block((",\n" + inner).join(items), pad, "{}")
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if all(isinstance(v, _SCALARS) for v in o):
+            return _block(_flat(inner)(o)[1:-1], pad, "[]")
+        return _block((",\n" + inner).join([_layout(v, inner) for v in o]), pad, "[]")
+    if (isinstance(o, np.ndarray) and o.ndim == 2 and o.dtype == np.float64 and o.size
+            and np.isfinite(o).all()):  # json spells nan and inf as NaN and Infinity
+        sep = ",\n" + inner + "  "
+        rows = [_block(sep.join(row), inner, "[]") for row in _cells(o)]
+        return _block((",\n" + inner).join(rows), pad, "[]")
+    return _layout(_jsonable(o), pad)
+
+
 def json_text(payload: dict) -> str:
     """The JSON text of every file and report: indent 2, sorted keys, numpy
-    scalars and arrays as Python numbers and lists, and a final newline."""
-    return json.dumps(payload, indent=2, sort_keys=True, default=_jsonable) + "\n"
+    scalars and arrays as Python numbers and lists, and a final newline; the
+    bytes ``json.dumps`` gives with those settings and ``default=_jsonable``."""
+    return _layout(payload, "") + "\n"
 
 
 def _write_json(path: PathLike, payload: dict) -> None:
     Path(path).write_text(json_text(payload))
 
 
-def _write_csv(path: PathLike, rows: list[list[float]], header: Optional[list] = None) -> None:
-    """An optional header line, then ``repr`` floats (bit-exact) joined by commas;
-    CRLF line ends: the bytes of csv.writer, as no cell needs quoting."""
+def _write_csv(path: PathLike, d: np.ndarray, header: Optional[list] = None) -> None:
+    """An optional header line, then the ``repr`` cells of ``d`` (bit-exact)
+    joined by commas; CRLF line ends: the bytes of csv.writer, as no cell
+    needs quoting."""
     lines = [] if header is None else [",".join(header)]
-    lines += (",".join(map(repr, row)) for row in rows)
+    lines += map(",".join, _cells(d))
     Path(path).write_text("".join(line + "\r\n" for line in lines), newline="")
 
 
@@ -139,39 +232,40 @@ def load_distance_matrix(path: PathLike) -> FiniteMetricSpace:
 def save_distance_matrix(m: FiniteMetricSpace, path: PathLike) -> None:
     p = Path(path)
     if p.suffix.lower() == ".json":
-        _write_json(p, {"n": m.n, "dist": m.dist.tolist()})
+        _write_json(p, {"n": m.n, "dist": m.dist})
     else:
-        _write_csv(p, m.dist.tolist())
+        _write_csv(p, m.dist)
 
 
 def save_net_coords(emb: NetEmbedding, path: PathLike) -> None:
     """CSV of distance-to-net coordinates: a ``d_to_net_<z>`` header per net
     point z, then one row per point."""
-    _write_csv(path, emb.coords.tolist(), header=[f"d_to_net_{z}" for z in emb.net])
+    _write_csv(path, emb.coords, header=[f"d_to_net_{z}" for z in emb.net])
 
 
 def load_point_cloud(path: PathLike) -> PointCloud:
     p = Path(path)
     payload = _read_object(p)
     model = ModelSpaceSpec(payload["model"], _as_int(p, payload.get("dim", 2)))
-    return PointCloud(model, np.asarray(payload["coords"], dtype=np.float64))
+    return PointCloud(model, _json_rows(p, payload, "coords"))
 
 
 def save_point_cloud(pc: PointCloud, path: PathLike) -> None:
-    _write_json(path, {"model": pc.model.kind, "dim": pc.model.dim, "coords": pc.coords.tolist()})
+    _write_json(path, {"model": pc.model.kind, "dim": pc.model.dim, "coords": pc.coords})
 
 
 def load_curve(path: PathLike) -> SampledCurve:
     p = Path(path)
     payload = _read_object(p)
     model = ModelSpaceSpec(payload["model"], _as_int(p, payload.get("dim", 2)))
-    return SampledCurve(model, np.asarray(payload["times"], dtype=np.float64),
-                        np.asarray(payload["points"], dtype=np.float64))
+    times = payload.get("times")
+    _numbers(p, '"times"', times)
+    return SampledCurve(model, _as_floats(p, times), _json_rows(p, payload, "points"))
 
 
 def save_curve(c: SampledCurve, path: PathLike) -> None:
-    _write_json(path, {"model": c.model.kind, "dim": c.model.dim, "times": c.times.tolist(),
-                       "points": c.points.tolist()})
+    _write_json(path, {"model": c.model.kind, "dim": c.model.dim, "times": c.times,
+                       "points": c.points})
 
 
 def load_dse(path: PathLike) -> DseSpace:
@@ -186,4 +280,4 @@ def load_dse(path: PathLike) -> DseSpace:
 
 
 def save_dse(d: DseSpace, path: PathLike) -> None:
-    _write_json(path, {"n": d.n, "dist": d.dist.tolist(), "order": "identity"})
+    _write_json(path, {"n": d.n, "dist": d.dist, "order": "identity"})

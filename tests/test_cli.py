@@ -142,6 +142,7 @@ BAD_MATRIX_FILES = [
     ("bad.json", '{"dist": [[0, 1], [1, null]]}', "bad.json, row 1: null is not a number"),
     ("bad.json", '{"dist": [[0, 1], 1]}', "bad.json, row 1: expected a list of numbers, got 1"),
     ("bad.json", '{"n": 2}', 'bad.json: expected "dist" to be a list of rows, got null'),
+    ("bad.json", '{"n": 2.5, "dist": [[0, 1], [1, 0]]}', "bad.json: expected an integer, got 2.5"),
     ("bad.json", '{"dist": [[0, 1e400], [1e400, 0]]}', "non-finite"),
     ("bad.json", '{"dist": [[0, 1%s], [1%s, 0]]}' % ("0" * 400, "0" * 400),
      "bad.json: int too large to convert to float"),
@@ -279,6 +280,32 @@ def test_extract_rejects_asymmetric_dse(capsys, tmp_path):
     out = capsys.readouterr()
     assert rc == 1 and out.out == ""
     assert out.err.startswith("error:") and "not symmetric at (0,3)" in out.err
+
+
+CLOUD = {"model": "euclidean-l2", "dim": 2, "coords": [[0, 0], [1, 0]]}
+CURVE = {"model": "euclidean-l2", "dim": 2, "times": [0, 1], "points": [[0, 0], [1, 0]]}
+
+
+@pytest.mark.parametrize("argv, payload, message", [
+    (["angles", "--alpha", "0.5"], dict(CLOUD, coords=[[0, True], ["1.5", 0]]),
+     "bad.json, row 0: true is not a number"),
+    (["angles", "--alpha", "0.5"], dict(CLOUD, coords=[[0, 0], [1]]),
+     "bad.json, row 1: 1 cells, but the first row has 2"),
+    (["angles", "--alpha", "0.5"], dict(CLOUD, dim=2.9), "bad.json: expected an integer, got 2.9"),
+    (["angles", "--alpha", "0.5"], dict(CLOUD, dim=True), "bad.json: expected an integer, got True"),
+    (["curve-check"], dict(CURVE, points=[[0, True], ["1.5", 0]]),
+     "bad.json, row 0: true is not a number"),
+    (["curve-check"], dict(CURVE, times=[0, True]), 'bad.json, "times": true is not a number'),
+    (["curve-check"], dict(CURVE, dim=2.9), "bad.json: expected an integer, got 2.9"),
+], ids=["cloud-cells", "cloud-ragged", "cloud-dim-fraction", "cloud-dim-bool", "curve-cells",
+        "curve-times", "curve-dim-fraction"])
+def test_bad_point_files_say_where(capsys, tmp_path, argv, payload, message):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(payload))
+    rc = main([argv[0], "--in", str(src)] + argv[1:])
+    out = capsys.readouterr()
+    assert rc == 1 and out.out == ""
+    assert out.err.startswith("error: ") and message in out.err
 
 
 @pytest.mark.parametrize("argv, payload", [

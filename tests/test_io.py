@@ -1,0 +1,101 @@
+"""The writers against the standard library: ``json_text`` against
+``json.dumps`` with indent 2, and the CSV writer against ``csv.writer``."""
+
+import csv
+import json
+from io import StringIO
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from rough_angles import io as rio
+from rough_angles.io import load_curve, load_point_cloud
+
+# The only asymmetry is the sign of a zero, which repr shows.
+ZERO_SIGNS = np.array([[0.0, 0.0, 1.5], [-0.0, 0.0, 2.0], [1.5, 2.0, 0.0]])
+
+
+def mirrored(a):
+    """``a`` with its lower triangle copied from the upper one, bit for bit."""
+    return np.where(np.triu(np.ones(a.shape, dtype=bool)), a, a.T)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SQUARE = st.integers(1, 5).map(lambda n: (n, n))
+MATRICES = st.one_of(
+    hnp.arrays(np.float64, SQUARE, elements=FINITE).map(mirrored),
+    hnp.arrays(np.float64, SQUARE, elements=FINITE),
+    hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 4)), elements=FINITE),
+    hnp.arrays(np.float64, SQUARE, elements=st.floats()).map(mirrored),  # NaN, +-inf
+    st.sampled_from([np.zeros((0, 0)), np.zeros((0, 3)), np.zeros((2, 0)), ZERO_SIGNS]),
+)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.floats().map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats(width=32).map(np.float32),
+)
+LEAVES = SCALARS | MATRICES | hnp.arrays(np.float64, st.integers(0, 4), elements=st.floats())
+PAYLOADS = st.recursive(LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4),
+    st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    st.dictionaries(st.integers() | st.booleans() | FINITE, kids, max_size=4),
+), max_leaves=12)
+
+
+def dumps_text(payload):
+    return json.dumps(payload, indent=2, sort_keys=True, default=rio._jsonable) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(PAYLOADS)
+def test_json_text_matches_json_dumps(payload):
+    assert rio.json_text(payload) == dumps_text(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    {"n": 3, "dist": ZERO_SIGNS, "order": "identity"},
+    {"report": [{"kind": "triangle", "indices": (0, 1, 2)}], "": {}, "x": [[], [[]]]},
+    {"dist": mirrored(np.random.default_rng(1).random((40, 40)) * 1e-5)},
+], ids=["zero-signs", "nesting", "symmetric-40"])
+def test_json_text_matches_json_dumps_on_examples(payload):
+    assert rio.json_text(payload) == dumps_text(payload)
+
+
+def csv_writer_bytes(d, header):
+    buf = StringIO(newline="")
+    w = csv.writer(buf)
+    if header is not None:
+        w.writerow(header)
+    for row in d.tolist():
+        w.writerow([repr(x) for x in row])
+    return buf.getvalue().encode()
+
+
+RNG = np.random.default_rng(7)
+
+
+@pytest.mark.parametrize("d", [
+    mirrored(RNG.random((30, 30))),
+    RNG.random((30, 30)),
+    RNG.random((30, 4)) * 1e20,
+    ZERO_SIGNS,
+    mirrored(np.array([[0.0, np.nan, -np.inf], [1.0, 0.0, np.inf], [0.0, 0.0, 5e-324]])),
+    np.zeros((2, 0)),
+], ids=["symmetric", "asymmetric", "non-square", "zero-signs", "non-finite", "empty-rows"])
+@pytest.mark.parametrize("header", [None, ["d_to_net_0", "d_to_net_3"]], ids=["bare", "header"])
+def test_csv_bytes_match_csv_writer(tmp_path, d, header):
+    path = tmp_path / "x.csv"
+    rio._write_csv(path, d, header=header)
+    assert path.read_bytes() == csv_writer_bytes(d, header)
+
+
+@pytest.mark.parametrize("dim", [2, 2.0, "2", " 2 "])
+def test_whole_number_dims_load(tmp_path, dim):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"model": "euclidean-l2", "dim": dim, "coords": [[0, 1], [2, 3]],
+                                "times": [0, 1], "points": [[0, 0], [1, 0]]}))
+    assert load_point_cloud(path).model.dim == 2
+    assert load_curve(path).model.dim == 2
