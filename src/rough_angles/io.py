@@ -4,12 +4,16 @@ must be a JSON number, matrices must be symmetric, and DSE files are
 re-verified against the monotonicity.  Writers give the bytes of
 ``csv.writer`` and of ``json.dumps`` with indent 2 and sorted keys: every
 matrix entry is written with ``repr``, formatted once per unordered pair of a
-symmetric matrix, and the indent-2 layout is built around the C encoder."""
+symmetric matrix, and the indent-2 layout is built around the C encoder.
+A list of dicts with the same str keys and scalar values (report rows such
+as audit entries and violations) is written column by column: one encoder
+call per key, then one ``%`` template per row."""
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 from pathlib import Path
 from typing import Optional, Union
@@ -137,6 +141,36 @@ def _block(items: str, pad: str, brackets: str) -> str:
     return f"{brackets[0]}\n{pad}  {items}\n{pad}{brackets[1]}"
 
 
+# The exact types a row value may have; np.float64 is a float the encoder
+# writes with float's repr.
+_ROW_VALUES = {str, int, float, bool, type(None), np.float64}
+
+
+def _rows(o: list, pad: str) -> Optional[str]:
+    """The text of a list of two or more dicts with the same str keys, in the
+    same order, and only scalar values; None for any other list.  Each key's
+    column is encoded in one call and split on the item separator, which no
+    encoded value contains (the encoder escapes every newline in a string),
+    and one ``%`` template per row lays the cells out."""
+    first = o[0]
+    if len(o) < 2 or type(first) is not dict or not first:
+        return None
+    keys = list(first)
+    if not all(type(k) is str for k in keys) or not all(
+            type(r) is dict and list(r) == keys for r in o):
+        return None
+    keys.sort()
+    columns = [[r[k] for r in o] for k in keys]
+    if not set(map(type, itertools.chain.from_iterable(columns))) <= _ROW_VALUES:
+        return None
+    inner = pad + "  "
+    cells = (",\n" + inner + "  ").join(_key(k).replace("%", "%%") + ": %s" for k in keys)
+    template = _block(cells, inner, "{}")
+    encode = _flat("")
+    rows = zip(*[encode(col)[1:-1].split(",\n") for col in columns])
+    return _block((",\n" + inner).join([template % row for row in rows]), pad, "[]")
+
+
 def _layout(o, pad: str) -> str:
     """The text of ``o`` as ``json.dumps`` writes it with indent 2, sorted
     keys and ``default=_jsonable``, starting on a line indented by ``pad``."""
@@ -155,6 +189,9 @@ def _layout(o, pad: str) -> str:
             return "[]"
         if all(isinstance(v, _SCALARS) for v in o):
             return _block(_flat(inner)(o)[1:-1], pad, "[]")
+        text = _rows(o, pad)
+        if text is not None:
+            return text
         return _block((",\n" + inner).join([_layout(v, inner) for v in o]), pad, "[]")
     if (isinstance(o, np.ndarray) and o.ndim == 2 and o.dtype == np.float64 and o.size
             and np.isfinite(o).all()):  # json spells nan and inf as NaN and Infinity

@@ -287,7 +287,18 @@ def snowflake(m: FiniteMetricSpace, beta: float) -> FiniteMetricSpace:
 # ----------------------------------------------------------------------------
 
 def _pairwise(model: ModelSpaceSpec, c: np.ndarray) -> np.ndarray:
-    n = c.shape[0]
+    """Distances between the rows of ``c`` (finite coordinates) under
+    ``model``; raises ``ValueError`` when one overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        d = _distances(model, c)
+    if not np.isfinite(d).all():
+        i, j = np.argwhere(~np.isfinite(d))[0].tolist()
+        raise ValueError(f"the {model.kind} distance between points {i} and {j} "
+                         f"overflows float64; scale the coordinates down")
+    return d
+
+
+def _distances(model: ModelSpaceSpec, c: np.ndarray) -> np.ndarray:
     if model.kind == EUCLIDEAN_L2:
         diff = c[:, None, :] - c[None, :, :]
         d = np.sqrt(np.sum(diff * diff, axis=2))

@@ -215,11 +215,14 @@ def euclidean_angle_audit(pc: PointCloud, alpha: float) -> AngleAudit:
 
     dmat = _pairwise(pc.model, coords)
 
-    # The matmul cosines differ from the scalar ones below by a few ulps, so
-    # the candidate cut sits 1e-9 above -alpha: every triple whose scalar
-    # angle exceeds the threshold is a candidate, and the scalar code alone
-    # decides.  A NaN cosine (overflow) is a candidate too: the scalar code
-    # clamps it to an angle of pi.
+    # The cosine matrix differs from the per-pair cosines below by a few ulps,
+    # so the candidate cut sits 1e-9 above -alpha: every triple whose exact
+    # angle exceeds the threshold is a candidate.  A middle's candidates are
+    # then decided as one batch: their dot products come from one batched
+    # matmul, whose 1-by-d times d-by-1 products run the kernel of np.dot, and
+    # their cosines and SRA slacks are array arithmetic, all bit for bit what
+    # a per-pair loop gives.  math.acos stays per candidate, as np.arccos
+    # rounds differently from it.
     cut = -alpha + 1e-9
     for z in range(n):
         v = coords - coords[z]
@@ -231,14 +234,15 @@ def euclidean_angle_audit(pc: PointCloud, alpha: float) -> AngleAudit:
             cos = (v @ v.T) / (norms[:, None] * norms[None, :])
         candidates = np.triu(~(cos >= cut), 1) & legs[:, None] & legs[None, :]
         xs, ys = np.nonzero(candidates)
-        for x, y in zip(xs.tolist(), ys.tolist()):
-            cosang = float(np.dot(v[x], v[y]) / (norms[x] * norms[y]))
-            ang = math.acos(min(1.0, max(-1.0, cosang)))
+        dots = np.matmul(v[xs][:, None, :], v[ys][:, :, None])[:, 0, 0]
+        cosang = np.clip(dots / (norms[xs] * norms[ys]), -1.0, 1.0)
+        a, b = dmat[xs, z], dmat[z, ys]
+        slack = dmat[xs, ys] - np.maximum(a + alpha * b, alpha * a + b)
+        for x, y, c, s in zip(xs.tolist(), ys.tolist(), cosang.tolist(), slack.tolist()):
+            ang = math.acos(c)
             if ang <= threshold:
                 continue
-            a, b = dmat[x, z], dmat[z, y]
-            slack = dmat[x, y] - max(a + alpha * b, alpha * a + b)
-            if slack <= 0.0:
+            if s <= 0.0:
                 dropped += 1
                 continue
             entries.append(AngleAuditEntry(x, z, y, ang))

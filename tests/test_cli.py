@@ -297,8 +297,10 @@ CURVE = {"model": "euclidean-l2", "dim": 2, "times": [0, 1], "points": [[0, 0], 
      "bad.json, row 0: true is not a number"),
     (["curve-check"], dict(CURVE, times=[0, True]), 'bad.json, "times": true is not a number'),
     (["curve-check"], dict(CURVE, dim=2.9), "bad.json: expected an integer, got 2.9"),
+    (["curve-check"], dict(CURVE, points=[[0, 0], [1e200, 0]]),
+     "the euclidean-l2 distance between points 0 and 1 overflows float64"),
 ], ids=["cloud-cells", "cloud-ragged", "cloud-dim-fraction", "cloud-dim-bool", "curve-cells",
-        "curve-times", "curve-dim-fraction"])
+        "curve-times", "curve-dim-fraction", "curve-overflow"])
 def test_bad_point_files_say_where(capsys, tmp_path, argv, payload, message):
     src = tmp_path / "bad.json"
     src.write_text(json.dumps(payload))
@@ -389,6 +391,25 @@ def test_angles_cli(capsys, tmp_path):
     rc, rep = run(capsys, "angles", "--in", str(src), "--alpha", "0.9")
     assert rc == 0
     assert len(rep["result"]["entries"]) == 1
+
+
+def test_angles_refuses_overflowing_distances(capsys, tmp_path):
+    """A cloud scaled by 1e200 has distances beyond float64 and exits 1 naming
+    the overflow; scaled by 1e150 it is audited like the unscaled cloud."""
+    coords = np.random.default_rng(3).standard_normal((14, 2))
+    triples = {}
+    for scale in (1.0, 1e150, 1e200):
+        src = tmp_path / f"pc-{scale:g}.json"
+        save_point_cloud(PointCloud(ModelSpaceSpec(EUCLIDEAN_L2, 2), coords * scale), src)
+        rc = main(["angles", "--in", str(src), "--alpha", "0.5"])
+        out = capsys.readouterr()
+        if scale == 1e200:
+            assert rc == 1 and out.out == "" and "overflows float64" in out.err
+        else:
+            assert rc == 0
+            entries = json.loads(out.out)["result"]["entries"]
+            triples[scale] = [(e["x"], e["z"], e["y"]) for e in entries]
+    assert triples[1.0] and triples[1e150] == triples[1.0]
 
 
 def test_pipeline_composes(capsys, tmp_path):

@@ -3,6 +3,7 @@
 
 import csv
 import json
+import math
 from io import StringIO
 
 import numpy as np
@@ -53,6 +54,45 @@ def dumps_text(payload):
 @given(PAYLOADS)
 def test_json_text_matches_json_dumps(payload):
     assert rio.json_text(payload) == dumps_text(payload)
+
+
+# Lists of dicts with the same str keys and scalar values, such as the entries
+# of an angle audit, are written column by column; the near misses below send
+# a list down the general path.
+ROW_KEYS = ("%", "%s", '"q"', "a\nb", "é", "")
+ROW_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.floats().map(np.float64), st.text(max_size=4),
+)
+ODD_VALUES = st.one_of(
+    st.lists(st.integers(), max_size=2), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats(width=32).map(np.float32),
+)
+
+
+@st.composite
+def rows(draw):
+    keys = draw(st.lists(st.sampled_from(ROW_KEYS), min_size=1, max_size=4, unique=True))
+    out = draw(st.lists(st.fixed_dictionaries({k: ROW_VALUES for k in keys}),
+                        min_size=1, max_size=5))
+    miss = draw(st.sampled_from([None, None, "order", "rename", "value", "keys"]))
+    if miss == "order":
+        out[-1] = dict(reversed(out[-1].items()))
+    elif miss == "rename":  # as many keys, not the same ones
+        out[-1] = {k + "!": v for k, v in out[-1].items()}
+    elif miss == "value":
+        out[-1][draw(st.sampled_from(keys))] = draw(ODD_VALUES)
+    elif miss == "keys":
+        out = [dict(enumerate(r.values())) for r in out]
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows())
+def test_rows_match_json_dumps(rows):
+    for payload in (rows, {"result": {"entries": rows}}):
+        assert rio.json_text(payload) == dumps_text(payload)
 
 
 @pytest.mark.parametrize("payload", [

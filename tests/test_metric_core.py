@@ -279,6 +279,19 @@ def test_hyperbolic_domain():
         PointCloud(ModelSpaceSpec(HYPERBOLIC_PLANE), [[1.0, 0.0]])
 
 
+@pytest.mark.parametrize("kind", [EUCLIDEAN_L2, NORMED_L1, NORMED_LINF])
+def test_overflowing_distances_rejected(kind):
+    """Finite coordinates whose distance overflows float64 are refused, with
+    no overflow warning; the same cloud scaled down is measured."""
+    coords = np.array([[0.0, 1.0], [1e308, 0.0], [-1e308, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="distance between points 0 and 1 overflows float64"):
+            from_point_cloud(PointCloud(ModelSpaceSpec(kind, 2), coords))
+    small = from_point_cloud(PointCloud(ModelSpaceSpec(kind, 2), coords * 1e-160))
+    assert small.dist[1, 2] == 2e148
+
+
 def test_coincident_points_rejected():
     pc = PointCloud(ModelSpaceSpec(EUCLIDEAN_L2, 2), [[0, 0], [0, 0]])
     with pytest.raises(ValueError):

@@ -758,6 +758,18 @@ def test_angle_audit_matches_reference_loop():
     assert hits > 0 and drops > 0 and skips > 0
 
 
+@pytest.mark.parametrize("alpha", [0.5, 0.8])
+@pytest.mark.parametrize("n, dim", [(100, 2), (60, 3)])
+def test_angle_audit_matches_reference_loop_on_large_clouds(n, dim, alpha):
+    """A middle of these clouds has hundreds to thousands of candidates, all
+    dotted in one batched matmul; the entries still equal the triple loop's,
+    angles bit for bit."""
+    pc = cloud(np.random.default_rng(n).standard_normal((n, dim)))
+    got, want = euclidean_angle_audit(pc, alpha), reference_angle_audit(pc, alpha)
+    assert audit_key(got) == audit_key(want)
+    assert len(want.entries) > 10 * n
+
+
 def test_angle_audit_repeated_point_raises_no_warning():
     """A repeated point makes some matmul cosines 0/0; the audit must not
     warn, even with every warning turned into an error."""
