@@ -32,15 +32,7 @@ from .curves import (DivergenceError, curve_length, curve_diameter, curve_to_dse
                      gen_gradient_trajectory, is_self_contracted)
 from .dse_spaces import (DseSpace, RejectionError, check_two_lemma, gap_D, gen_random_dse,
                          gen_snowflaked_path, is_dse, length_L)
-from .metric_core import (
-    EUCLIDEAN_L2,
-    FiniteMetricSpace,
-    ModelSpaceSpec,
-    default_tol,
-    diameter,
-    snowflake,
-    validate_metric,
-)
+from .metric_core import EUCLIDEAN_L2, ModelSpaceSpec, diameter, snowflake, validate_metric
 from .net_embedding import doubling_estimate, freeness_via_cover, greedy_net, net_embed
 from .sra_analysis import critical_alpha, euclidean_angle_audit, sra_report
 
@@ -77,37 +69,24 @@ def _emit(args: argparse.Namespace, command: str, params: dict, result: dict,
     return EXIT_VERDICT if verdict in ("violated", "absent", "unknown") else EXIT_OK
 
 
-def _tol_of(args: argparse.Namespace, m: FiniteMetricSpace) -> float:
-    return args.tol if args.tol is not None else default_tol(m)
-
-
 # ----------------------------------------------------------------------------
 # Subcommand implementations
 # ----------------------------------------------------------------------------
 
 def _cmd_validate(args) -> int:
     m = rio.load_distance_matrix(args.in_path)
-    tol = _tol_of(args, m)
-    rep = validate_metric(m, tri_tol=tol)
-    result = {
-        "n": m.n,
-        "passed": rep.passed,
-        "violations": [
-            {"kind": v.kind, "indices": list(v.indices), "magnitude": v.magnitude}
-            for v in rep.violations
-        ],
-        "truncated": rep.truncated,
-    }
+    rep = validate_metric(m, tri_tol=args.tol)
+    result = {"n": m.n, "passed": rep.passed, "violations": rep.violations,
+              "truncated": rep.truncated}
     return _emit(args, "validate", {"in": args.in_path}, result,
-                 {"tri_tol": tol}, None if rep.passed else "violated")
+                 {"tri_tol": rep.tri_tol}, None if rep.passed else "violated")
 
 
 def _cmd_sra_check(args) -> int:
     m = rio.load_distance_matrix(args.in_path)
-    tol = _tol_of(args, m)
-    rep = sra_report(m, args.alpha, budget=args.budget, tol=tol)
+    rep = sra_report(m, args.alpha, budget=args.budget, tol=args.tol)
     return _emit(args, "sra-check", {"in": args.in_path, "alpha": args.alpha},
-                 rep, {"tol": tol}, None if rep["is_sra"] else "violated")
+                 rep, {"tol": rep["tol"]}, None if rep["is_sra"] else "violated")
 
 
 def _cmd_critical_alpha(args) -> int:
@@ -118,12 +97,11 @@ def _cmd_critical_alpha(args) -> int:
 
 def _cmd_max_sra(args) -> int:
     m = rio.load_distance_matrix(args.in_path)
-    tol = _tol_of(args, m)
-    rep = sra_report(m, args.alpha, budget=args.budget, tol=tol)
+    rep = sra_report(m, args.alpha, budget=args.budget, tol=args.tol)
     verdict = None if rep["max_subset"]["optimal"] else "unknown"
     return _emit(args, "max-sra", {"in": args.in_path, "alpha": args.alpha,
                                    "budget": args.budget},
-                 rep, {"tol": tol}, verdict)
+                 rep, {"tol": rep["tol"]}, verdict)
 
 
 def _cmd_snowflake(args) -> int:
@@ -137,19 +115,11 @@ def _cmd_snowflake(args) -> int:
 
 def _cmd_dse_check(args) -> int:
     m = rio.load_distance_matrix(args.in_path)
-    tol = _tol_of(args, m)
-    verdict = is_dse(m, tol=tol)
-    result = {
-        "n": m.n,
-        "is_dse": verdict.ok,
-        "violations": [
-            {"i": v.i, "j": v.j, "k": v.k, "amount": v.amount}
-            for v in verdict.violations
-        ],
-    }
+    verdict = is_dse(m, tol=args.tol)
+    result = {"n": m.n, "is_dse": verdict.ok, "violations": verdict.violations}
     if verdict.ok:
         d = DseSpace(m)
-        two = check_two_lemma(d, tol=tol)
+        two = check_two_lemma(d, tol=verdict.tol)
         result.update({
             "length_L": length_L(d),
             "gap_D": gap_D(d),
@@ -158,7 +128,7 @@ def _cmd_dse_check(args) -> int:
             "diam_le_two_gap": two.diam_le_two_gap,
         })
     return _emit(args, "dse-check", {"in": args.in_path}, result,
-                 {"tol": tol}, None if verdict.ok else "violated")
+                 {"tol": verdict.tol}, None if verdict.ok else "violated")
 
 
 def _cmd_gen_dse(args) -> int:
@@ -256,11 +226,11 @@ def _cmd_extract(args) -> int:
         "branch": res.branch,
         "theta": res.theta,
         "n_blue": res.n_blue,
-        "straight_subset": list(res.straight_subset),
-        "blue_subset": None if res.blue_subset is None else list(res.blue_subset),
+        "straight_subset": res.straight_subset,
+        "blue_subset": res.blue_subset,
         "notes": res.notes,
         "certificate": None if res.certificate is None else {
-            "indices": list(res.certificate.subset),
+            "indices": res.certificate.subset,
             "size": res.certificate.size,
             "optimal": res.certificate.optimal,
         },
@@ -296,7 +266,7 @@ def _cmd_net_embed(args) -> int:
     net = greedy_net(m, r)
     emb = net_embed(m, net)
     result = {"gamma": emb.gamma, "upper": emb.upper, "net_size": len(emb.net),
-              "net": list(emb.net), "r": r}
+              "net": emb.net, "r": r}
     csv_out = bool(args.out) and args.format == "csv"
     if csv_out:
         rio.save_net_coords(emb, args.out)
@@ -309,10 +279,8 @@ def _cmd_doubling(args) -> int:
     m = rio.load_distance_matrix(args.in_path)
     scales = args.scales or [diameter(m) / 4.0]
     est = doubling_estimate(m, scales)
-    result = {"estimates": [{"scale": e.scale, "covering_number": e.covering_number}
-                            for e in est]}
     return _emit(args, "doubling", {"in": args.in_path, "scales": scales},
-                 result, {}, None)
+                 {"estimates": est}, {}, None)
 
 
 def _cmd_freeness_cover(args) -> int:
@@ -321,7 +289,7 @@ def _cmd_freeness_cover(args) -> int:
                              3 if args.k is None else args.k, budget=args.budget)
     result = {
         "cover_size": len(rep.cover_centers),
-        "cover_centers": list(rep.cover_centers),
+        "cover_centers": rep.cover_centers,
         "per_ball_max": [e.max_sra_size for e in rep.per_ball],
         "global_max": rep.global_max,
         "bound": rep.bound,
@@ -340,9 +308,8 @@ def _cmd_angles(args) -> int:
     audit = euclidean_angle_audit(pc, args.alpha)
     result = {
         "threshold": audit.threshold,
-        "entries": [{"x": e.x, "z": e.z, "y": e.y, "angle": e.angle}
-                    for e in audit.entries],
-        "skipped_degenerate": [list(p) for p in audit.skipped_degenerate],
+        "entries": audit.entries,
+        "skipped_degenerate": audit.skipped_degenerate,
         "boundary_dropped": audit.boundary_dropped,
     }
     return _emit(args, "angles", {"in": args.in_path, "alpha": args.alpha},

@@ -517,7 +517,6 @@ class ConstantsBundle:
     m: int  # Ramsey-sufficient straight-subset size (upper bound, not tight)
     c_m_theta: Fraction
     n_theta_alpha: int
-    ramsey_bound: int
     globq: Optional[int] = None
 
     def as_dict(self) -> dict:
@@ -529,7 +528,7 @@ class ConstantsBundle:
             "c_m_theta": format_constant(self.c_m_theta),
             "c_m_theta_exact": f"{self.c_m_theta.numerator}/{self.c_m_theta.denominator}",
             "n_theta_alpha": self.n_theta_alpha,
-            "ramsey_bound": self.ramsey_bound,
+            "ramsey_bound": self.m,
             "ramsey_bound_tight": False,
             "globq": self.globq,
         }
@@ -550,8 +549,7 @@ def make_bundle(
     c = c_of_m_theta(max(m, 3), theta)
     gq = globq_bound(*globq_args) if globq_args is not None else None
     return ConstantsBundle(alpha=float(alpha), theta=float(theta), k=k, m=m,
-                           c_m_theta=c, n_theta_alpha=n_blue,
-                           ramsey_bound=m, globq=gq)
+                           c_m_theta=c, n_theta_alpha=n_blue, globq=gq)
 
 
 # Tolerance of the ``is_sra`` re-check of every extracted certificate.

@@ -5,13 +5,16 @@ re-verified against the monotonicity.  Writers give the bytes of
 ``csv.writer`` and of ``json.dumps`` with indent 2 and sorted keys: every
 matrix entry is written with ``repr``, formatted once per unordered pair of a
 symmetric matrix, and the indent-2 layout is built around the C encoder.
-A list of dicts with the same str keys and scalar values (report rows such
-as audit entries and violations) is written column by column: one encoder
-call per key, then one ``%`` template per row."""
+A dataclass record is written as the object of its fields.  A list of dicts
+with the same str keys and scalar values, or of records of one dataclass
+with scalar fields (report rows such as audit entries and violations), is
+written column by column: one encoder call per key, then one ``%`` template
+per row."""
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import itertools
 import json
@@ -99,6 +102,8 @@ def _json_matrix(p: Path, payload: dict) -> np.ndarray:
 def _jsonable(x):
     if isinstance(x, (np.floating, np.integer, np.ndarray)):
         return x.tolist()  # a Python number for a numpy scalar
+    if dataclasses.is_dataclass(x):
+        return vars(x)  # a record as the object of its fields
     raise TypeError(f"not JSON-serializable: {type(x)}")
 
 
@@ -148,12 +153,18 @@ _ROW_VALUES = {str, int, float, bool, type(None), np.float64}
 
 def _rows(o: list, pad: str) -> Optional[str]:
     """The text of a list of two or more dicts with the same str keys, in the
-    same order, and only scalar values; None for any other list.  Each key's
-    column is encoded in one call and split on the item separator, which no
-    encoded value contains (the encoder escapes every newline in a string),
-    and one ``%`` template per row lays the cells out."""
+    same order, and only scalar values; None for any other list.  Records of
+    one dataclass count as the dicts of their fields.  Each key's column is
+    encoded in one call and split on the item separator, which no encoded
+    value contains (the encoder escapes every newline in a string), and one
+    ``%`` template per row lays the cells out."""
     first = o[0]
-    if len(o) < 2 or type(first) is not dict or not first:
+    if len(o) < 2:
+        return None
+    if dataclasses.is_dataclass(first) and all(type(r) is type(first) for r in o):
+        o = [vars(r) for r in o]
+        first = o[0]
+    if type(first) is not dict or not first:
         return None
     keys = list(first)
     if not all(type(k) is str for k in keys) or not all(

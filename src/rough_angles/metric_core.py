@@ -288,7 +288,10 @@ def snowflake(m: FiniteMetricSpace, beta: float) -> FiniteMetricSpace:
 
 def _pairwise(model: ModelSpaceSpec, c: np.ndarray) -> np.ndarray:
     """Distances between the rows of ``c`` (finite coordinates) under
-    ``model``; raises ``ValueError`` when one overflows float64."""
+    ``model``; raises ``ValueError`` when one overflows float64.  Every
+    representable L1 or L-infinity distance is measured, but euclidean-l2
+    squares the coordinate differences first, so it refuses a difference
+    above about 1.3e154 (the square root of the float64 maximum)."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         d = _distances(model, c)
     if not np.isfinite(d).all():
@@ -315,6 +318,9 @@ def _distances(model: ModelSpaceSpec, c: np.ndarray) -> np.ndarray:
     else:
         raise ValueError(f"unsupported model {model.kind}")
     np.fill_diagonal(d, 0.0)
+    bits = d.view(np.int64)
+    if np.array_equal(bits, bits.T):
+        return d  # already symmetric, and d + d.T could overflow
     return (d + d.T) / 2.0  # symmetrize away rounding noise
 
 

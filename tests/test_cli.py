@@ -23,6 +23,7 @@ from rough_angles.metric_core import (
     FiniteMetricSpace,
     ModelSpaceSpec,
     PointCloud,
+    default_tol,
 )
 
 from _generators import collinear, random_metric
@@ -72,6 +73,16 @@ def test_sra_check_exit_codes(capsys, tmp_path):
     assert rc == 0 and rep["result"]["is_sra"]
     rc, rep = run(capsys, "sra-check", "--in", str(snow), "--alpha", "0.3")
     assert rc == 2 and rep["verdict"] == "violated"
+
+
+@pytest.mark.parametrize("command,key", [("validate", "tri_tol"), ("sra-check", "tol"),
+                                         ("max-sra", "tol"), ("dse-check", "tol")])
+def test_tolerances_report_the_tolerance_applied(capsys, collinear6, command, key):
+    """An omitted --tol is the default at the diameter; --tol 0 is reported as 0.0."""
+    rc, rep = run(capsys, command, "--in", collinear6)
+    assert rc != cli.EXIT_ERROR and rep["tolerances"] == {key: default_tol(collinear(6))}
+    rc, rep = run(capsys, command, "--in", collinear6, "--tol", "0")
+    assert rc != cli.EXIT_ERROR and rep["tolerances"] == {key: 0.0}
 
 
 @pytest.mark.parametrize("command", ["sra-check", "max-sra", "freeness-cover"])

@@ -12,7 +12,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rough_angles import io as rio
+from rough_angles.dse_spaces import DseViolation
 from rough_angles.io import load_curve, load_point_cloud
+from rough_angles.metric_core import MetricViolation
+from rough_angles.sra_analysis import AngleAuditEntry
 
 # The only asymmetry is the sign of a zero, which repr shows.
 ZERO_SIGNS = np.array([[0.0, 0.0, 1.5], [-0.0, 0.0, 2.0], [1.5, 2.0, 0.0]])
@@ -88,20 +91,50 @@ def rows(draw):
     return out
 
 
+# Lists of records are written as the dicts of their fields: those of one
+# dataclass with scalar fields column by column, the rest on the general path.
+INDEX = st.integers(0, 10**6)
+DSE_ROWS = st.builds(DseViolation, INDEX, INDEX, INDEX, ROW_VALUES)
+AUDIT_ROWS = st.builds(AngleAuditEntry, INDEX, INDEX, INDEX, ROW_VALUES)
+METRIC_ROWS = st.builds(MetricViolation, st.sampled_from(["triangle", "diagonal"]),
+                        st.lists(INDEX, max_size=3).map(tuple), ROW_VALUES)
+RECORD_LISTS = st.one_of(*[st.lists(r, min_size=1, max_size=5)
+                           for r in (DSE_ROWS, AUDIT_ROWS, METRIC_ROWS, DSE_ROWS | AUDIT_ROWS)])
+
+
 @settings(max_examples=400, deadline=None)
-@given(rows())
+@given(rows() | RECORD_LISTS)
 def test_rows_match_json_dumps(rows):
     for payload in (rows, {"result": {"entries": rows}}):
         assert rio.json_text(payload) == dumps_text(payload)
+
+
+DSE_VIOLATIONS = [DseViolation(0, 2, 3, 0.5), DseViolation(1, 4, 5, np.float64(1e-3))]
+AUDIT_ENTRIES = [AngleAuditEntry(0, 1, 2, 3.0), AngleAuditEntry(2, 0, 1, math.pi)]
+METRIC_VIOLATIONS = [MetricViolation("triangle", (0, 1, 2), 0.25),
+                     MetricViolation("symmetry", (1, 0), 1e-9)]
 
 
 @pytest.mark.parametrize("payload", [
     {"n": 3, "dist": ZERO_SIGNS, "order": "identity"},
     {"report": [{"kind": "triangle", "indices": (0, 1, 2)}], "": {}, "x": [[], [[]]]},
     {"dist": mirrored(np.random.default_rng(1).random((40, 40)) * 1e-5)},
-], ids=["zero-signs", "nesting", "symmetric-40"])
+    {"violations": DSE_VIOLATIONS, "n": 6},
+    {"entries": tuple(AUDIT_ENTRIES)},
+    {"violations": METRIC_VIOLATIONS},
+    {"record": DSE_VIOLATIONS[0]},
+    {"entries": AUDIT_ENTRIES[:1]},
+], ids=["zero-signs", "nesting", "symmetric-40", "dse-violations", "audit-entries",
+        "metric-violations", "one-record", "one-record-list"])
 def test_json_text_matches_json_dumps_on_examples(payload):
     assert rio.json_text(payload) == dumps_text(payload)
+
+
+def test_record_lists_of_scalar_fields_are_written_column_by_column():
+    assert rio._rows(DSE_VIOLATIONS, "") is not None
+    assert rio._rows(AUDIT_ENTRIES, "") is not None
+    assert rio._rows(METRIC_VIOLATIONS, "") is None  # its indices are a tuple
+    assert rio._rows([DSE_VIOLATIONS[0], AUDIT_ENTRIES[0]], "") is None
 
 
 def csv_writer_bytes(d, header):

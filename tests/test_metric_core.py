@@ -282,12 +282,18 @@ def test_hyperbolic_domain():
 @pytest.mark.parametrize("kind", [EUCLIDEAN_L2, NORMED_L1, NORMED_LINF])
 def test_overflowing_distances_rejected(kind):
     """Finite coordinates whose distance overflows float64 are refused, with
-    no overflow warning; the same cloud scaled down is measured."""
+    no overflow warning; the same cloud scaled down is measured.  L1 and
+    L-infinity measure the distance 1e308 of points 0 and 1 and refuse the
+    2e308 of points 1 and 2; euclidean-l2 overflows squaring 1e308."""
     coords = np.array([[0.0, 1.0], [1e308, 0.0], [-1e308, 0.0]])
+    pair = "0 and 1" if kind == EUCLIDEAN_L2 else "1 and 2"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="distance between points 0 and 1 overflows float64"):
+        with pytest.raises(ValueError, match=f"distance between points {pair} overflows float64"):
             from_point_cloud(PointCloud(ModelSpaceSpec(kind, 2), coords))
+        if kind != EUCLIDEAN_L2:
+            near = from_point_cloud(PointCloud(ModelSpaceSpec(kind, 2), coords[:2]))
+            assert near.dist[0, 1] == near.dist[1, 0] == 1e308
     small = from_point_cloud(PointCloud(ModelSpaceSpec(kind, 2), coords * 1e-160))
     assert small.dist[1, 2] == 2e148
 
