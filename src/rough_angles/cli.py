@@ -320,6 +320,17 @@ def _cmd_angles(args) -> int:
 # Parser
 # ----------------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy seeds only non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 # Each flag's argparse spec, defined once; "--" + key is its option string.
 _FLAGS = {
     "in": dict(dest="in_path"),
@@ -334,7 +345,7 @@ _FLAGS = {
     "r": dict(type=float),
     "R": dict(dest="big_r", type=float),
     "lam": dict(type=int, help="doubling constant for the pigeonhole bound"),
-    "seed": dict(type=int),
+    "seed": dict(type=_seed),
     "budget": dict(type=int, default=500_000),
     "trials": dict(type=int, default=10_000),
     "steps": dict(type=int, default=40),

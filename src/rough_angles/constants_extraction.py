@@ -349,35 +349,68 @@ class RefutationReport:
 def _candidate_batch(n: int, count: int, rng: np.random.Generator,
                      alpha: float) -> np.ndarray:
     """Batch of candidate matrices (count, n, n): gap parameterization with
-    random shrink factors for the non-consecutive distances."""
+    random shrink factors for the non-consecutive distances.
+
+    The entries are built in an (n, n, count) array, one contiguous row per
+    distance, and the result is its transposed view.  Every draw keeps its
+    (count, ...) shape and order, ``exp`` and the decay powers run on those
+    shapes, and each entry takes the same arithmetic as the broadcast
+    ``path * (shrink + shrink^T) / 2`` form, so a seed gives the same
+    candidates bit for bit in either layout."""
     t = count
     kind = rng.integers(0, 3, size=t)
-    gaps = np.empty((t, n - 1))
     # (0) log-uniform gaps, (1) geometric decay with jitter, (2) flat cluster
     # gaps with an expanding last gap (the near-tight family).
     lo, hi = math.log(5e-2), math.log(1.0)
-    gaps[:] = np.exp(rng.uniform(lo, hi, size=(t, n - 1)))
+    log_uniform = np.exp(rng.uniform(lo, hi, size=(t, n - 1)))
     rho = rng.uniform(0.1, 0.95, size=t)
     decay = rho[:, None] ** np.arange(n - 2, -1, -1)[None, :]
     jitter = np.exp(rng.uniform(-0.2, 0.2, size=(t, n - 1)))
-    mask1 = kind == 1
-    gaps[mask1] = (decay * jitter)[mask1]
-    mask2 = kind == 2
-    flat = np.ones((t, n - 1))
-    flat[:, -1] = rng.uniform(1.0 + alpha, 2.0, size=t)
-    gaps[mask2] = flat[mask2]
+    last = rng.uniform(1.0 + alpha, 2.0, size=t)
+    shrink = rng.uniform(0.3, 1.0, size=(t, n, n)).transpose(1, 2, 0)
 
-    cum = np.concatenate([np.zeros((t, 1)), np.cumsum(gaps, axis=1)], axis=1)
-    path = np.abs(cum[:, :, None] - cum[:, None, :])
-    shrink = rng.uniform(0.3, 1.0, size=(t, n, n))
-    shrink = (shrink + np.transpose(shrink, (0, 2, 1))) / 2.0
-    d = path * shrink
-    # Keep consecutive gaps exact; only longer distances are shrunk.
-    idx = np.arange(n - 1)
-    d[:, idx, idx + 1] = gaps
-    d[:, idx + 1, idx] = gaps
-    d[:, np.arange(n), np.arange(n)] = 0.0
-    return d
+    # Row k of each holds the gap from point k to point k + 1.
+    geometric = np.ascontiguousarray((decay * jitter).T)
+    log_uniform = np.ascontiguousarray(log_uniform.T)
+    d = np.empty((n, n, t))
+    cum = np.zeros((n, t))
+    for i in range(n - 1):
+        gap = np.where(kind == 2, last if i == n - 2 else 1.0,
+                       np.where(kind == 1, geometric[i], log_uniform[i]))
+        # Keep consecutive gaps exact; only longer distances are shrunk.
+        d[i, i + 1] = d[i + 1, i] = gap
+        np.add(cum[i], gap, out=cum[i + 1])
+    for i in range(n):
+        d[i, i] = 0.0
+        for k in range(i + 2, n):
+            d[i, k] = d[k, i] = np.abs(cum[i] - cum[k]) * ((shrink[i, k] + shrink[k, i]) / 2.0)
+    return d.transpose(2, 0, 1)
+
+
+def _tail_totals(d: np.ndarray, theta: float, alpha: float) -> np.ndarray:
+    """The DSE-monotonicity, straightness and expansion terms of
+    ``_violation_totals``, computed the same way and summed from 0.0 in its
+    order, of candidates laid out (n, n, count).  The DSE terms with k = j
+    are 0 and left out."""
+    n, _, t = d.shape
+    tail = np.zeros(t)
+    term = np.empty(t)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                np.subtract(d[i, j], d[i, k], out=term)
+                tail += np.maximum(term, 0.0, out=term)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                np.subtract(d[i, k], d[i, j], out=term)
+                term -= theta * d[j, k]
+                tail += np.maximum(term, 0.0, out=term)
+    for i in range(n - 2):
+        np.add(d[n - 1, i], alpha * d[i, i + 1], out=term)
+        term -= d[n - 1, i + 1]
+        tail += np.maximum(term, 0.0, out=term)
+    return tail
 
 
 def _grid_probes(n: int, theta: float, alpha: float) -> np.ndarray:
@@ -418,6 +451,14 @@ def refute_weird_angles(
     inconsistency flag and the instance is returned verbatim.  For sizes
     below ``n_of_theta_alpha`` the claim does not apply and the report is
     marked exploratory (``in_lemma_range=False``).
+
+    Each batch is pruned exactly: ``_tail_totals`` sums every term of
+    ``_violation_totals`` but the triangle terms, and only candidates whose
+    tail is at most the running minimum total get their full total.  Every
+    term is >= 0 and rounded addition is monotone, so a tail never exceeds
+    its total; a skipped candidate can neither be feasible (total 0, so tail
+    0) nor set the minimum.  The survivors keep their order, so the report
+    is the one the unpruned search gives, bit for bit.
     """
     limit = float(weird_angle_limit(theta))
     if alpha <= limit:
@@ -450,6 +491,12 @@ def refute_weird_angles(
                          np.random.default_rng(s), alpha)
         for i, s in enumerate(seeds)))
     for batch in batches:
+        # Only candidates whose tail is at most the running minimum go on to
+        # the full totals; the others can neither be feasible nor lower it.
+        keep = np.flatnonzero(_tail_totals(batch.transpose(1, 2, 0), theta, alpha) <= min_viol)
+        if keep.size == 0:
+            continue
+        batch = batch[keep]
         total = _violation_totals(batch, theta, alpha)
         mask = np.all(batch + np.eye(n)[None, :, :] > 0.0, axis=(1, 2)) & (total == 0.0)
         # Count only hits that survive the exact scalar check, so a reported
@@ -475,7 +522,14 @@ def refute_weird_angles(
 def _violation_totals(d: np.ndarray, theta: float, alpha: float) -> np.ndarray:
     """Total constraint violation of each candidate in the batch (0 for a
     hit): the clipped triangle, DSE, straightness and expansion excesses.
-    Its minimum is reported so near-feasible parameter regimes are visible."""
+    Its minimum is reported so near-feasible parameter regimes are visible.
+
+    Every term is >= 0, and the triangle terms come first, so the sum of the
+    others from 0.0 (``_tail_totals``) is a lower bound that rounding cannot
+    break: x >= y implies fl(x + a) >= fl(y + a).  ``refute_weird_angles``
+    prunes on it.  The batch is read in C order, whatever its layout, since
+    numpy's sum over the triangle terms follows the memory order."""
+    d = np.ascontiguousarray(d)
     t, n, _ = d.shape
     total = np.zeros(t)
     for j in range(n):

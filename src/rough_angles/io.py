@@ -161,14 +161,17 @@ def _rows(o: list, pad: str) -> Optional[str]:
     first = o[0]
     if len(o) < 2:
         return None
-    if dataclasses.is_dataclass(first) and all(type(r) is type(first) for r in o):
+    records = dataclasses.is_dataclass(first) and all(type(r) is type(first) for r in o)
+    if records:
         o = [vars(r) for r in o]
         first = o[0]
     if type(first) is not dict or not first:
         return None
     keys = list(first)
-    if not all(type(k) is str for k in keys) or not all(
-            type(r) is dict and list(r) == keys for r in o):
+    # The field dicts of records of one dataclass share their keys and key
+    # order, so only plain dicts are compared with the first row.
+    if not all(type(k) is str for k in keys) or not (records or all(
+            type(r) is dict and list(r) == keys for r in o)):
         return None
     keys.sort()
     columns = [[r[k] for r in o] for k in keys]

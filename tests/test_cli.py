@@ -670,6 +670,18 @@ def test_malformed_value_is_a_usage_error(capsys, collinear6):
                 "argument --alpha: invalid float value: 'abc'")
 
 
+@pytest.mark.parametrize("command", ["gen-curve", "gen-dse", "refute-weird"])
+def test_negative_seed_is_a_usage_error(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    argv = list(VALID[command])
+    i = argv.index("--seed")
+    argv[i + 1] = "-1"
+    usage_error(capsys, argv, "argument --seed: must be >= 0, got -1")
+    argv[i + 1] = "x"
+    usage_error(capsys, argv, "argument --seed: invalid int value: 'x'")
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [[], ["bogus"], ["--in", "m.json", "validate"]],
                          ids=["none", "unknown", "not-first"])
 def test_command_must_come_first(capsys, argv):

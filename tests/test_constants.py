@@ -5,6 +5,8 @@ from itertools import chain, combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rough_angles import (
     DseSpace,
@@ -39,6 +41,9 @@ from rough_angles.constants_extraction import (
     _grid_probes,
     _violation_totals,
 )
+# The tail is read through the module, so the frozen-search tests below also
+# run, unedited, against a search that has no tail.
+from rough_angles import constants_extraction
 
 from _generators import collinear, gradient_dse
 
@@ -575,6 +580,160 @@ def test_violation_totals_mask_matches_reference_mask():
     assert feasible > 0  # n = 3 has feasible rows, so the comparison bites
 
 
+def reference_candidate_batch(n, count, rng, alpha):
+    """``_candidate_batch`` as it was before the column-major layout, kept
+    verbatim as the oracle."""
+    t = count
+    kind = rng.integers(0, 3, size=t)
+    gaps = np.empty((t, n - 1))
+    lo, hi = math.log(5e-2), math.log(1.0)
+    gaps[:] = np.exp(rng.uniform(lo, hi, size=(t, n - 1)))
+    rho = rng.uniform(0.1, 0.95, size=t)
+    decay = rho[:, None] ** np.arange(n - 2, -1, -1)[None, :]
+    jitter = np.exp(rng.uniform(-0.2, 0.2, size=(t, n - 1)))
+    mask1 = kind == 1
+    gaps[mask1] = (decay * jitter)[mask1]
+    mask2 = kind == 2
+    flat = np.ones((t, n - 1))
+    flat[:, -1] = rng.uniform(1.0 + alpha, 2.0, size=t)
+    gaps[mask2] = flat[mask2]
+
+    cum = np.concatenate([np.zeros((t, 1)), np.cumsum(gaps, axis=1)], axis=1)
+    path = np.abs(cum[:, :, None] - cum[:, None, :])
+    shrink = rng.uniform(0.3, 1.0, size=(t, n, n))
+    shrink = (shrink + np.transpose(shrink, (0, 2, 1))) / 2.0
+    d = path * shrink
+    idx = np.arange(n - 1)
+    d[:, idx, idx + 1] = gaps
+    d[:, idx + 1, idx] = gaps
+    d[:, np.arange(n), np.arange(n)] = 0.0
+    return d
+
+
+def reference_violation_totals(d, theta, alpha):
+    """``_violation_totals`` as it was before the search pruned on the tail,
+    kept verbatim as the oracle; it is run on the C-ordered batches of
+    ``reference_candidate_batch``."""
+    t, n, _ = d.shape
+    total = np.zeros(t)
+    for j in range(n):
+        tri = d - d[:, :, j][:, :, None] - d[:, j, None, :]
+        total += np.sum(np.clip(tri, 0.0, None), axis=(1, 2))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j, n):
+                total += np.clip(d[:, i, j] - d[:, i, k], 0.0, None)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                total += np.clip(d[:, i, k] - d[:, i, j] - theta * d[:, j, k], 0.0, None)
+    for i in range(n - 2):
+        total += np.clip(d[:, n - 1, i] + alpha * d[:, i, i + 1] - d[:, n - 1, i + 1], 0.0, None)
+    return total
+
+
+def reference_refutation(theta, alpha, n, trials, seed):
+    """The search loop of ``refute_weird_angles`` before it pruned on the
+    tail, kept as the oracle: every candidate of every batch gets its full
+    total.  Returns (feasible_count, first_feasible, min_total_violation)."""
+    if n == 2:
+        return 1, [[0.0, 1.0], [1.0, 0.0]], 0.0
+    batch_size = 4096
+    n_batches = (trials + batch_size - 1) // batch_size
+    seeds = np.random.SeedSequence(seed).spawn(n_batches)
+    batches = chain([_grid_probes(n, theta, alpha)], (
+        reference_candidate_batch(n, min(batch_size, trials - i * batch_size),
+                                  np.random.default_rng(s), alpha)
+        for i, s in enumerate(seeds)))
+    feasible, first, min_viol = 0, None, math.inf
+    for batch in batches:
+        total = reference_violation_totals(batch, theta, alpha)
+        mask = np.all(batch + np.eye(n)[None, :, :] > 0.0, axis=(1, 2)) & (total == 0.0)
+        verified = [i for i in np.nonzero(mask)[0]
+                    if weird_conditions_satisfied(batch[i], theta, alpha)]
+        feasible += len(verified)
+        if verified and first is None:
+            first = batch[verified[0]].tolist()
+        min_viol = min(min_viol, float(np.min(total)))
+    return feasible, first, min_viol
+
+
+def report_key(rep):
+    """What the search reports, compared bit for bit (floats by their
+    bytes, so -0.0 and 0.0 differ)."""
+    first = None if rep[1] is None else np.array(rep[1]).tobytes()
+    return rep[0], first, np.float64(rep[2]).tobytes()
+
+
+@pytest.mark.parametrize("trials", [0, 1, 4095, 4097, 20_000])
+@pytest.mark.parametrize("theta, alpha, n", REFUTATION_GRID)
+def test_refutation_matches_frozen_search(theta, alpha, n, trials):
+    """The pruned search over column-major batches reports what the frozen
+    unpruned search over the C-ordered batches reports, bit for bit."""
+    for seed in range(4):
+        rep = refute_weird_angles(theta, alpha, n, trials=trials, seed=seed)
+        got = (rep.feasible_count, rep.first_feasible, rep.min_total_violation)
+        assert report_key(got) == report_key(reference_refutation(theta, alpha, n, trials, seed))
+
+
+@pytest.mark.parametrize("theta, alpha, n, trials, seed", [
+    (0.2, 0.9, 2, 10, 0),
+    (0.2, 0.9, 3, 100_000, 2024_06),  # criterion 6's call
+])
+def test_refutation_matches_frozen_search_on_named_calls(theta, alpha, n, trials, seed):
+    rep = refute_weird_angles(theta, alpha, n, trials=trials, seed=seed)
+    want = reference_refutation(theta, alpha, n, trials, seed)
+    got = (rep.feasible_count, rep.first_feasible, rep.min_total_violation)
+    assert report_key(got) == report_key(want)
+    if n == 3:
+        assert want[0] == 411
+
+
+def test_candidate_batch_matches_frozen_batch():
+    """The column-major batch holds the C-ordered batch's values bit for bit
+    and leaves the generator in the same state."""
+    for n in (2, 3, 4, 5, 7):
+        for count in (1, 7, 4096):
+            a, b = np.random.default_rng(n + count), np.random.default_rng(n + count)
+            got = _candidate_batch(n, count, a, 0.9)
+            want = reference_candidate_batch(n, count, b, 0.9)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (n, count)
+            assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_violation_totals_ignore_memory_layout():
+    """A batch laid out (n, n, count) gets the totals of its C-ordered copy
+    bit for bit, though numpy's sum over the triangle terms would run in
+    another order on it."""
+    for n in (3, 4, 5):
+        rng = np.random.default_rng(n)
+        batch = reference_candidate_batch(n, 4096, rng, 0.9)
+        batch *= rng.uniform(0.5, 1.5, size=batch.shape)  # most triangle terms > 0
+        view = np.ascontiguousarray(batch.transpose(1, 2, 0)).transpose(2, 0, 1)
+        want = reference_violation_totals(batch, 0.2, 0.9)
+        assert _violation_totals(view, 0.2, 0.9).tobytes() == want.tobytes()
+
+
+BATCH_ENTRIES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                          st.floats(0.0, 1e6, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 6).flatmap(lambda n: hnp.arrays(
+           np.float64, st.tuples(st.integers(1, 6), st.just(n), st.just(n)),
+           elements=BATCH_ENTRIES)),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_tail_never_exceeds_total(batch, theta, alpha):
+    """Every term is >= 0 and rounded addition is monotone, so the tail,
+    which leaves the triangle terms out, is at most the total: the search
+    skips no candidate that could be feasible or lower the minimum."""
+    tail = constants_extraction._tail_totals(batch.transpose(1, 2, 0), theta, alpha)
+    total = _violation_totals(batch, theta, alpha)
+    assert np.all(tail >= 0.0)
+    assert np.all(tail <= total)
+
+
 def test_refutation_matches_reference_search():
     """refute_weird_angles against the search as it ran on the reference
     mask: probes first, then the seeded batches, first verified hit wins."""
@@ -588,14 +747,14 @@ def test_refutation_matches_reference_search():
                        _candidate_batch(n, 4096, np.random.default_rng(spawned[0]), alpha),
                        _candidate_batch(n, trials - 4096, np.random.default_rng(spawned[1]),
                                         alpha)]
-            count, first, viol = 0, None, math.inf
+            count, first = 0, None
             for batch in batches:
                 verified = [i for i in np.nonzero(_feasible_mask(batch, theta, alpha))[0]
                             if weird_conditions_satisfied(batch[i], theta, alpha)]
                 count += len(verified)
                 if verified and first is None:
                     first = batch[verified[0]].tolist()
-                viol = min(viol, float(np.min(_violation_totals(batch, theta, alpha))))
+            viol = reference_refutation(theta, alpha, n, trials, seed)[2]
             assert rep.feasible_count == count, (theta, alpha, n, seed)
             assert rep.first_feasible == first
             assert rep.min_total_violation == viol

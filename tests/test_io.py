@@ -137,6 +137,14 @@ def test_record_lists_of_scalar_fields_are_written_column_by_column():
     assert rio._rows([DSE_VIOLATIONS[0], AUDIT_ENTRIES[0]], "") is None
 
 
+def test_dicts_in_another_key_order_take_the_general_path():
+    """Only records of one dataclass skip the row-by-row key comparison."""
+    rows = [{"x": 0, "y": 1.5}, {"y": 2.5, "x": 1}]
+    assert rio._rows(rows, "") is None
+    assert rio._rows(rows[:1] * 2, "") is not None
+    assert rio.json_text({"entries": rows}) == dumps_text({"entries": rows})
+
+
 def csv_writer_bytes(d, header):
     buf = StringIO(newline="")
     w = csv.writer(buf)
