@@ -11,6 +11,7 @@ for a fixed configuration apart from the ``generated_at`` timestamp.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -331,28 +332,41 @@ def _seed(text: str) -> int:
     return value
 
 
+def _finite(text: str) -> float:
+    """A float flag's value, which must be finite: NaN fails every
+    comparison, so it slips past range checks, and JSON has no NaN or
+    infinity for the report to echo."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 # Each flag's argparse spec, defined once; "--" + key is its option string.
 _FLAGS = {
     "in": dict(dest="in_path"),
     "out": dict(),
-    "tol": dict(type=float),
-    "alpha": dict(type=float, default=0.8),
-    "theta": dict(type=float),
-    "beta": dict(type=float),
+    "tol": dict(type=_finite),
+    "alpha": dict(type=_finite, default=0.8),
+    "theta": dict(type=_finite),
+    "beta": dict(type=_finite),
     "k": dict(type=int),
     "n": dict(type=int),
     "m": dict(type=int),
-    "r": dict(type=float),
-    "R": dict(dest="big_r", type=float),
+    "r": dict(type=_finite),
+    "R": dict(dest="big_r", type=_finite),
     "lam": dict(type=int, help="doubling constant for the pigeonhole bound"),
     "seed": dict(type=_seed),
     "budget": dict(type=int, default=500_000),
     "trials": dict(type=int, default=10_000),
     "steps": dict(type=int, default=40),
-    "step": dict(type=float),
+    "step": dict(type=_finite),
     "dim": dict(type=int, default=2),
     "model": dict(default=EUCLIDEAN_L2),
-    "scales": dict(type=float, nargs="*"),
+    "scales": dict(type=_finite, nargs="*"),
     "format": dict(choices=["json", "csv"], default="json"),
 }
 

@@ -243,7 +243,7 @@ def globq_bound(k: int, lam: int, big_r: float, small_r: float) -> int:
     """
     if k < 1 or lam < 1:
         raise ValueError("need k >= 1 and lam >= 1")
-    if small_r <= 0 or big_r <= 0:
+    if not (small_r > 0 and big_r > 0):
         raise ValueError("radii must be positive")
     if small_r > big_r:
         raise ValueError(f"need r <= R, got r={small_r} > R={big_r}")
@@ -387,30 +387,30 @@ def _candidate_batch(n: int, count: int, rng: np.random.Generator,
     return d.transpose(2, 0, 1)
 
 
-def _tail_totals(d: np.ndarray, theta: float, alpha: float) -> np.ndarray:
-    """The DSE-monotonicity, straightness and expansion terms of
-    ``_violation_totals``, computed the same way and summed from 0.0 in its
-    order, of candidates laid out (n, n, count).  The DSE terms with k = j
-    are 0 and left out."""
+def _tail_totals(d: np.ndarray, theta: float, alpha: float,
+                 total: Optional[np.ndarray] = None) -> np.ndarray:
+    """Add the DSE-monotonicity, straightness and expansion terms of
+    candidates laid out (n, n, count) to ``total`` (zeros by default) and
+    return it."""
     n, _, t = d.shape
-    tail = np.zeros(t)
+    total = np.zeros(t) if total is None else total
     term = np.empty(t)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 np.subtract(d[i, j], d[i, k], out=term)
-                tail += np.maximum(term, 0.0, out=term)
+                total += np.maximum(term, 0.0, out=term)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 np.subtract(d[i, k], d[i, j], out=term)
                 term -= theta * d[j, k]
-                tail += np.maximum(term, 0.0, out=term)
+                total += np.maximum(term, 0.0, out=term)
     for i in range(n - 2):
         np.add(d[n - 1, i], alpha * d[i, i + 1], out=term)
         term -= d[n - 1, i + 1]
-        tail += np.maximum(term, 0.0, out=term)
-    return tail
+        total += np.maximum(term, 0.0, out=term)
+    return total
 
 
 def _grid_probes(n: int, theta: float, alpha: float) -> np.ndarray:
@@ -452,13 +452,15 @@ def refute_weird_angles(
     below ``n_of_theta_alpha`` the claim does not apply and the report is
     marked exploratory (``in_lemma_range=False``).
 
-    Each batch is pruned exactly: ``_tail_totals`` sums every term of
-    ``_violation_totals`` but the triangle terms, and only candidates whose
-    tail is at most the running minimum total get their full total.  Every
-    term is >= 0 and rounded addition is monotone, so a tail never exceeds
-    its total; a skipped candidate can neither be feasible (total 0, so tail
-    0) nor set the minimum.  The survivors keep their order, so the report
-    is the one the unpruned search gives, bit for bit.
+    Each batch is pruned exactly.  A candidate's full total
+    (``_violation_totals``) is its triangle terms followed by the terms of
+    ``_tail_totals``; its tail is those same terms summed from 0.0, and only
+    candidates whose tail is at most the running minimum total get their
+    full total.  Every term is >= 0 and rounded addition is monotone
+    (x >= y implies fl(x + a) >= fl(y + a)), so a tail never exceeds its
+    total; a skipped candidate can neither be feasible (total 0, so tail 0)
+    nor set the minimum.  The survivors keep their order, so the report is
+    the one the unpruned search gives, bit for bit.
     """
     limit = float(weird_angle_limit(theta))
     if alpha <= limit:
@@ -491,17 +493,15 @@ def refute_weird_angles(
                          np.random.default_rng(s), alpha)
         for i, s in enumerate(seeds)))
     for batch in batches:
-        # Only candidates whose tail is at most the running minimum go on to
-        # the full totals; the others can neither be feasible nor lower it.
         keep = np.flatnonzero(_tail_totals(batch.transpose(1, 2, 0), theta, alpha) <= min_viol)
         if keep.size == 0:
             continue
         batch = batch[keep]
         total = _violation_totals(batch, theta, alpha)
-        mask = np.all(batch + np.eye(n)[None, :, :] > 0.0, axis=(1, 2)) & (total == 0.0)
-        # Count only hits that survive the exact scalar check, so a reported
-        # feasible instance is never a vectorization artifact.
-        verified = [i for i in np.nonzero(mask)[0]
+        # Count only hits that survive the exact scalar check, which also
+        # refuses non-positive distances, so a reported feasible instance is
+        # never a vectorization artifact.
+        verified = [i for i in np.flatnonzero(total == 0.0)
                     if weird_conditions_satisfied(batch[i], theta, alpha)]
         feasible += len(verified)
         if verified and first is None:
@@ -521,31 +521,17 @@ def refute_weird_angles(
 
 def _violation_totals(d: np.ndarray, theta: float, alpha: float) -> np.ndarray:
     """Total constraint violation of each candidate in the batch (0 for a
-    hit): the clipped triangle, DSE, straightness and expansion excesses.
+    hit): the clipped triangle excesses, then the terms of ``_tail_totals``.
     Its minimum is reported so near-feasible parameter regimes are visible.
-
-    Every term is >= 0, and the triangle terms come first, so the sum of the
-    others from 0.0 (``_tail_totals``) is a lower bound that rounding cannot
-    break: x >= y implies fl(x + a) >= fl(y + a).  ``refute_weird_angles``
-    prunes on it.  The batch is read in C order, whatever its layout, since
-    numpy's sum over the triangle terms follows the memory order."""
+    The batch is read in C order, whatever its layout, since numpy's sum
+    over the triangle terms follows the memory order."""
     d = np.ascontiguousarray(d)
     t, n, _ = d.shape
     total = np.zeros(t)
     for j in range(n):
         tri = d - d[:, :, j][:, :, None] - d[:, j, None, :]
         total += np.sum(np.clip(tri, 0.0, None), axis=(1, 2))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j, n):
-                total += np.clip(d[:, i, j] - d[:, i, k], 0.0, None)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                total += np.clip(d[:, i, k] - d[:, i, j] - theta * d[:, j, k], 0.0, None)
-    for i in range(n - 2):
-        total += np.clip(d[:, n - 1, i] + alpha * d[:, i, i + 1] - d[:, n - 1, i + 1], 0.0, None)
-    return total
+    return _tail_totals(d.transpose(1, 2, 0), theta, alpha, total)
 
 
 # ----------------------------------------------------------------------------

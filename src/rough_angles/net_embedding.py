@@ -27,8 +27,8 @@ def greedy_net(m: FiniteMetricSpace, r: float,
     r of some net point) and an r-packing (net points pairwise > r apart).
     Starts at the first listed point; ties go to the first listed.
     """
-    if r <= 0.0:
-        raise ValueError("need r > 0")
+    if not r > 0.0:
+        raise ValueError(f"need r > 0, got {r}")
     idx = np.arange(m.n) if on is None else np.asarray(on, dtype=np.intp)
     if not idx.size:
         return []
@@ -100,8 +100,8 @@ def doubling_estimate(m: FiniteMetricSpace, scales: Sequence[float]) -> list[Sca
     out = []
     d = m.dist
     for s in scales:
-        if s <= 0.0:
-            raise ValueError("scales must be positive")
+        if not s > 0.0:
+            raise ValueError(f"scales must be positive, got {s}")
         worst = 1
         for center in range(m.n):
             ball = np.nonzero(d[center] <= 2.0 * s)[0]

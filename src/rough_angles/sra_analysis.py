@@ -159,19 +159,6 @@ def max_sra_subset(
     return _certificate(m.n, violating_triples(m, alpha, tol=tol), alpha, budget)
 
 
-def sra_free_order(
-    m: FiniteMetricSpace, alpha: float, budget: Optional[int] = 500_000
-) -> Optional[int]:
-    """Least k such that no k-point subspace is SRA(alpha): maximum size + 1.
-
-    Returns None when the exact search exhausts its budget; never guesses.
-    """
-    cert = max_sra_subset(m, alpha, budget=budget)
-    if not cert.optimal:
-        return None
-    return cert.size + 1
-
-
 # ----------------------------------------------------------------------------
 # Euclidean angle audit
 # ----------------------------------------------------------------------------

@@ -682,6 +682,22 @@ def test_negative_seed_is_a_usage_error(capsys, tmp_path, monkeypatch, command):
     assert not any(tmp_path.iterdir())
 
 
+FLOAT_FLAGS = {"tol", "alpha", "theta", "beta", "r", "R", "step", "scales"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_is_a_usage_error(capsys, tmp_path, monkeypatch, value):
+    """NaN passes no comparison, so without this check ``--tol nan`` would
+    pass every triangle and ``--r nan`` would never finish its net."""
+    assert FLOAT_FLAGS == {f for f, spec in cli._FLAGS.items() if spec.get("type") is cli._finite}
+    monkeypatch.chdir(tmp_path)
+    for command in sorted(FLAGS):
+        for flag in sorted(FLOAT_FLAGS & set(" ".join(FLAGS[command]).split())):
+            usage_error(capsys, VALID[command] + [f"--{flag}={value}"],
+                        f"argument --{flag}: must be finite, got {value}")
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [[], ["bogus"], ["--in", "m.json", "validate"]],
                          ids=["none", "unknown", "not-first"])
 def test_command_must_come_first(capsys, argv):

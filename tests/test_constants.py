@@ -159,6 +159,9 @@ def test_globq_bound():
     assert globq_bound(4, 2, 3.0, 1.0) == 16  # ceil(log2 3) = 2
     with pytest.raises(ValueError):
         globq_bound(5, 2, 1.0, 4.0)
+    for r, big_r in [(math.nan, 4.0), (1.0, math.nan), (0.0, 4.0)]:
+        with pytest.raises(ValueError, match="radii must be positive"):
+            globq_bound(5, 2, big_r, r)
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +504,21 @@ def test_weird_conditions_checker_on_known_instance():
     # and the expansion condition is sharp: d23 below 1.9 fails
     d_bad = d.copy(); d_bad[1, 2] = d_bad[2, 1] = 1.85
     assert not weird_conditions_satisfied(d_bad, 0.2, 0.9)
+
+
+@pytest.mark.parametrize("d, theta", [
+    (np.zeros((3, 3)), 0.2),
+    # The size-3 instance above with its first point doubled.  For theta < 1
+    # straightness pulls every point onto a doubled one, so all zeros would be
+    # the only such candidate with total 0; at theta = 1 it stays spread out.
+    (np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0],
+               [1.0, 1.0, 0.0, 1.95], [1.0, 1.0, 1.95, 0.0]]), 1.0),
+], ids=["all-zero", "doubled-point"])
+def test_exact_check_refuses_zero_distance_at_total_zero(d, theta):
+    """The search sends every candidate with total 0 to the exact check,
+    which alone refuses a zero distance between distinct points."""
+    assert _violation_totals(d[None], theta, 0.9)[0] == 0.0
+    assert not weird_conditions_satisfied(d, theta, 0.9)
 
 
 def test_refutation_at_corrected_size_finds_nothing():

@@ -153,6 +153,19 @@ def test_net_embed_refuses_zero_distance(dist, pair):
         net_embed(FiniteMetricSpace(dist), [0])
 
 
+@pytest.mark.parametrize("r", [math.nan, 0.0, -1.0])
+def test_greedy_net_refuses_radius_not_positive(r):
+    # A NaN radius never covers a point, so the net would grow forever.
+    with pytest.raises(ValueError, match="need r > 0"):
+        greedy_net(collinear(5), r)
+
+
+@pytest.mark.parametrize("s", [math.nan, 0.0])
+def test_doubling_estimate_refuses_scale_not_positive(s):
+    with pytest.raises(ValueError, match="scales must be positive"):
+        doubling_estimate(collinear(5), [1.0, s])
+
+
 def test_doubling_estimate_collinear():
     m = collinear(40, spacing=0.1)
     est = doubling_estimate(m, [1.0, 2.0])

@@ -20,7 +20,6 @@ from rough_angles import (
     max_sra_subset,
     sample_model,
     snowflake,
-    sra_free_order,
     sra_report,
     subspace,
     violating_triples,
@@ -227,13 +226,6 @@ def test_heredity():
             continue
         idx = sorted(rng.choice(8, size=5, replace=False).tolist())
         assert is_sra(subspace(m, idx), alpha, tol=0.0).is_sra
-
-
-def test_sra_free_order():
-    assert sra_free_order(collinear(6), 0.9) == 3
-    assert sra_free_order(equilateral(), 0.3) == 4
-    assert sra_free_order(FiniteMetricSpace([[0.0]]), 0.5) == 2
-    assert sra_free_order(collinear(9), 0.9, budget=3) is None
 
 
 def test_snowflake_law_small():
