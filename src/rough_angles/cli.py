@@ -149,8 +149,8 @@ def _cmd_gen_dse(args) -> int:
 
 
 def _cmd_gen_curve(args) -> int:
+    dim = ModelSpaceSpec(EUCLIDEAN_L2, args.dim).dim  # refuses dim < 1 before the draw
     rng = np.random.default_rng(args.seed)
-    dim = args.dim
     a = rng.standard_normal((dim, dim))
     q = a.T @ a + 0.5 * np.eye(dim)
     lam_max = float(np.max(np.linalg.eigvalsh(q)))
@@ -197,14 +197,14 @@ def _cmd_constants(args) -> int:
         c_exact = c_of_m_theta(args.m, args.theta)
         result["c_of_m_theta"] = format_constant(c_exact)
         result["c_of_m_theta_exact"] = f"{c_exact.numerator}/{c_exact.denominator}"
+    k = 3 if args.k is None else args.k
     gq = None
     if args.big_r is not None and args.r is not None and args.lam is not None:
-        gq = (1 if args.k is None else args.k, args.lam, args.big_r, args.r)
+        gq = (k, args.lam, args.big_r, args.r)
     # The full bundle needs alpha above the limit of the supplied theta;
     # report what is computable otherwise instead of failing.
     try:
-        bundle = make_bundle(args.alpha, 3 if args.k is None else args.k, theta=args.theta,
-                             globq_args=gq)
+        bundle = make_bundle(args.alpha, k, theta=args.theta, globq_args=gq)
         merged = bundle.as_dict()
         merged.update(result)
         result = merged
@@ -345,11 +345,18 @@ def _finite(text: str) -> float:
     return value
 
 
+def _tol(text: str) -> float:
+    """A ``--tol`` value: finite, and >= 0 so that equalities pass."""
+    if (value := _finite(text)) < 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 # Each flag's argparse spec, defined once; "--" + key is its option string.
 _FLAGS = {
     "in": dict(dest="in_path"),
     "out": dict(),
-    "tol": dict(type=_finite),
+    "tol": dict(type=_tol),
     "alpha": dict(type=_finite, default=0.8),
     "theta": dict(type=_finite),
     "beta": dict(type=_finite),

@@ -259,16 +259,14 @@ def globq_bound(k: int, lam: int, big_r: float, small_r: float) -> int:
 # Theta-straight subsets
 # ----------------------------------------------------------------------------
 
-def _straight_third(d: DseSpace, theta: float, tol: float) -> Callable[[int, int], int]:
-    """``third`` of the non-straight triples: d(a,c) > d(a,b) + theta d(b,c) + tol."""
+def _straight_third(d: DseSpace, theta: float) -> Callable[[int, int], int]:
+    """``third`` of the non-straight triples: d(a,c) > d(a,b) + theta d(b,c)."""
     dist = d.dist
     return _hypergraph.row_third(
-        lambda a, b: dist[a, b + 1:] > dist[a, b] + theta * dist[b, b + 1:] + tol)
+        lambda a, b: dist[a, b + 1:] > dist[a, b] + theta * dist[b, b + 1:])
 
 
-def find_theta_straight_subset(
-    d: DseSpace, m: int, theta: float, tol: float = 0.0
-) -> Optional[tuple[int, ...]]:
+def find_theta_straight_subset(d: DseSpace, m: int, theta: float) -> Optional[tuple[int, ...]]:
     """First (lexicographically smallest) increasing m-tuple whose in-order
     triples all satisfy d(x_a, x_c) <= d(x_a, x_b) + theta d(x_b, x_c),
     or None if no such tuple exists."""
@@ -276,16 +274,14 @@ def find_theta_straight_subset(
         raise ValueError("need m >= 2")
     if m > d.n:
         return None
-    got = _hypergraph._in_order_search(d.n, _straight_third(d, theta, tol), target=m)
+    got = _hypergraph._in_order_search(d.n, _straight_third(d, theta), target=m)
     return got if len(got) == m else None
 
 
-def max_theta_straight_subset(
-    d: DseSpace, theta: float, tol: float = 0.0
-) -> tuple[int, ...]:
+def max_theta_straight_subset(d: DseSpace, theta: float) -> tuple[int, ...]:
     """Largest theta-straight increasing subset (the lexicographically
     smallest among maxima)."""
-    return _hypergraph._in_order_search(d.n, _straight_third(d, theta, tol))
+    return _hypergraph._in_order_search(d.n, _straight_third(d, theta))
 
 
 # ----------------------------------------------------------------------------

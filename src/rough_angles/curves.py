@@ -14,6 +14,7 @@ DSE scan run on negated distance columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -65,9 +66,12 @@ class SampledCurve:
     def n(self) -> int:
         return self.times.shape[0]
 
-
-def _curve_distances(c: SampledCurve) -> np.ndarray:
-    return _pairwise(c.model, c.points)
+    @cached_property
+    def dist(self) -> np.ndarray:
+        """The read-only matrix of sample distances, computed on first use."""
+        d = _pairwise(self.model, self.points)
+        d.setflags(write=False)
+        return d
 
 
 @dataclass(frozen=True)
@@ -94,11 +98,10 @@ def is_self_contracted(c: SampledCurve, tol: Optional[float] = None) -> Contract
     first ``dse_spaces.MAX_VIOLATIONS`` witnesses are kept, sorted by indices.
     ``tol`` defaults to the verdict tolerance at the curve's diameter.
     """
-    d = _curve_distances(c)
     if tol is None:
-        tol = _tol_at(float(np.max(d)) if c.n > 1 else 0.0)
+        tol = _tol_at(float(np.max(c.dist)))
     found = ((i, j, k, amount) for k in range(c.n - 1, 0, -1)
-             for i, j, amount in _monotone_breaks(-d[: k + 1, k], tol))
+             for i, j, amount in _monotone_breaks(-c.dist[: k + 1, k], tol))
     out, truncated = _capped(found, dse_spaces.MAX_VIOLATIONS)
     t = c.times
     violations = tuple(ContractionViolation(float(t[i]), float(t[j]), float(t[k]), (i, j, k), a)
@@ -109,16 +112,11 @@ def is_self_contracted(c: SampledCurve, tol: Optional[float] = None) -> Contract
 
 def curve_length(c: SampledCurve) -> float:
     """Sum of consecutive sample distances (the inscribed polyline length)."""
-    if c.n < 2:
-        return 0.0
-    d = _curve_distances(c)
-    return float(sum(d[i, i + 1] for i in range(c.n - 1)))
+    return float(sum(np.diagonal(c.dist, 1).tolist()))
 
 
 def curve_diameter(c: SampledCurve) -> float:
-    if c.n < 2:
-        return 0.0
-    return float(np.max(_curve_distances(c)))
+    return float(np.max(c.dist))
 
 
 def curve_to_dse(c: SampledCurve, tol: Optional[float] = None) -> DseSpace:
@@ -127,7 +125,8 @@ def curve_to_dse(c: SampledCurve, tol: Optional[float] = None) -> DseSpace:
     Self-contraction at s1 <= s2 <= s3 says d(g(s2),g(s3)) <= d(g(s1),g(s3));
     after reversal that is literally the DSE monotonicity, so the output
     passes is_dse at the same tolerance.  Repeated sample points (a curve
-    that has stalled) are collapsed to a single point.
+    that has stalled) are collapsed: reversed, a sample at distance 0 from one
+    already kept is dropped (coincidence is not transitive under underflow).
     """
     verdict = is_self_contracted(c, tol=tol)
     if not verdict.ok:
@@ -136,15 +135,12 @@ def curve_to_dse(c: SampledCurve, tol: Optional[float] = None) -> DseSpace:
             f"curve is not self-contracted: triple t={v.t1:.6g},{v.t2:.6g},{v.t3:.6g} "
             f"exceeds by {v.amount:.3g}"
         )
-    d = _curve_distances(c)
-    order = list(range(c.n - 1, -1, -1))
-    kept: list[int] = []
-    for idx in order:
-        if any(d[prev, idx] <= 0.0 for prev in kept):
-            continue
-        kept.append(idx)
-    rd = d[np.ix_(kept, kept)]
-    return as_dse(FiniteMetricSpace(rd), tol=tol)
+    rd = c.dist[::-1, ::-1]
+    zero = np.triu(rd <= 0.0, 1)
+    keep = np.ones(c.n, dtype=bool)
+    for j in np.flatnonzero(zero.any(axis=0)):
+        keep[j] = not np.any(zero[:j, j] & keep[:j])
+    return as_dse(FiniteMetricSpace(rd[np.ix_(keep, keep)]), tol=tol)
 
 
 # ----------------------------------------------------------------------------

@@ -125,6 +125,15 @@ def test_constants_report(capsys):
     assert rep["result"]["c_of_m_theta"] == "78"
 
 
+def test_constants_default_k_is_the_bundles_k_for_globq(capsys):
+    """Without --k, globq uses the bundle's k = 3, not a second default."""
+    base = ["constants", "--alpha", "0.8", "--R", "4", "--r", "1", "--lam", "2"]
+    rc, rep = run(capsys, *base)
+    assert rc == 0 and rep["result"]["k"] == 3 and rep["result"]["globq"] == 12
+    rc, rep3 = run(capsys, *base, "--k", "3")
+    assert rc == 0 and rep3["result"] == rep["result"]
+
+
 def test_constants_full_bundle(capsys):
     rc, rep = run(capsys, "constants", "--alpha", "0.9", "--theta", "0.2", "--k", "4")
     assert rc == 0
@@ -210,6 +219,15 @@ def test_gen_curve_refuses_other_models(capsys, tmp_path):
         assert not out.exists()
     rc, rep = run(capsys, "gen-curve", "--seed", "1", "--out", str(out))
     assert rc == 0 and out.exists()
+
+
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_gen_curve_refuses_dim_below_one(capsys, tmp_path, dim):
+    out = tmp_path / "c.json"
+    rc = main(["gen-curve", "--seed", "1", "--dim", dim, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and not captured.out and not out.exists()
+    assert captured.err == "error: dim must be >= 1\n"
 
 
 def test_generator_failures_exit_with_error(capsys, tmp_path, monkeypatch):
@@ -683,18 +701,31 @@ def test_negative_seed_is_a_usage_error(capsys, tmp_path, monkeypatch, command):
 
 
 FLOAT_FLAGS = {"tol", "alpha", "theta", "beta", "r", "R", "step", "scales"}
+TOL_COMMANDS = [c for c in sorted(FLAGS) if "tol" in FLAGS[c][1].split()]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_float_is_a_usage_error(capsys, tmp_path, monkeypatch, value):
     """NaN passes no comparison, so without this check ``--tol nan`` would
     pass every triangle and ``--r nan`` would never finish its net."""
-    assert FLOAT_FLAGS == {f for f, spec in cli._FLAGS.items() if spec.get("type") is cli._finite}
+    assert FLOAT_FLAGS == {f for f, spec in cli._FLAGS.items()
+                           if spec.get("type") in (cli._finite, cli._tol)}
     monkeypatch.chdir(tmp_path)
     for command in sorted(FLAGS):
         for flag in sorted(FLOAT_FLAGS & set(" ".join(FLAGS[command]).split())):
             usage_error(capsys, VALID[command] + [f"--{flag}={value}"],
                         f"argument --{flag}: must be finite, got {value}")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", TOL_COMMANDS)
+def test_negative_tol_is_a_usage_error(capsys, tmp_path, monkeypatch, command):
+    """A negative tolerance would call exact equalities violations."""
+    assert len(TOL_COMMANDS) == 6
+    monkeypatch.chdir(tmp_path)
+    for value in ("-1", "-1e-300"):
+        usage_error(capsys, VALID[command] + [f"--tol={value}"],
+                    f"argument --tol: must be >= 0, got {value}")
     assert not any(tmp_path.iterdir())
 
 

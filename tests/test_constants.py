@@ -279,29 +279,27 @@ def reference_max_straight(d, theta, tol=0.0):
 
 
 def straight_corpus():
-    """(space, theta, tol): snowflaked paths n = 3..18 and 20 gradient-descent
+    """(space, theta): snowflaked paths n = 3..18 and 20 gradient-descent
     DSE spaces of 41 points."""
     for n in range(3, 19):
         for beta in (0.3, 0.5, 0.7, 0.9):
             d = gen_snowflaked_path(n, beta)
             for theta in (0.05, 0.115, 0.3, 0.5, 0.9):
-                for tol in (0.0, 1e-9):
-                    yield d, theta, tol
+                yield d, theta
     for seed in range(20):
         d = gradient_dse(seed)
         for theta in (0.05, 0.115, 0.3, 0.5):
-            yield d, theta, 0.0
+            yield d, theta
 
 
 def test_straight_searches_match_reference_dfs():
     cases = 0
-    for d, theta, tol in straight_corpus():
-        assert max_theta_straight_subset(d, theta, tol) == reference_max_straight(d, theta, tol)
+    for d, theta in straight_corpus():
+        assert max_theta_straight_subset(d, theta) == reference_max_straight(d, theta)
         for m in range(2, 7):
-            assert (find_theta_straight_subset(d, m, theta, tol)
-                    == reference_find_straight(d, m, theta, tol))
+            assert find_theta_straight_subset(d, m, theta) == reference_find_straight(d, m, theta)
         cases += 1
-    assert cases == 720
+    assert cases == 400
     one = as_dse(FiniteMetricSpace([[0.0]]))
     assert max_theta_straight_subset(one, 0.3) == reference_max_straight(one, 0.3) == (0,)
     for d in (one, gen_snowflaked_path(4, 0.5)):
@@ -313,19 +311,18 @@ def test_straight_searches_match_reference_dfs():
 
 
 def test_straightness_boundary_at_tolerance():
-    # d(a,c) at exactly d(a,b) + theta d(b,c) + tol is straight; one ulp
-    # above is not, one ulp below is.
+    # The searches compare with no tolerance: d(a,c) at exactly
+    # d(a,b) + theta d(b,c) is straight; one ulp above is not, one ulp below is.
     theta = 0.3
-    for tol in (0.0, 1e-9, 1e-3):
-        for ab, bc in ((1.0, 1.0), (0.7, 1.3), (2.5, 0.1)):
-            edge = ab + theta * bc + tol
-            for ac, straight in ((edge, True), (np.nextafter(edge, np.inf), False),
-                                 (np.nextafter(edge, -np.inf), True)):
-                d = DseSpace(FiniteMetricSpace([[0.0, ab, ac], [ab, 0.0, bc], [ac, bc, 0.0]]))
-                want = (0, 1, 2) if straight else (0, 1)
-                assert max_theta_straight_subset(d, theta, tol) == want
-                assert reference_max_straight(d, theta, tol) == want
-                assert find_theta_straight_subset(d, 3, theta, tol) == (want if straight else None)
+    for ab, bc in ((1.0, 1.0), (0.7, 1.3), (2.5, 0.1)):
+        edge = ab + theta * bc
+        for ac, straight in ((edge, True), (np.nextafter(edge, np.inf), False),
+                             (np.nextafter(edge, -np.inf), True)):
+            d = DseSpace(FiniteMetricSpace([[0.0, ab, ac], [ab, 0.0, bc], [ac, bc, 0.0]]))
+            want = (0, 1, 2) if straight else (0, 1)
+            assert max_theta_straight_subset(d, theta) == want
+            assert reference_max_straight(d, theta) == want
+            assert find_theta_straight_subset(d, 3, theta) == (want if straight else None)
 
 
 def brute_independent(n, edges, size):

@@ -21,7 +21,7 @@ from rough_angles import (
     is_self_contracted,
     length_L,
 )
-from rough_angles import dse_spaces
+from rough_angles import curves, dse_spaces
 
 
 def euclid_curve(times, points):
@@ -254,3 +254,80 @@ def test_truncated_before_any_violation_is_not_ok(monkeypatch):
     assert dse.truncated and not dse.violations and not dse.ok
     curve = is_self_contracted(euclid_curve([0.0, 1.0, 2.0], [[0.0], [3.0], [1.0]]))
     assert curve.truncated and not curve.violations and not curve.ok
+
+
+def reference_collapse(d):
+    """The loop curve_to_dse collapsed repeated samples with before its
+    one-pass collapse, kept verbatim as a test oracle: the original indices
+    kept, in reversed sample order."""
+    order = list(range(len(d) - 1, -1, -1))
+    kept = []
+    for idx in order:
+        if any(d[prev, idx] <= 0.0 for prev in kept):
+            continue
+        kept.append(idx)
+    return kept
+
+
+def cli_gradient_curve(seed, dim, steps):
+    """The curve ``gen-curve --seed seed --dim dim --steps steps`` writes."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim))
+    q = a.T @ a + 0.5 * np.eye(dim)
+    step = 0.9 / float(np.max(np.linalg.eigvalsh(q)))
+    return gen_gradient_trajectory(q, rng.standard_normal(dim), step, steps)
+
+
+def stalled_curves():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 5, 20, 60):
+        for dim in (1, 2):
+            # A non-increasing path along the first axis, with repeats.
+            x = np.sort(rng.integers(0, 6, size=n))[::-1].astype(float)
+            pts = np.zeros((n, dim))
+            pts[:, 0] = x
+            yield euclid_curve(np.arange(n, dtype=float), pts)
+    yield gen_quasiconvex_trajectory([0.0, 0.0], 0.1, 12)
+    yield euclid_curve([0.0, 1.0, 2.0], [[3e-162], [1.5e-162], [0.0]])
+
+
+def test_curve_to_dse_matches_reference_collapse():
+    collapsed = 0
+    gradient = [cli_gradient_curve(seed, dim, steps) for seed in range(3)
+                for dim in (1, 2, 3) for steps in (150, 260, 400)]
+    for c in gradient + list(stalled_curves()):
+        kept = reference_collapse(c.dist)
+        got = curve_to_dse(c)
+        assert np.array_equal(got.dist, c.dist[np.ix_(kept, kept)])
+        collapsed += len(kept) < c.n
+    assert collapsed >= 10
+
+
+def test_collapse_keeps_samples_that_only_meet_dropped_ones():
+    """Under underflow, coincidence is not transitive: the middle sample is
+    at distance 0 from both ends, the ends are not.  Reversed, the middle
+    sample is dropped against the last one, and the first one stays because
+    it meets only the dropped sample."""
+    c = euclid_curve([0.0, 1.0, 2.0], [[3e-162], [1.5e-162], [0.0]])
+    assert c.dist[0, 1] == c.dist[1, 2] == 0.0 < c.dist[0, 2]
+    d = curve_to_dse(c)
+    assert d.n == 2 and d.dist[0, 1] == c.dist[0, 2]
+
+
+def test_a_curve_computes_its_distances_once(monkeypatch):
+    calls = []
+
+    def counting(model, points):
+        calls.append(len(points))
+        return pairwise(model, points)
+
+    pairwise = curves._pairwise
+    monkeypatch.setattr(curves, "_pairwise", counting)
+    c = cli_gradient_curve(3, 2, 60)
+    assert not calls
+    is_self_contracted(c)
+    curve_length(c)
+    curve_diameter(c)
+    curve_to_dse(c)
+    assert calls == [c.n]
+    assert not c.dist.flags.writeable
