@@ -191,13 +191,18 @@ def _cmd_curve_to_dse(args) -> int:
                   "out": args.out}, {}, None, data_out=True)
 
 
+def _k(args) -> int:
+    """The ``--k`` value, 3 when omitted; ``params`` echo ``args.k`` as given."""
+    return 3 if args.k is None else args.k
+
+
 def _cmd_constants(args) -> int:
     result: dict = {}
     if args.m is not None and args.theta is not None:
         c_exact = c_of_m_theta(args.m, args.theta)
         result["c_of_m_theta"] = format_constant(c_exact)
         result["c_of_m_theta_exact"] = f"{c_exact.numerator}/{c_exact.denominator}"
-    k = 3 if args.k is None else args.k
+    k = _k(args)
     gq = None
     if args.big_r is not None and args.r is not None and args.lam is not None:
         gq = (k, args.lam, args.big_r, args.r)
@@ -222,7 +227,7 @@ def _cmd_constants(args) -> int:
 
 def _cmd_extract(args) -> int:
     d = rio.load_dse(args.in_path)
-    res = extract_sra_subspace(d, args.alpha, 3 if args.k is None else args.k)
+    res = extract_sra_subspace(d, args.alpha, _k(args))
     result = {
         "branch": res.branch,
         "theta": res.theta,
@@ -286,8 +291,7 @@ def _cmd_doubling(args) -> int:
 
 def _cmd_freeness_cover(args) -> int:
     m = rio.load_distance_matrix(args.in_path)
-    rep = freeness_via_cover(m, args.alpha, args.r, args.big_r,
-                             3 if args.k is None else args.k, budget=args.budget)
+    rep = freeness_via_cover(m, args.alpha, args.r, args.big_r, _k(args), budget=args.budget)
     result = {
         "cover_size": len(rep.cover_centers),
         "cover_centers": rep.cover_centers,

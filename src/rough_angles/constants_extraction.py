@@ -39,8 +39,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import _hypergraph
-from .dse_spaces import DseSpace
-from .metric_core import subspace
+from .dse_spaces import DseSpace, _dse_violations
+from .metric_core import _metric_violations, subspace
 from .sra_analysis import SubsetCertificate, is_sra, violating_triples
 
 Rational = Union[int, float, str, Fraction]
@@ -49,13 +49,7 @@ Rational = Union[int, float, str, Fraction]
 def _as_fraction(x: Rational) -> Fraction:
     """Exact rational coercion.  Floats go through their shortest decimal
     representation so that 0.1 means 1/10, not the binary neighbour."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
+    return Fraction(str(x)) if isinstance(x, float) else Fraction(x)
 
 
 # ----------------------------------------------------------------------------
@@ -302,30 +296,16 @@ def weird_conditions_satisfied(dmat: np.ndarray, theta: float, alpha: float) -> 
     """
     d = np.asarray(dmat, dtype=np.float64)
     n = d.shape[0]
-    if np.any(np.abs(np.diag(d)) > 0.0):
+    # Exact zero diagonal, symmetry, positivity and DSE order; a triangle
+    # fails when its slack d(i,k) - (d(i,j) + d(j,k)) exceeds 1e-15.
+    if next(chain(_metric_violations(d, 1e-15), _dse_violations(d, 0.0)), None) is not None:
         return False
-    if np.any(np.abs(d - d.T) > 0.0):
-        return False
-    off = d + np.diag(np.full(n, np.inf))
-    if np.min(off) <= 0.0:
-        return False
-    for j in range(n):
-        if np.any(d > d[:, j][:, None] + d[j, None, :] + 1e-15):
+    # Straightness by middle j, with the float expression of ``_straight_third``.
+    for j in range(1, n - 1):
+        if np.any(d[:j, j + 1:] > d[:j, j, None] + theta * d[j, j + 1:]):
             return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j, n):
-                if d[i, j] > d[i, k]:
-                    return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if d[i, k] > d[i, j] + theta * d[j, k]:
-                    return False
-    for i in range(n - 2):
-        if d[n - 1, i + 1] < d[n - 1, i] + alpha * d[i, i + 1]:
-            return False
-    return True
+    i = np.arange(n - 2)
+    return not np.any(d[n - 1, i + 1] < d[n - 1, i] + alpha * d[i, i + 1])
 
 
 @dataclass(frozen=True)
@@ -494,7 +474,7 @@ def refute_weird_angles(
             continue
         batch = batch[keep]
         total = _violation_totals(batch, theta, alpha)
-        # Count only hits that survive the exact scalar check, which also
+        # Count only hits that survive the exact check, which also
         # refuses non-positive distances, so a reported feasible instance is
         # never a vectorization artifact.
         verified = [i for i in np.flatnonzero(total == 0.0)
@@ -634,17 +614,20 @@ def extract_sra_subspace(
     of at most k points, at most 1 + sum_{j<k} C(n, j): O(n^3) for k <= 4;
     when it finds no k-tuple, the size it reports is the exact maximum.
     """
-    if not (0.5 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (1/2, 1), got {alpha}")
+    theta = default_theta(alpha)
     if k < 2:
         raise ValueError("need k >= 2")
-    theta = default_theta(alpha)
     n_blue = n_of_theta_alpha(theta, alpha)
 
+    def certified(subset: tuple[int, ...]) -> Optional[SubsetCertificate]:
+        # The k-subset as a certificate, if ``is_sra`` re-verifies it.
+        if len(subset) == k and is_sra(subspace(d.space, subset), alpha, tol=VERIFY_TOL).is_sra:
+            return SubsetCertificate(alpha=float(alpha), subset=subset, size=k,
+                                     optimal=False, bound=d.n)
+        return None
+
     if k == 2 and d.n >= 2:
-        cert = SubsetCertificate(alpha=float(alpha), subset=(0, 1), size=2,
-                                 optimal=False, bound=d.n)
-        return ExtractionResult(alpha, theta, k, n_blue, "trivial-pair", cert, ())
+        return ExtractionResult(alpha, theta, k, n_blue, "trivial-pair", certified((0, 1)), ())
 
     straight = max_theta_straight_subset(d, theta)
     sub = d.dist[np.ix_(straight, straight)]
@@ -657,18 +640,15 @@ def extract_sra_subspace(
         got = _hypergraph._in_order_search(len(straight), third, target=size)
         return tuple(straight[p] for p in got) if len(got) == size else None
 
-    chosen = monochrome(True, k)
-    if chosen is not None and is_sra(subspace(d.space, chosen), alpha, tol=VERIFY_TOL).is_sra:
-        cert = SubsetCertificate(alpha=float(alpha), subset=chosen, size=k,
-                                 optimal=False, bound=d.n)
+    cert = certified(monochrome(True, k) or ())
+    if cert is not None:
         return ExtractionResult(alpha, theta, k, n_blue, "straight-red", cert, straight)
     blue_found = monochrome(False, n_blue)
 
     direct = _hypergraph._in_order_search(
         d.n, _hypergraph.edge_third(violating_triples(d.space, alpha)), target=k)
-    if len(direct) == k and is_sra(subspace(d.space, direct), alpha, tol=VERIFY_TOL).is_sra:
-        cert = SubsetCertificate(alpha=float(alpha), subset=direct, size=k,
-                                 optimal=False, bound=d.n)
+    cert = certified(direct)
+    if cert is not None:
         return ExtractionResult(
             alpha, theta, k, n_blue, "direct-search", cert, straight,
             blue_subset=blue_found,

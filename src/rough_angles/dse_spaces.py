@@ -36,6 +36,9 @@ from .metric_core import (
 # Most violations an order check (DSE or self-contraction) lists.
 MAX_VIOLATIONS = 1000
 
+# Orders ``gen_random_dse`` tries before it gives up.
+MAX_ATTEMPTS = 100_000
+
 
 class RejectionError(RuntimeError):
     """Raised when rejection sampling exhausts its attempt budget."""
@@ -182,14 +185,13 @@ def gen_random_dse(
     n: int,
     seed: int,
     model: Optional[ModelSpaceSpec] = None,
-    max_attempts: int = 100_000,
 ) -> DseSpace:
     """Rejection-sample a DSE ordering of model-space clouds.
 
     Deterministic per seed.  Each attempt draws a fresh cloud and tries the
     identity order, the order sorted by distance from the first point, and a
     batch of random permutations; DSE orders are rare in generic clouds, so
-    the attempt budget is explicit and exhaustion raises RejectionError.
+    after ``MAX_ATTEMPTS`` orders it raises RejectionError.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -198,7 +200,7 @@ def gen_random_dse(
     rng = np.random.default_rng(seed)
     attempts = 0
     perms_per_cloud = max(8, 4 * n)
-    while attempts < max_attempts:
+    while attempts < MAX_ATTEMPTS:
         cloud_seed = int(rng.integers(0, 2**31 - 1))
         cloud = sample_model(model, n, radius=1.0, seed=cloud_seed)
         space = from_point_cloud(cloud)
@@ -211,6 +213,6 @@ def gen_random_dse(
             reordered = d[np.ix_(perm, perm)]
             if next(_dse_violations(reordered, tol), None) is None:
                 return DseSpace(FiniteMetricSpace(reordered))
-            if attempts >= max_attempts:
+            if attempts >= MAX_ATTEMPTS:
                 break
-    raise RejectionError(f"no DSE ordering found within {max_attempts} attempts")
+    raise RejectionError(f"no DSE ordering found within {MAX_ATTEMPTS} attempts")

@@ -166,8 +166,11 @@ def diameter(m: FiniteMetricSpace) -> float:
 def _tol_at(diam: float) -> float:
     """Additive tolerance 1e-9 * (1 + diam), shared by all verdicts.
 
-    Model-space distance formulas accumulate rounding proportional to scale,
-    so a purely relative or purely absolute tolerance misbehaves at one end.
+    The relative part, 1e-9 per unit of diameter, follows rounding, which
+    grows with scale.  The absolute floor of 1e-9 dominates once the diameter
+    is below 1.  Near a diameter of 1e-9 the floor is as large as the
+    distances themselves, so verdicts there pass triples that break their
+    inequality by a large fraction of a distance.
     """
     return 1e-9 * (1.0 + diam)
 
@@ -315,8 +318,6 @@ def _distances(model: ModelSpaceSpec, c: np.ndarray) -> np.ndarray:
         sq = np.sum((c[:, None, :] - c[None, :, :]) ** 2, axis=2)
         w = 1.0 - np.sum(c * c, axis=1)
         d = np.arccosh(1.0 + 2.0 * sq / (w[:, None] * w[None, :]))
-    else:
-        raise ValueError(f"unsupported model {model.kind}")
     np.fill_diagonal(d, 0.0)
     bits = d.view(np.int64)
     if np.array_equal(bits, bits.T):
@@ -331,12 +332,10 @@ def from_point_cloud(pc: PointCloud) -> FiniteMetricSpace:
     positivity.
     """
     d = _pairwise(pc.model, pc.coords)
-    n = d.shape[0]
-    if n > 1:
-        off = d + np.diag(np.full(n, np.inf))
-        if np.min(off) <= 0.0:
-            i, j = np.unravel_index(int(np.argmin(off)), d.shape)
-            raise ValueError(f"coincident points {i} and {j} in cloud")
+    off = d + np.diag(np.full(d.shape[0], np.inf))
+    if np.min(off) <= 0.0:
+        i, j = np.unravel_index(int(np.argmin(off)), d.shape)
+        raise ValueError(f"coincident points {i} and {j} in cloud")
     return FiniteMetricSpace(d)
 
 
@@ -397,8 +396,6 @@ def sample_model(model: ModelSpaceSpec, count: int, radius: float, seed: int) ->
         r_disk = np.tanh(rho / 2.0)
         phi = rng.uniform(0.0, 2.0 * math.pi, size=k)
         pts = np.stack([r_disk * np.cos(phi), r_disk * np.sin(phi)], axis=1)
-    else:
-        raise ValueError(f"unsupported model {model.kind}")
 
     coords = np.vstack([base[None, :], pts]) if k > 0 else base[None, :]
     return PointCloud(model, coords)

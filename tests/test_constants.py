@@ -37,6 +37,7 @@ from rough_angles import (
 from rough_angles._hypergraph import _in_order_search, edge_third, row_third
 from rough_angles.constants_extraction import (
     VERIFY_TOL,
+    _as_fraction,
     _candidate_batch,
     _grid_probes,
     _violation_totals,
@@ -51,6 +52,19 @@ from _generators import collinear, gradient_dse
 # ---------------------------------------------------------------------------
 # Closed-form constants
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("x, want", [
+    (Fraction(2, 7), Fraction(2, 7)),
+    (5, Fraction(5)),
+    (True, Fraction(1)),
+    ("1/3", Fraction(1, 3)),
+    (0.1, Fraction(1, 10)),  # the shortest decimal, not the binary neighbour
+    (np.float64(0.1), Fraction(1, 10)),
+], ids=["fraction", "int", "bool", "str", "float", "float64"])
+def test_as_fraction(x, want):
+    got = _as_fraction(x)
+    assert type(got) is Fraction and got == want
+
 
 def test_c_of_m_theta_exact_values():
     assert c_of_m_theta(3, 0.5) == 78
@@ -516,6 +530,144 @@ def test_exact_check_refuses_zero_distance_at_total_zero(d, theta):
     which alone refuses a zero distance between distinct points."""
     assert _violation_totals(d[None], theta, 0.9)[0] == 0.0
     assert not weird_conditions_satisfied(d, theta, 0.9)
+
+
+def reference_weird_conditions_satisfied(dmat, theta, alpha):
+    """``weird_conditions_satisfied`` as it was before it read the metric
+    axioms and the DSE order from the library's scans, kept verbatim as the
+    oracle."""
+    d = np.asarray(dmat, dtype=np.float64)
+    n = d.shape[0]
+    if np.any(np.abs(np.diag(d)) > 0.0):
+        return False
+    if np.any(np.abs(d - d.T) > 0.0):
+        return False
+    off = d + np.diag(np.full(n, np.inf))
+    if np.min(off) <= 0.0:
+        return False
+    for j in range(n):
+        if np.any(d > d[:, j][:, None] + d[j, None, :] + 1e-15):
+            return False
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j, n):
+                if d[i, j] > d[i, k]:
+                    return False
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                if d[i, k] > d[i, j] + theta * d[j, k]:
+                    return False
+    for i in range(n - 2):
+        if d[n - 1, i + 1] < d[n - 1, i] + alpha * d[i, i + 1]:
+            return False
+    return True
+
+
+def test_exact_check_matches_reference_on_search_candidates(monkeypatch):
+    """Every candidate the refutation searches send to the exact check (those
+    with total 0) and every grid probe gets the frozen check's verdict."""
+    seen = []
+
+    def both(d, theta, alpha):
+        got = weird_conditions_satisfied(d, theta, alpha)
+        assert got == reference_weird_conditions_satisfied(d, theta, alpha), d.tolist()
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(constants_extraction, "weird_conditions_satisfied", both)
+    calls = [(theta, alpha, n, 20_000, seed) for theta, alpha, n in REFUTATION_GRID
+             for seed in (0, 1)]
+    calls += [(0.2, 0.9, 3, 100_000, 2024_06), (0.3, 0.95, 5, 100_000, 2024_06)]  # criterion 6
+    for theta, alpha, n, trials, seed in calls:
+        refute_weird_angles(theta, alpha, n, trials=trials, seed=seed)
+    for theta, alpha, n in REFUTATION_GRID:
+        for d in _grid_probes(n, theta, alpha):
+            both(d, theta, alpha)
+    assert True in seen and False in seen  # both verdicts occur, so the comparison bites
+
+
+def _ulps(x, k):
+    """``x`` moved ``k`` representable floats up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, math.copysign(math.inf, k))
+    return float(x)
+
+
+def _triangle_forms_agree(d):
+    """Whether the triangle test ``d(i,k) > d(i,j) + d(j,k) + 1e-15`` of the
+    frozen check and the slack test ``d(i,k) - (d(i,j) + d(j,k)) > 1e-15`` of
+    ``_metric_violations`` agree on every triple of distinct points."""
+    n = len(d)
+    return all((d[i, k] - (d[i, j] + d[j, k]) > 1e-15) == (d[i, k] > d[i, j] + d[j, k] + 1e-15)
+               for i in range(n) for j in range(n) for k in range(n)
+               if len({i, j, k}) == 3)
+
+
+@st.composite
+def near_boundary(draw):
+    """(d, theta, alpha): a 3-point space, d01 = a, d02 = c, d12 = b, inside
+    the region a <= c <= a + theta b, c + alpha a <= b <= a + c with one of
+    these constraints (or all distances 0) tight, then each distance moved a
+    few ulps, and in some draws one diagonal entry or one mirror entry moved
+    one ulp more."""
+    theta = draw(st.sampled_from([0.2, 0.3, 0.5]))
+    alpha = draw(st.sampled_from([0.9, 0.95, 0.99]))
+    a = draw(st.floats(0.05, 4.0))
+    u = draw(st.floats(0.0, 1.0))
+    tight = draw(st.sampled_from(["zero", "dse", "straight", "expansion", "triangle"]))
+    if tight == "zero":
+        a = b = c = 0.0
+    elif tight == "dse":
+        c = a
+        b = a * (1.0 + alpha + u * (1.0 - alpha))
+    elif tight == "straight":
+        b = a * (1.0 + alpha + u * (1.0 - alpha)) / (1.0 - theta)
+        c = a + theta * b
+    elif tight == "expansion":
+        c = a * (1.0 + u * (1.0 + theta * alpha) / (1.0 - theta) - u)
+        b = c + alpha * a
+    else:
+        c = a * (1.0 + u * (1.0 + theta) / (1.0 - theta) - u)
+        b = a + c
+    d = np.zeros((3, 3))
+    for (i, j), x in zip([(0, 1), (0, 2), (1, 2)], (a, c, b)):
+        d[i, j] = d[j, i] = _ulps(x, draw(st.integers(-3, 3)))
+    i, j = draw(st.sampled_from([(0, 0), (1, 1), (2, 2), (1, 0), (2, 0), (2, 1)]))
+    if draw(st.integers(0, 3)) == 0:
+        d[i, j] = _ulps(d[i, j], draw(st.sampled_from([-1, 1])))
+    return d, theta, alpha
+
+
+@settings(max_examples=500, deadline=None)
+@given(near_boundary())
+def test_exact_check_matches_reference_near_boundaries(case):
+    """A few ulps either side of each constraint, the check gives the frozen
+    check's verdict.  Where the two triangle tests themselves split (the
+    named change pinned below), the slack test is the stricter one."""
+    d, theta, alpha = case
+    got = weird_conditions_satisfied(d, theta, alpha)
+    if _triangle_forms_agree(d):
+        assert got == reference_weird_conditions_satisfied(d, theta, alpha)
+    else:
+        assert not got
+
+
+def test_exact_check_triangle_slack_boundary():
+    """The named change: the 1e-15 triangle tolerance bounds the slack
+    d(i,k) - (d(i,j) + d(j,k)), as ``validate_metric`` applies ``tri_tol``,
+    where the frozen check added it to the right-hand side.  A slack of five
+    ulps of 1.0 (1.11e-15) passed before and is refused now; every other
+    constraint of this space holds."""
+    x = 1.0 + 1e-15
+    assert x - 1.0 == 5 * np.spacing(1.0) > 1e-15
+    d = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, x], [0.5, x, 0.0]])
+    assert reference_weird_conditions_satisfied(d, 0.2, 0.9)
+    assert not weird_conditions_satisfied(d, 0.2, 0.9)
+    # At four ulps the slack is below 1e-15 and both pass.
+    d[1, 2] = d[2, 1] = 1.0 + 4 * np.spacing(1.0)
+    assert weird_conditions_satisfied(d, 0.2, 0.9)
+    assert reference_weird_conditions_satisfied(d, 0.2, 0.9)
 
 
 def test_refutation_at_corrected_size_finds_nothing():

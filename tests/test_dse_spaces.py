@@ -153,12 +153,13 @@ def test_reversal_not_dse_counterexample():
     assert not is_dse(rev, tol=0.0).ok
 
 
-def test_gen_random_dse_contract():
+def test_gen_random_dse_contract(monkeypatch):
     d1 = gen_random_dse(4, seed=42)
     d2 = gen_random_dse(4, seed=42)
     assert np.array_equal(d1.dist, d2.dist)
     assert is_dse(d1.space).ok
-    pair = gen_random_dse(2, seed=0, max_attempts=2)
+    monkeypatch.setattr(dse_spaces, "MAX_ATTEMPTS", 2)
+    pair = gen_random_dse(2, seed=0)
     assert pair.n == 2
 
 
@@ -167,10 +168,10 @@ def test_gen_random_dse_three_points_condition():
     assert d.dist[0, 1] <= d.dist[0, 2] + 1e-12
 
 
-def test_gen_random_dse_rejection():
-    with pytest.raises(RejectionError):
-        gen_random_dse(9, seed=1, max_attempts=3,
-                       model=ModelSpaceSpec(EUCLIDEAN_L2, 2))
+def test_gen_random_dse_rejection(monkeypatch):
+    monkeypatch.setattr(dse_spaces, "MAX_ATTEMPTS", 3)
+    with pytest.raises(RejectionError, match="within 3 attempts"):
+        gen_random_dse(9, seed=1, model=ModelSpaceSpec(EUCLIDEAN_L2, 2))
 
 
 def test_single_point_two_lemma():
