@@ -5,10 +5,12 @@ A subset of vertices is independent when it contains no hyperedge entirely.
 problem by budgeted branch and bound: every edge needs at least one vertex
 outside the subset.  ``_in_order_search`` grows increasing tuples in index
 order instead, with the hyperedges handed over lazily as bitmasks, which only
-``row_third`` and ``edge_third`` build; given the optimum size found by the
-former, one in-order pass returns the lexicographically smallest maximum
-subset.  Vertices are bitmask-encoded; all tie-breaks are by smallest index
-so results are deterministic regardless of schedule.
+``row_third`` and ``edge_third`` build: ``edge_third`` from a list of
+triples, ``row_third`` from one boolean (b, c) block per first vertex a,
+built and packed the first time the search reaches a.  Given the optimum
+size found by the former, one in-order pass returns the lexicographically
+smallest maximum subset.  Vertices are bitmask-encoded; all tie-breaks are
+by smallest index so results are deterministic regardless of schedule.
 """
 
 from __future__ import annotations
@@ -161,11 +163,28 @@ def max_independent_subset(
                         max(upper, len(subset)), budget_box.used)
 
 
-def row_third(bad: Callable[[int, int], np.ndarray]) -> Callable[[int, int], int]:
-    """``third`` for ``_in_order_search`` from ``bad(a, b)``, a boolean numpy
-    row over c = b+1..n-1 that is true where {a, b, c} is a hyperedge."""
-    return lambda a, b: int.from_bytes(
-        np.packbits(bad(a, b), bitorder="little").tobytes(), "little") << (b + 1)
+def row_third(bad_row: Callable[[int], np.ndarray]) -> Callable[[int, int], int]:
+    """``third`` for ``_in_order_search`` from ``bad_row(a)``, a boolean numpy
+    block over (b, c) in a+1..n-1 that is true where {a, b, c} is a
+    hyperedge; its entries with c <= b are ignored.  The block of a first
+    vertex is built and packed once, on the first pair that asks for it, into
+    one bitmask per b, so a first vertex the search never reaches costs
+    nothing."""
+    rows: dict[int, list[int]] = {}
+
+    def third(a: int, b: int) -> int:
+        masks = rows.get(a)
+        if masks is None:
+            block = bad_row(a)
+            pos = np.arange(len(block))
+            packed = np.packbits(block & (pos[:, None] < pos), axis=1, bitorder="little")
+            width = packed.shape[1]
+            buf = packed.tobytes()
+            masks = rows[a] = [int.from_bytes(buf[i:i + width], "little") << (a + 1)
+                               for i in range(0, len(buf), width)]
+        return masks[b - a - 1]
+
+    return third
 
 
 def edge_third(edges: Iterable[tuple[int, int, int]]) -> Callable[[int, int], int]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -408,6 +409,9 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
         # Flags are spelled in full: a prefix such as --m never stands for --model.
         super().__init__(allow_abbrev=False, **kwargs)
+        # A value such as -1e-3 is a negative number, not a flag; argparse
+        # in Python 3.10 and 3.11 reads only plain ones such as -1 and -0.5.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         # A usage error exits 1 through main like any other error; argparse

@@ -257,7 +257,15 @@ def _straight_third(d: DseSpace, theta: float) -> Callable[[int, int], int]:
     """``third`` of the non-straight triples: d(a,c) > d(a,b) + theta d(b,c)."""
     dist = d.dist
     return _hypergraph.row_third(
-        lambda a, b: dist[a, b + 1:] > dist[a, b] + theta * dist[b, b + 1:])
+        lambda a: dist[a, None, a + 1:] > dist[a, a + 1:, None] + theta * dist[a + 1:, a + 1:])
+
+
+def _colour_third(sub: np.ndarray, alpha: float, red: bool) -> Callable[[int, int], int]:
+    """``third`` of the triples of the other colour than ``red``: (a, b, c) is
+    red when d(b,c) <= d(a,c) + alpha d(a,b), so a tie is red."""
+    return _hypergraph.row_third(
+        lambda a: (sub[a + 1:, a + 1:] <= sub[a, None, a + 1:]
+                   + (alpha * sub[a, a + 1:])[:, None]) != red)
 
 
 def find_theta_straight_subset(d: DseSpace, m: int, theta: float) -> Optional[tuple[int, ...]]:
@@ -293,8 +301,14 @@ def weird_conditions_satisfied(dmat: np.ndarray, theta: float, alpha: float) -> 
     The expansion index stops at n-2: the i = n-1 instance would read
     0 >= (1+alpha) d(z_{n-1}, z_n) and no space with distinct points could
     ever satisfy it, which would make the whole search vacuous.
+
+    A matrix with a NaN or infinite entry is refused with ``ValueError``, as
+    ``FiniteMetricSpace`` refuses it: every comparison with NaN is false, so
+    no check below would fail on it.
     """
     d = np.asarray(dmat, dtype=np.float64)
+    if not np.all(np.isfinite(d)):
+        raise ValueError("distance matrix contains non-finite values")
     n = d.shape[0]
     # Exact zero diagonal, symmetry, positivity and DSE order; a triangle
     # fails when its slack d(i,k) - (d(i,j) + d(j,k)) exceeds 1e-15.
@@ -634,10 +648,9 @@ def extract_sra_subspace(
 
     def monochrome(red: bool, size: int) -> Optional[tuple[int, ...]]:
         # The first increasing size-tuple of Y whose in-order triples are all red
-        # (or all blue); (a, b, c) is red when d(b,c) <= d(a,c) + alpha d(a,b).
-        third = _hypergraph.row_third(
-            lambda a, b: (sub[b, b + 1:] <= sub[a, b + 1:] + alpha * sub[a, b]) != red)
-        got = _hypergraph._in_order_search(len(straight), third, target=size)
+        # (or all blue).
+        got = _hypergraph._in_order_search(len(straight), _colour_third(sub, alpha, red),
+                                           target=size)
         return tuple(straight[p] for p in got) if len(got) == size else None
 
     cert = certified(monochrome(True, k) or ())

@@ -723,10 +723,22 @@ def test_negative_tol_is_a_usage_error(capsys, tmp_path, monkeypatch, command):
     """A negative tolerance would call exact equalities violations."""
     assert len(TOL_COMMANDS) == 6
     monkeypatch.chdir(tmp_path)
-    for value in ("-1", "-1e-300"):
-        usage_error(capsys, VALID[command] + [f"--tol={value}"],
-                    f"argument --tol: must be >= 0, got {value}")
+    for value in ("-1", "-1e-300", "-1e-3"):
+        for spelling in ([f"--tol={value}"], ["--tol", value]):
+            usage_error(capsys, VALID[command] + spelling,
+                        f"argument --tol: must be >= 0, got {value}")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-2.5E+0", "-.5e1"])
+def test_negative_value_in_scientific_notation_reaches_range_check(capsys, collinear6, value):
+    """A negative number in scientific notation is the flag's value, not a
+    missing one, in both spellings."""
+    for spelling in ([f"--alpha={value}"], ["--alpha", value]):
+        rc = main(["sra-check", "--in", collinear6] + spelling)
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == f"error: alpha must lie in (0,1), got {float(value)}\n"
 
 
 @pytest.mark.parametrize("argv", [[], ["bogus"], ["--in", "m.json", "validate"]],

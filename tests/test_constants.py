@@ -39,7 +39,9 @@ from rough_angles.constants_extraction import (
     VERIFY_TOL,
     _as_fraction,
     _candidate_batch,
+    _colour_third,
     _grid_probes,
+    _straight_third,
     _violation_totals,
 )
 # The tail is read through the module, so the frozen-search tests below also
@@ -399,12 +401,69 @@ def test_row_third_and_edge_third_match_edge_lists():
     for n, edges in chain(hypergraph_corpus(), big):
         edge_set = set(edges)
         by_edges = edge_third(edges)
-        by_rows = row_third(lambda a, b: np.array(
-            [(a, b, c) in edge_set for c in range(b + 1, n)], dtype=bool))
+        # Entries with c <= b are set, to show that row_third ignores them.
+        by_rows = row_third(lambda a: np.array(
+            [[(a, b, c) in edge_set or c <= b for c in range(a + 1, n)]
+             for b in range(a + 1, n)], dtype=bool))
         for a, b in combinations(range(n), 2):
             want = sum(1 << c for x, y, c in edges if (x, y) == (a, b))
             assert by_edges(a, b) == want
             assert by_rows(a, b) == want and type(by_rows(a, b)) is int
+
+
+def test_row_third_builds_each_reached_row_once():
+    # The graph of test_in_order_search_prunes_ties: the search asks for the
+    # pairs (0, 1), (0, 3) and (1, 3), so only rows 0 and 1 are built.
+    rows = []
+
+    def bad_row(a):
+        rows.append(a)
+        block = np.zeros((3 - a, 3 - a), dtype=bool)
+        if a == 0:
+            block[0, 1] = True  # {0, 1, 2}
+        return block
+
+    assert _in_order_search(4, row_third(bad_row)) == (0, 1, 3)
+    assert rows == [0, 1]
+
+
+def pair_mask(row, b):
+    """The bitmask of the c > b where ``row``, a boolean row over
+    c = b+1..n-1, is true."""
+    return sum(1 << c for c, bad in enumerate(row, b + 1) if bad)
+
+
+def test_row_masks_match_pair_masks_at_float_boundaries():
+    """The masks built one block per first vertex equal, bit for bit, the
+    masks of the per-pair expressions they replaced, one ulp either side of
+    the straightness boundary and at the colouring tie (which is red)."""
+    theta = 0.3
+    spaces = []
+    for ab, bc in ((1.0, 1.0), (0.7, 1.3), (2.5, 0.1)):
+        edge = ab + theta * bc
+        for ac in (edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf)):
+            spaces.append(np.array([[0.0, ab, ac], [ab, 0.0, bc], [ac, bc, 0.0]]))
+    # On the boundary {0, 1, 2} is straight, one ulp above it is not.
+    assert [_straight_third(DseSpace(FiniteMetricSpace(d)), theta)(0, 1)
+            for d in spaces] == [0, 1 << 2, 0] * 3
+    for dist in spaces + [gen_snowflaked_path(12, 0.1).dist, gradient_dse(3).dist]:
+        third = _straight_third(DseSpace(FiniteMetricSpace(dist)), theta)
+        for a, b in combinations(range(len(dist)), 2):
+            row = dist[a, b + 1:] > dist[a, b] + theta * dist[b, b + 1:]
+            assert third(a, b) == pair_mask(row, b)
+
+    tie = 1.0 + 0.8 * 1.0
+    ties = [np.array([[0.0, 1.0, 1.0], [1.0, 0.0, d12], [1.0, d12, 0.0]])
+            for d12 in (tie, np.nextafter(tie, np.inf))]
+    # The tie is red, so it is an edge of the blue search only.
+    assert [(_colour_third(sub, 0.8, True)(0, 1), _colour_third(sub, 0.8, False)(0, 1))
+            for sub in ties] == [(0, 1 << 2), (1 << 2, 0)]
+    for sub in ties + [gradient_dse(3).dist]:
+        for red in (True, False):
+            third = _colour_third(sub, 0.8, red)
+            for a, b in combinations(range(len(sub)), 2):
+                row = (sub[b, b + 1:] <= sub[a, b + 1:] + 0.8 * sub[a, b]) != red
+                assert third(a, b) == pair_mask(row, b)
 
 
 def first_monochrome(sub, alpha, size, red):
@@ -515,6 +574,16 @@ def test_weird_conditions_checker_on_known_instance():
     # and the expansion condition is sharp: d23 below 1.9 fails
     d_bad = d.copy(); d_bad[1, 2] = d_bad[2, 1] = 1.85
     assert not weird_conditions_satisfied(d_bad, 0.2, 0.9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_weird_conditions_checker_refuses_non_finite_distances(bad):
+    # Every comparison with NaN is false, so without the refusal an all-NaN
+    # matrix and the instance above with one NaN pair would both pass.
+    one_pair = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, bad], [1.0, bad, 0.0]])
+    for d in (np.full((4, 4), bad), one_pair):
+        with pytest.raises(ValueError, match="non-finite"):
+            weird_conditions_satisfied(d, 0.2, 0.9)
 
 
 @pytest.mark.parametrize("d, theta", [
