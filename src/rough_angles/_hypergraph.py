@@ -20,6 +20,9 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+# Search nodes a budgeted search may visit unless its caller says otherwise.
+DEFAULT_BUDGET = 500_000
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -91,7 +94,7 @@ def _matching_bound(edges: list[tuple[int, int, int]]) -> int:
 def max_independent_subset(
     n: int,
     triples: Iterable[Sequence[int]],
-    budget: Optional[int] = 500_000,
+    budget: Optional[int] = DEFAULT_BUDGET,
 ) -> SearchResult:
     """Largest subset of range(n) spanning no triple.  On budget exhaustion
     the best subset found is returned with ``optimal=False``, so budget 0

@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import io as rio
+from ._hypergraph import DEFAULT_BUDGET
 from .constants_extraction import (
     c_of_m_theta,
     extract_sra_subspace,
@@ -372,7 +373,7 @@ _FLAGS = {
     "R": dict(dest="big_r", type=_finite),
     "lam": dict(type=int, help="doubling constant for the pigeonhole bound"),
     "seed": dict(type=_seed),
-    "budget": dict(type=int, default=500_000),
+    "budget": dict(type=int, default=DEFAULT_BUDGET),
     "trials": dict(type=int, default=10_000),
     "steps": dict(type=int, default=40),
     "step": dict(type=_finite),
@@ -446,7 +447,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             parser.error(f"the command must come first, found {first!r}")
         args = parser.parse_args(argv[1:] if command else argv)
         return _COMMANDS[command][0](args)
-    except (ValueError, KeyError, OSError, DivergenceError, RejectionError) as exc:
+    except (ValueError, OSError, DivergenceError, RejectionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

@@ -10,9 +10,11 @@ Contents:
   theta-straightness with alpha-expanding consecutive gaps, from the closed
   geometric-sum threshold.  A ``corrected`` variant drops the constant term
   of the sum, which is what the underlying telescoping argument actually
-  delivers; the two differ by exactly one (see the module tests).
+  delivers; its size is the default size plus one.
 * Ramsey upper bounds (Pascal and Erdos-Rado style recurrences) plus an
-  exhaustive two-coloring check for the triangle number 6.
+  exhaustive two-coloring check for the triangle number 6.  The binomials of
+  the Ramsey bounds and C(m, theta) are refused with ``ValueError``, before
+  any work starts, when they could pass ``MAX_BITS``.
 * ``globq_bound``: the ball-cover pigeonhole bound k * lambda^ceil(log2(R/r)).
 * ``find_theta_straight_subset`` / ``max_theta_straight_subset``: exact
   ordered-subset search.  Straightness is hereditary, so a theta-straight
@@ -30,10 +32,11 @@ Contents:
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -56,6 +59,17 @@ def _as_fraction(x: Rational) -> Fraction:
 # Closed-form constants
 # ----------------------------------------------------------------------------
 
+# The size limit, in bits, of C(m, theta) and the Ramsey binomials: 2**14284 < 10**4300,
+# and Python prints ints of up to 4300 digits by default, so each fits in a report.
+MAX_BITS = 14_284
+
+
+def _within_limit(what: str, bits: int) -> None:
+    """Refuse a constant whose size is bounded only by ``bits`` > MAX_BITS."""
+    if bits > MAX_BITS:
+        raise ValueError(f"{what} needs up to {bits} bits, over the size limit of {MAX_BITS}")
+
+
 def c_of_m_theta(m: int, theta: Rational) -> Fraction:
     """C(m, theta) = (m(m-1))^(m-1) / theta^(m-2) + 2m, exactly.
 
@@ -67,20 +81,29 @@ def c_of_m_theta(m: int, theta: Rational) -> Fraction:
     th = _as_fraction(theta)
     if not (0 < th <= 1):
         raise ValueError(f"theta must lie in (0,1], got {theta}")
+    # The numerator is below (m(m-1))^(m-1) den(theta)^(m-2) times 2.
+    _within_limit(f"c_of_m_theta({m}, {theta})", (m - 1) * (m * (m - 1)).bit_length()
+                  + (m - 2) * th.denominator.bit_length() + 1)
     return Fraction((m * (m - 1)) ** (m - 1)) / th ** (m - 2) + 2 * m
 
 
 def format_constant(value: Fraction) -> str:
     """Decimal rendering of an exact rational, exact when it terminates; else
-    rounded at 12 digits, with "..." if inexact, and the fraction."""
+    rounded at 12 digits, with "..." if inexact, and the fraction.  A value
+    beyond the float range is rounded in decimal arithmetic."""
     if value.denominator == 1:
         return str(value.numerator)
-    f = float(value)
-    if math.isfinite(f) and Fraction(str(f)) == value:
-        return str(f)
     approx = Fraction(round(value * 10**12), 10**12)
+    try:
+        f = float(value)
+        if Fraction(str(f)) == value:
+            return str(f)
+        head = f"{float(approx):.12g}"
+    except OverflowError:
+        rounded = decimal.Context(prec=12).divide(value.numerator, value.denominator)
+        head = f"{rounded.normalize():.12g}"
     suffix = "" if approx == value else "..."
-    return f"{float(approx):.12g}{suffix} ({value.numerator}/{value.denominator})"
+    return f"{head}{suffix} ({value.numerator}/{value.denominator})"
 
 
 def weird_angle_limit(theta: Rational) -> Fraction:
@@ -94,8 +117,8 @@ def weird_angle_limit(theta: Rational) -> Fraction:
 def weird_angle_threshold(theta: Rational, n: int, corrected: bool = False) -> Fraction:
     """The alpha threshold for size n, q = (1-theta)/2:
 
-        default:    1 / (2 q (1 + q + ... + q^(n-2)))
-        corrected:  1 / (2   (q + q^2 + ... + q^(n-2)))
+        default:    1 / (2 q (1 + q + ... + q^(n-2))) = (1-q) / (2 q (1 - q^(n-1)))
+        corrected:  1 / (2   (q + q^2 + ... + q^(n-2))), the default at n - 1
 
     The corrected form is the bound the telescoping-sum argument actually
     produces (the default's sum carries one extra term); both converge to
@@ -104,14 +127,11 @@ def weird_angle_threshold(theta: Rational, n: int, corrected: bool = False) -> F
     th = _as_fraction(theta)
     if not (0 < th < 1):
         raise ValueError(f"theta must lie in (0,1), got {theta}")
-    if n < 2 + (1 if corrected else 0):
+    n -= corrected
+    if n < 2:
         raise ValueError("size below the threshold's base case")
     q = (1 - th) / 2
-    if corrected:
-        s = sum(q**u for u in range(1, n - 1))
-        return 1 / (2 * s)
-    s = sum(q**u for u in range(0, n - 1))
-    return 1 / (2 * q * s)
+    return (1 - q) / (2 * q * (1 - q ** (n - 1)))
 
 
 def n_of_theta_alpha(theta: Rational, alpha: Rational, corrected: bool = False) -> int:
@@ -120,37 +140,29 @@ def n_of_theta_alpha(theta: Rational, alpha: Rational, corrected: bool = False) 
     Requires alpha > (1/2)(1+theta)/(1-theta); below that limit no finite n
     works.  Exact rational comparisons throughout.
     """
-    th = _as_fraction(theta)
-    al = _as_fraction(alpha)
+    th, al = _as_fraction(theta), _as_fraction(alpha)
     if not (0 < al < 1):
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     limit = weird_angle_limit(th)
     if al <= limit:
-        raise ValueError(
-            f"alpha={alpha} is not above the limit {format_constant(limit)}; "
-            "no finite size qualifies"
-        )
-    n = 3 if corrected else 2
-    while True:
-        if al > weird_angle_threshold(th, n, corrected=corrected):
-            return n
+        raise ValueError(f"alpha={alpha} is not above the limit {format_constant(limit)}; "
+                         "no finite size qualifies")
+    n = 2
+    while al <= weird_angle_threshold(th, n):
         n += 1
+    return n + corrected
 
 
 # ----------------------------------------------------------------------------
 # Ramsey upper bounds
 # ----------------------------------------------------------------------------
 
-def _pascal_pair(a: int, b: int, memo: dict) -> int:
-    # Two-color graph Ramsey upper bound R2(a,b) <= R2(a-1,b) + R2(a,b-1).
-    if a == 2:
-        return b
-    if b == 2:
-        return a
-    key = (a, b)
-    if key not in memo:
-        memo[key] = _pascal_pair(a - 1, b, memo) + _pascal_pair(a, b - 1, memo)
-    return memo[key]
+def _pascal_pair(a: int, b: int, what: str) -> int:
+    # R2(a,b) <= R2(a-1,b) + R2(a,b-1) with R2(2,b) = b and R2(a,2) = a, in
+    # closed form; ``what`` names the requested bound in a refusal.
+    k = min(a, b) - 1
+    _within_limit(what, k * (a + b - 2).bit_length())  # C(n, k) < n^k
+    return math.comb(a + b - 2, k)
 
 
 def ramsey_pair_bound(colors: int, clique: int) -> int:
@@ -164,20 +176,13 @@ def ramsey_pair_bound(colors: int, clique: int) -> int:
     """
     if colors < 1 or clique < 2:
         raise ValueError("need colors >= 1 and clique >= 2")
-    if colors == 1:
-        return clique
     if clique == 2:
         return 2
-    memo: dict = {}
-    if clique == 3:
-        value = 3  # one color
-        for c in range(2, colors + 1):
-            value = c * (value - 1) + 2
-        return value
-    if colors == 2:
-        return _pascal_pair(clique, clique, memo)
-    value = ramsey_pair_bound(colors - 1, clique)
-    return _pascal_pair(clique, value, memo)
+    what = f"ramsey_pair_bound({colors}, {clique})"
+    value = clique  # one color
+    for c in range(2, colors + 1):
+        value = c * (value - 1) + 2 if clique == 3 else _pascal_pair(clique, value, what)
+    return value
 
 
 def ramsey_triple_bound(red_size: int, blue_size: int) -> int:
@@ -189,20 +194,15 @@ def ramsey_triple_bound(red_size: int, blue_size: int) -> int:
     """
     if red_size < 3 or blue_size < 3:
         raise ValueError("need both sizes >= 3")
-    memo_pair: dict = {}
-    memo: dict = {}
-
-    def r3(s: int, t: int) -> int:
-        if t == 3:
-            return s
-        if s == 3:
-            return t
-        key = (s, t)
-        if key not in memo:
-            memo[key] = _pascal_pair(r3(s - 1, t), r3(s, t - 1), memo_pair) + 1
-        return memo[key]
-
-    return r3(red_size, blue_size)
+    # The recurrence is symmetric, so the rows run over the smaller size: row
+    # s holds R3(s, t) for t = 3..t_max, and row 3 is R3(3, t) = t.
+    what = f"ramsey_triple_bound({red_size}, {blue_size})"
+    s_max, t_max = sorted((red_size, blue_size))
+    row = range(3, t_max + 1)
+    for s in range(4, s_max + 1):
+        row = list(accumulate(row[1:], lambda left, up: _pascal_pair(up, left, what) + 1,
+                              initial=s))
+    return row[-1]
 
 
 def all_pair_colorings_force_triangle(n: int) -> bool:
@@ -574,9 +574,9 @@ def make_bundle(
         raise ValueError(f"need k >= 1, got {k}")
     if theta is None:
         theta = default_theta(alpha)
-    n_blue = n_of_theta_alpha(theta, alpha)
-    m = ramsey_triple_bound(max(k, 3), max(n_blue, 3))
-    c = c_of_m_theta(max(m, 3), theta)
+    n_blue = n_of_theta_alpha(theta, alpha)  # >= 3: threshold(2) = 1/(1-theta) > 1
+    m = ramsey_triple_bound(max(k, 3), n_blue)
+    c = c_of_m_theta(m, theta)
     gq = globq_bound(*globq_args) if globq_args is not None else None
     return ConstantsBundle(alpha=float(alpha), theta=float(theta), k=k, m=m,
                            c_m_theta=c, n_theta_alpha=n_blue, globq=gq)

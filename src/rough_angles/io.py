@@ -294,11 +294,22 @@ def save_net_coords(emb: NetEmbedding, path: PathLike) -> None:
     _write_csv(path, emb.coords, header=[f"d_to_net_{z}" for z in emb.net])
 
 
+def _model(p: Path, payload: dict) -> ModelSpaceSpec:
+    """The "model" and "dim" fields of a cloud or curve file; "dim" defaults to 2."""
+    kind = payload.get("model")
+    if not isinstance(kind, str):
+        raise ValueError(f'{p}: expected "model" to be a model name, got {json.dumps(kind)}')
+    dim = _as_int(p, payload.get("dim", 2))
+    try:
+        return ModelSpaceSpec(kind, dim)
+    except ValueError as exc:
+        raise ValueError(f"{p}: {exc}") from None
+
+
 def load_point_cloud(path: PathLike) -> PointCloud:
     p = Path(path)
     payload = _read_object(p)
-    model = ModelSpaceSpec(payload["model"], _as_int(p, payload.get("dim", 2)))
-    return PointCloud(model, _json_rows(p, payload, "coords"))
+    return PointCloud(_model(p, payload), _json_rows(p, payload, "coords"))
 
 
 def save_point_cloud(pc: PointCloud, path: PathLike) -> None:
@@ -308,7 +319,7 @@ def save_point_cloud(pc: PointCloud, path: PathLike) -> None:
 def load_curve(path: PathLike) -> SampledCurve:
     p = Path(path)
     payload = _read_object(p)
-    model = ModelSpaceSpec(payload["model"], _as_int(p, payload.get("dim", 2)))
+    model = _model(p, payload)
     times = payload.get("times")
     _numbers(p, '"times"', times)
     return SampledCurve(model, _as_floats(p, times), _json_rows(p, payload, "points"))

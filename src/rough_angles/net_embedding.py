@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._hypergraph import DEFAULT_BUDGET
 from .metric_core import FiniteMetricSpace, subspace
 from .sra_analysis import max_sra_subset
 
@@ -141,7 +142,7 @@ def freeness_via_cover(
     r: float,
     big_r: float,
     k: int,
-    budget: Optional[int] = 500_000,
+    budget: Optional[int] = DEFAULT_BUDGET,
 ) -> CoverFreenessReport:
     """Pigeonhole check: cover the R-ball around point 0 by greedy
     r-balls, measure the exact maximum SRA(alpha) subset per ball and

@@ -146,7 +146,7 @@ def _certificate(
 def max_sra_subset(
     m: FiniteMetricSpace,
     alpha: float,
-    budget: Optional[int] = 500_000,
+    budget: Optional[int] = _hypergraph.DEFAULT_BUDGET,
     tol: Optional[float] = None,
 ) -> SubsetCertificate:
     """Exact maximum SRA(alpha) subspace via branch and bound on the violating
@@ -240,7 +240,7 @@ def euclidean_angle_audit(pc: PointCloud, alpha: float) -> AngleAudit:
 def sra_report(
     m: FiniteMetricSpace,
     alpha: float,
-    budget: Optional[int] = 500_000,
+    budget: Optional[int] = _hypergraph.DEFAULT_BUDGET,
     tol: Optional[float] = None,
 ) -> dict:
     """Combined JSON-ready report: verdict, critical alpha, max subset.

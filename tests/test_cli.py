@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from contextlib import redirect_stdout
 from io import StringIO
@@ -138,6 +139,27 @@ def test_constants_full_bundle(capsys):
     rc, rep = run(capsys, "constants", "--alpha", "0.9", "--theta", "0.2", "--k", "4")
     assert rc == 0
     assert rep["result"]["n_theta_alpha"] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["--alpha", str(alpha), "--k", str(k)]
+    for alpha in (0.52, 0.55, 0.6, 0.65, 0.7, 0.8, 0.9) for k in range(2, 8)
+] + [["--m", "200", "--theta", "0.3"], ["--m", "2000", "--theta", "0.5"]],
+    ids=lambda argv: " ".join(argv))
+def test_constants_reports_or_refuses_in_one_line(capsys, argv):
+    """Every size either gets a report or one error line, quickly; the
+    recursion and float overflow of the earlier code escaped ``main`` as
+    exceptions, which fail this test."""
+    start = time.perf_counter()
+    rc = main(["constants", *argv])
+    assert time.perf_counter() - start < 5.0
+    out = capsys.readouterr()
+    if rc == 0:
+        assert json.loads(out.out)["command"] == "constants" and out.err == ""
+    else:
+        assert rc == 1 and out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert "over the size limit" in out.err
 
 
 def test_error_exit_code(capsys, tmp_path):
@@ -328,8 +350,16 @@ CURVE = {"model": "euclidean-l2", "dim": 2, "times": [0, 1], "points": [[0, 0], 
     (["curve-check"], dict(CURVE, dim=2.9), "bad.json: expected an integer, got 2.9"),
     (["curve-check"], dict(CURVE, points=[[0, 0], [1e200, 0]]),
      "the euclidean-l2 distance between points 0 and 1 overflows float64"),
+    (["angles", "--alpha", "0.5"], dict(CLOUD, model=["euclidean-l2"]),
+     'bad.json: expected "model" to be a model name, got ["euclidean-l2"]'),
+    (["angles", "--alpha", "0.5"], {"coords": [[0, 0]]},
+     'bad.json: expected "model" to be a model name, got null'),
+    (["curve-check"], dict(CURVE, model=None), 'bad.json: expected "model" to be a model name'),
+    (["curve-check"], dict(CURVE, model="flat"), "bad.json: unknown model kind 'flat'"),
+    (["curve-check"], dict(CURVE, dim=0), "bad.json: dim must be >= 1"),
 ], ids=["cloud-cells", "cloud-ragged", "cloud-dim-fraction", "cloud-dim-bool", "curve-cells",
-        "curve-times", "curve-dim-fraction", "curve-overflow"])
+        "curve-times", "curve-dim-fraction", "curve-overflow", "cloud-model-list",
+        "cloud-model-missing", "curve-model-null", "curve-model-unknown", "curve-dim-zero"])
 def test_bad_point_files_say_where(capsys, tmp_path, argv, payload, message):
     src = tmp_path / "bad.json"
     src.write_text(json.dumps(payload))

@@ -1,5 +1,6 @@
 import math
 import re
+import time
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -166,6 +167,230 @@ def test_triangle_ramsey_exhaustive():
     assert not all_pair_colorings_force_triangle(5)
     assert all_pair_colorings_force_triangle(6)
     assert ramsey_pair_bound(2, 3) == 6  # the recurrence bound is tight here
+
+
+# ---------------------------------------------------------------------------
+# The closed forms against the recursions and loop sums they replace
+# ---------------------------------------------------------------------------
+
+# The earlier code, verbatim apart from the names.  It recursed with memo
+# dicts, summed the geometric series term by term and rendered through float.
+
+def reference_pascal_pair(a: int, b: int, memo: dict) -> int:
+    if a == 2:
+        return b
+    if b == 2:
+        return a
+    key = (a, b)
+    if key not in memo:
+        memo[key] = reference_pascal_pair(a - 1, b, memo) + reference_pascal_pair(a, b - 1, memo)
+    return memo[key]
+
+
+def reference_ramsey_pair_bound(colors: int, clique: int) -> int:
+    if colors < 1 or clique < 2:
+        raise ValueError("need colors >= 1 and clique >= 2")
+    if colors == 1:
+        return clique
+    if clique == 2:
+        return 2
+    memo: dict = {}
+    if clique == 3:
+        value = 3  # one color
+        for c in range(2, colors + 1):
+            value = c * (value - 1) + 2
+        return value
+    if colors == 2:
+        return reference_pascal_pair(clique, clique, memo)
+    value = reference_ramsey_pair_bound(colors - 1, clique)
+    return reference_pascal_pair(clique, value, memo)
+
+
+def reference_ramsey_triple_bound(red_size: int, blue_size: int) -> int:
+    if red_size < 3 or blue_size < 3:
+        raise ValueError("need both sizes >= 3")
+    memo_pair: dict = {}
+    memo: dict = {}
+
+    def r3(s: int, t: int) -> int:
+        if t == 3:
+            return s
+        if s == 3:
+            return t
+        key = (s, t)
+        if key not in memo:
+            memo[key] = reference_pascal_pair(r3(s - 1, t), r3(s, t - 1), memo_pair) + 1
+        return memo[key]
+
+    return r3(red_size, blue_size)
+
+
+def reference_weird_angle_threshold(theta, n: int, corrected: bool = False) -> Fraction:
+    th = _as_fraction(theta)
+    if not (0 < th < 1):
+        raise ValueError(f"theta must lie in (0,1), got {theta}")
+    if n < 2 + (1 if corrected else 0):
+        raise ValueError("size below the threshold's base case")
+    q = (1 - th) / 2
+    if corrected:
+        s = sum(q**u for u in range(1, n - 1))
+        return 1 / (2 * s)
+    s = sum(q**u for u in range(0, n - 1))
+    return 1 / (2 * q * s)
+
+
+def reference_n_of_theta_alpha(theta, alpha, corrected: bool = False) -> int:
+    th = _as_fraction(theta)
+    al = _as_fraction(alpha)
+    if not (0 < al < 1):
+        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+    limit = weird_angle_limit(th)
+    if al <= limit:
+        raise ValueError(
+            f"alpha={alpha} is not above the limit {format_constant(limit)}; "
+            "no finite size qualifies"
+        )
+    n = 3 if corrected else 2
+    while True:
+        if al > reference_weird_angle_threshold(th, n, corrected=corrected):
+            return n
+        n += 1
+
+
+def reference_format_constant(value: Fraction) -> str:
+    if value.denominator == 1:
+        return str(value.numerator)
+    f = float(value)
+    if math.isfinite(f) and Fraction(str(f)) == value:
+        return str(f)
+    approx = Fraction(round(value * 10**12), 10**12)
+    suffix = "" if approx == value else "..."
+    return f"{float(approx):.12g}{suffix} ({value.numerator}/{value.denominator})"
+
+
+def closed_form_or_refusal(call):
+    """Where the recursion gave up, the closed form returns or refuses with
+    ValueError, within a second."""
+    start = time.perf_counter()
+    try:
+        call()
+    except ValueError as exc:
+        assert "over the size limit" in str(exc)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_pascal_pair_is_the_binomial():
+    memo: dict = {}
+    for a in range(2, 60):
+        for b in range(2, 60):
+            assert constants_extraction._pascal_pair(a, b, "") == reference_pascal_pair(a, b, memo)
+
+
+def test_ramsey_bounds_match_the_recursions():
+    returned = 0
+    for colors in range(1, 8):
+        for clique in range(2, 10):
+            try:
+                want = reference_ramsey_pair_bound(colors, clique)
+            except RecursionError:
+                closed_form_or_refusal(lambda: ramsey_pair_bound(colors, clique))
+                continue
+            assert ramsey_pair_bound(colors, clique) == want
+            returned += 1
+    for red in range(3, 8):
+        for blue in range(3, 10):
+            try:
+                want = reference_ramsey_triple_bound(red, blue)
+            except RecursionError:
+                closed_form_or_refusal(lambda: ramsey_triple_bound(red, blue))
+                continue
+            assert ramsey_triple_bound(red, blue) == want
+            returned += 1
+    assert returned >= 40  # the grids reach the recursions' range, not only the refusals
+
+
+THRESHOLD_THETAS = [0.01, 0.1, 0.2, 0.25, 1 / 3, 0.5, 0.7, 0.9, 0.99, Fraction(1, 7)]
+
+
+def test_thresholds_and_sizes_match_the_loop_sums():
+    for theta in THRESHOLD_THETAS:
+        for n in range(1, 40):
+            for corrected in (False, True):
+                try:
+                    want = reference_weird_angle_threshold(theta, n, corrected)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=re.escape(str(exc))):
+                        weird_angle_threshold(theta, n, corrected)
+                    continue
+                assert weird_angle_threshold(theta, n, corrected) == want
+        for alpha in np.linspace(0.05, 0.999, 60):
+            for corrected in (False, True):
+                try:
+                    want = reference_n_of_theta_alpha(theta, float(alpha), corrected)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=re.escape(str(exc))):
+                        n_of_theta_alpha(theta, float(alpha), corrected)
+                    continue
+                assert n_of_theta_alpha(theta, float(alpha), corrected) == want
+
+
+def test_format_constant_keeps_every_float_range_string():
+    for m in range(3, 60):
+        for theta in THRESHOLD_THETAS + [1]:
+            value = c_of_m_theta(m, theta)
+            try:
+                want = reference_format_constant(value)
+            except OverflowError:
+                continue
+            assert format_constant(value) == want
+    for value in [weird_angle_limit(t) for t in THRESHOLD_THETAS] + [Fraction(1, 3), Fraction(-7, 8)]:
+        assert format_constant(value) == reference_format_constant(value)
+
+
+def test_format_constant_beyond_the_float_range():
+    value = c_of_m_theta(200, 0.3)
+    with pytest.raises(OverflowError):
+        float(value)
+    # 12 significant digits by integer arithmetic: the value is about 8.07e1018.
+    exponent = len(str(value.numerator // value.denominator)) - 1
+    digits = str(round(value / 10 ** (exponent - 11)))
+    assert (exponent, len(digits)) == (1018, 12)
+    head = f"{digits[0]}.{digits[1:].rstrip('0')}e+{exponent}"
+    assert format_constant(value) == f"{head}... ({value.numerator}/{value.denominator})"
+    assert head == "8.06720156357e+1018"
+
+
+def test_size_limit_refuses_before_any_work():
+    for call, name in [
+        (lambda: c_of_m_theta(10**18, 0.5), "c_of_m_theta(1000000000000000000, 0.5)"),
+        (lambda: c_of_m_theta(2000, 0.5), "c_of_m_theta(2000, 0.5)"),
+        (lambda: ramsey_triple_bound(5, 6), "ramsey_triple_bound(5, 6)"),
+        (lambda: ramsey_triple_bound(10**9, 4), f"ramsey_triple_bound({10**9}, 4)"),
+        (lambda: ramsey_pair_bound(30, 4), "ramsey_pair_bound(30, 4)"),
+    ]:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(name) + " needs up to .* bits, over the "
+                           f"size limit of {constants_extraction.MAX_BITS}"):
+            call()
+        assert time.perf_counter() - start < 1.0
+    # Sizes 3 and the other size stay O(1), as in the recursion.
+    assert ramsey_triple_bound(3, 10**9) == ramsey_triple_bound(10**9, 3) == 10**9
+
+
+def test_every_accepted_constant_renders():
+    # The largest accepted C(m, 1/2) and Ramsey binomial still print in full.
+    m = 3
+    while True:
+        try:
+            c_of_m_theta(m + 1, 0.5)
+        except ValueError:
+            break
+        m += 1
+    value = c_of_m_theta(m, 0.5)
+    assert value.numerator.bit_length() <= constants_extraction.MAX_BITS
+    assert format_constant(value) == str(value.numerator)
+    big = ramsey_triple_bound(4, 8)
+    assert big.bit_length() > 2000 and str(big)
 
 
 def test_globq_bound():
