@@ -9,7 +9,11 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
@@ -21,6 +25,15 @@ MAX_POINTS = 4096
 
 # Most violations a validation report lists.
 MAX_VIOLATIONS = 100
+
+# The per-middle scan runs on a thread pool from this many points up (below
+# it, starting and feeding threads costs more than it saves), in blocks of up
+# to this many matrix elements' worth of middles (much smaller blocks lose
+# the gain), with as many workers as keep their buffers within twice the
+# serial scan's at MAX_POINTS.
+_THREADED_MIN_N = 150
+_BLOCK_ELEMENTS = 1 << 20
+_SCAN_BUFFER_BYTES = 2 * 16 * MAX_POINTS * MAX_POINTS
 
 EUCLIDEAN_L2 = "euclidean-l2"
 NORMED_L1 = "normed-l1"
@@ -180,28 +193,23 @@ def default_tol(m: FiniteMetricSpace) -> float:
     return _tol_at(diameter(m))
 
 
-def _middle_scan(d: np.ndarray, alpha: Optional[float], tol: Optional[float],
-                 critical: bool) -> Iterator[tuple[int, Optional[float], Optional[np.ndarray]]]:
-    """Yield (z, need, slack) per middle z: the one scan behind critical alpha,
-    the SRA(alpha) violations and the triangle check.
+def _scan_workers(n: int) -> int:
+    """Threads for an n-point scan: the usable cores, as many as keep their
+    buffers (two n x n float64 each) within ``_SCAN_BUFFER_BYTES``."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, _SCAN_BUFFER_BYTES // (16 * n * n)))
 
-    ``need`` (if ``critical``) is the largest min{(d(x,y)-d(x,z))/d(y,z),
-    (d(y,x)-d(y,z))/d(x,z)} over distinct x, y other than z, NaN skipped.
-    ``slack`` (if ``alpha`` is given) is d(x,y) - max{d(x,z) + alpha*d(z,y),
-    alpha*d(x,z) + d(z,y)} in a buffer the next yield overwrites; at alpha = 1
-    it is the triangle slack d(x,y) - (d(x,z) + d(z,y)).
-    """
-    n = d.shape[0]
-    a, b = np.empty((n, n)), np.empty((n, n))
-    diam = float(np.max(d))
-    # With both asked for, skip the slack (None) where need <= alpha + tol/(2*diam):
-    # one branch's slack is then <= tol/2, plus rounding of about 1e-15*diam.  A NaN
-    # need (0/0, a repeated point) has slack exactly 0.  The bound needs d symmetric
-    # (the only caller asking for both, sra_analysis._violations, refuses anything
-    # else), non-negative and tol well above rounding; else every middle is exact.
-    gate = (critical and alpha is not None and diam > 0.0 and tol >= 1e-12 * (1.0 + diam)
-            and not np.any(d < 0.0))
-    for z in range(n):
+
+def _scan_block(d: np.ndarray, lo: int, hi: int, alpha: Optional[float], tol: Optional[float],
+                critical: bool, gate: bool, diam: float, a: np.ndarray,
+                b: np.ndarray) -> list[tuple[int, Optional[float], Optional[tuple]]]:
+    """The scan kernel: (z, need, hits) for the middles lo <= z < hi, computed
+    in the n x n buffers ``a`` and ``b``.  See ``_middle_scan``."""
+    out = []
+    for z in range(lo, hi):
         col, row = d[:, z], d[z, :]
         need = None
         if critical:
@@ -211,13 +219,98 @@ def _middle_scan(d: np.ndarray, alpha: Optional[float], tol: Optional[float],
             b[z, :] = b[:, z] = -np.inf
             np.fill_diagonal(b, -np.inf)
             need = float(np.fmax.reduce(b, axis=None))
-        slack = None
+        hits = None
         if alpha is not None and not (gate and need <= alpha + tol / (2.0 * diam)):
             np.add(col[:, None], alpha * row[None, :], out=a)
             if alpha != 1.0:  # at alpha = 1 both branches are d(x,z) + d(z,y)
                 np.maximum(a, np.add(alpha * col[:, None], row[None, :], out=b), out=a)
             slack = np.subtract(d, a, out=a)
-        yield z, need, slack
+            over = slack > tol
+            if over.any():
+                xs, ys = np.nonzero(over)
+                hits = (xs, ys, slack[xs, ys])
+        out.append((z, need, hits))
+    return out
+
+
+def _block_spans(n: int, step: int) -> Iterator[tuple[int, int]]:
+    """Contiguous (lo, hi) blocks of middles covering range(n): 1, 2, 4, ...
+    middles, then ``step`` each.  A consumer that stops within the first
+    middles (a broken input gives a capped checker its witnesses at once)
+    then leaves a few small blocks unused, not (workers + 1) full ones."""
+    lo, size = 0, 1
+    while lo < n:
+        hi = min(lo + size, n)
+        yield lo, hi
+        lo, size = hi, min(2 * size, step)
+
+
+def _middle_scan(d: np.ndarray, alpha: Optional[float], tol: Optional[float],
+                 critical: bool) -> Iterator[tuple[int, Optional[float], Optional[tuple]]]:
+    """Yield (z, need, hits) per middle z, in middle order: the one scan behind
+    critical alpha, the SRA(alpha) violations and the triangle check.
+
+    ``need`` (if ``critical``) is the largest min{(d(x,y)-d(x,z))/d(y,z),
+    (d(y,x)-d(y,z))/d(x,z)} over distinct x, y other than z, NaN skipped.
+    ``hits`` (if ``alpha`` is given) is None or the arrays (xs, ys, slack), in
+    row-major order, of every pair whose slack d(x,y) - max{d(x,z) +
+    alpha*d(z,y), alpha*d(x,z) + d(z,y)} exceeds ``tol``; at alpha = 1 the
+    slack is the triangle slack d(x,y) - (d(x,z) + d(z,y)).  Pairs with x = y,
+    x = z or y = z are among them; each caller drops the ones it does not want.
+
+    At n >= ``_THREADED_MIN_N`` with more than one usable core, contiguous
+    blocks of middles (``_block_spans``) run on a thread pool over the usable
+    cores (numpy releases the GIL in its ufuncs), at most one block per worker
+    plus one ahead of the consumer, so that a consumer that stops early wastes
+    little work.  There is no flag or environment variable for it.  Every
+    middle runs the same float operations either way, so the output is bit
+    for bit that of the serial scan.
+    """
+    n = d.shape[0]
+    diam = float(np.max(d))
+    # With both asked for, report no hits where need <= alpha + tol/(2*diam): one
+    # branch's slack is then <= tol/2, plus rounding of about 1e-15*diam.  A NaN
+    # need (0/0, a repeated point) has slack exactly 0.  The bound needs d symmetric
+    # (the only caller asking for both, sra_analysis._violations, refuses anything
+    # else), non-negative and tol well above rounding; else every middle is exact.
+    gate = (critical and alpha is not None and diam > 0.0 and tol >= 1e-12 * (1.0 + diam)
+            and not np.any(d < 0.0))
+    args = (alpha, tol, critical, gate, diam)
+    workers = _scan_workers(n) if n >= _THREADED_MIN_N else 1
+    if workers < 2:
+        a, b = np.empty((n, n)), np.empty((n, n))
+        for z in range(n):
+            yield from _scan_block(d, z, z + 1, *args, a, b)
+        return
+    # Imported here: concurrent.futures imports logging, about 10 ms of the
+    # command-line tool's start-up, which only a scan this large repays.
+    from concurrent.futures import ThreadPoolExecutor
+
+    local = threading.local()
+
+    def block(lo: int, hi: int) -> list:
+        if not hasattr(local, "buffers"):  # each worker's own, for the whole scan
+            local.buffers = np.empty((n, n)), np.empty((n, n))
+        return _scan_block(d, lo, hi, *args, *local.buffers)
+
+    pool = ThreadPoolExecutor(workers)
+
+    def submit(span: tuple[int, int]):
+        # A new thread starts at numpy's default error state, so each block
+        # runs in a copy of the caller's context.
+        return pool.submit(contextvars.copy_context().run, block, *span)
+
+    spans = _block_spans(n, max(1, _BLOCK_ELEMENTS // (n * n)))
+    try:
+        pending = deque(submit(span) for span in islice(spans, workers + 1))
+        while pending:
+            rows = pending.popleft().result()
+            span = next(spans, None)
+            if span is not None:
+                pending.append(submit(span))
+            yield from rows
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _capped(found: Iterable, cap: int) -> tuple[tuple, bool]:
@@ -240,14 +333,13 @@ def _metric_violations(d: np.ndarray, tri_tol: float) -> Iterator[MetricViolatio
     for i, j in np.argwhere(np.triu(off <= 0.0, 1)):
         yield MetricViolation("positivity", (int(i), int(j)), float(d[i, j]))
     # Triangle (SRA at alpha = 1): for each middle j, d[i,k] <= d[i,j] + d[j,k] + tol.
-    for j, _, slack in _middle_scan(d, 1.0, None, False):
-        over = slack > tri_tol
-        if not over.any():
+    for j, _, hits in _middle_scan(d, 1.0, tri_tol, False):
+        if hits is None:
             continue
-        ii, kk = np.nonzero(over)
-        for i, k in zip(ii.tolist(), kk.tolist()):
-            if i != j and k != j and i != k:
-                yield MetricViolation("triangle", (i, j, k), float(slack[i, k]))
+        ii, kk, slack = hits
+        keep = (ii != j) & (kk != j) & (ii != kk)
+        for i, k, s in zip(ii[keep].tolist(), kk[keep].tolist(), slack[keep].tolist()):
+            yield MetricViolation("triangle", (i, j, k), s)
 
 
 def validate_metric(m: FiniteMetricSpace, tri_tol: Optional[float] = None) -> ValidationReport:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, Optional
 
 import numpy as np
@@ -72,18 +73,14 @@ def _violations(d: np.ndarray, alpha: float, tol: float,
     triple only when d(x,y) = d(y,x)."""
     if not np.array_equal(d, d.T):
         raise ValueError("SRA analysis needs a symmetric distance matrix")
-    for z, need, slack in _middle_scan(d, alpha, tol, needs is not None):
+    for z, need, hits in _middle_scan(d, alpha, tol, needs is not None):
         if needs is not None:
             needs.append(need)
-        if slack is None:
+        if hits is None:
             continue
-        over = slack > tol
-        if not over.any():
-            continue
-        xs, ys = np.nonzero(np.triu(over, 1))
-        for x, y, s in zip(xs.tolist(), ys.tolist(), slack[xs, ys].tolist()):
-            if x != z and y != z:
-                yield x, z, y, s
+        xs, ys, slack = hits
+        keep = (xs < ys) & (xs != z) & (ys != z)
+        yield from zip(xs[keep].tolist(), repeat(z), ys[keep].tolist(), slack[keep].tolist())
 
 
 def is_sra(m: FiniteMetricSpace, alpha: float, tol: Optional[float] = None) -> SraVerdict:

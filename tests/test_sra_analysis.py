@@ -1,6 +1,8 @@
+import inspect
 import math
+import threading
 import warnings
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -16,14 +18,17 @@ from rough_angles import (
     default_tol,
     euclidean_angle_audit,
     from_point_cloud,
+    gen_snowflaked_path,
     is_sra,
     max_sra_subset,
     sample_model,
     snowflake,
     sra_report,
     subspace,
+    validate_metric,
     violating_triples,
 )
+from rough_angles import metric_core, sra_analysis
 
 from rough_angles._hypergraph import (SearchResult, _Budget, _canonical_edges, _matching_bound,
                                       max_independent_subset)
@@ -598,6 +603,190 @@ def test_sra_report_schema():
                         "violations", "tol"}
     assert rep["max_subset"]["size"] == 2
     assert not rep["is_sra"]
+
+
+# ---------------------------------------------------------------------------
+# Threaded per-middle scan
+# ---------------------------------------------------------------------------
+
+def force_threads(monkeypatch, m, middles):
+    """Run the scans of ``m`` on the thread pool, ``middles`` per block, however
+    small ``m`` is (still inline on a single usable core)."""
+    monkeypatch.setattr(metric_core, "_THREADED_MIN_N", 0)
+    monkeypatch.setattr(metric_core, "_BLOCK_ELEMENTS", middles * m.n * m.n)
+
+
+def scan_results(m, alphas, tols):
+    """repr of every scan consumer's result on ``m`` (repr tells -0.0 and NaN
+    apart), or of the error it raised."""
+    def run(f, *args, **kwargs):
+        try:
+            return repr(f(*args, **kwargs))
+        except ValueError as e:
+            return f"ValueError: {e}"
+
+    out = [run(critical_alpha, m)]
+    for tol in tols:
+        out.append(run(validate_metric, m, tri_tol=tol))
+        for alpha in alphas:
+            out += [run(is_sra, m, alpha, tol=tol), run(violating_triples, m, alpha, tol=tol),
+                    run(sra_report, m, alpha, budget=1, tol=tol)]
+    return out
+
+
+def asymmetric_corpus(rng):
+    out = []
+    for n in (3, 7, 11):
+        d = rng.uniform(0.2, 2.0, size=(n, n))
+        np.fill_diagonal(d, 0.0)
+        out.append((f"asymmetric-{n}", FiniteMetricSpace(d)))
+    return out
+
+
+def test_threaded_scan_matches_inline_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(49)
+    for name, m in scan_corpus(rng, alphas=(0.2, 0.8, 1.0)) + asymmetric_corpus(rng):
+        alphas = (0.8,) if m.n > 20 else (0.2, 0.95)
+        tols = (None, -1e-6)
+        inline = scan_results(m, alphas, tols)
+        for middles in (1, 3):
+            with monkeypatch.context() as mp:
+                force_threads(mp, m, middles)
+                assert scan_results(m, alphas, tols) == inline, (name, middles)
+
+
+def test_threaded_scan_matches_inline_across_the_real_cut(monkeypatch):
+    """Above the size cut at the real block size: a snowflaked path and a 3-D
+    ball, against the same scans with the cut out of reach."""
+    ball = from_point_cloud(sample_model(ModelSpaceSpec(EUCLIDEAN_L2, 3), 170, 1.0, 7))
+    for m, alpha in ((gen_snowflaked_path(160, 0.5), 0.6), (gen_snowflaked_path(220, 0.5), 0.41),
+                     (ball, 0.95)):
+        assert m.n >= metric_core._THREADED_MIN_N
+        threaded = scan_results(m, (alpha,), (None,))
+        with monkeypatch.context() as mp:
+            mp.setattr(metric_core, "_THREADED_MIN_N", m.n + 1)
+            assert scan_results(m, (alpha,), (None,)) == threaded
+
+
+def count_blocks(monkeypatch):
+    """Record (lo, hi) of every kernel call."""
+    calls = []
+    kernel = metric_core._scan_block
+
+    def counted(d, lo, hi, *args):
+        calls.append((lo, hi))
+        return kernel(d, lo, hi, *args)
+
+    monkeypatch.setattr(metric_core, "_scan_block", counted)
+    return calls
+
+
+@pytest.mark.parametrize("middles", [1, 3, 20])
+def test_early_stop_runs_few_blocks_past_the_consumer(monkeypatch, middles):
+    """A capped scan starts at most (workers + 1) blocks beyond those it
+    consumed, few middles if it stops at the first, and leaves no thread
+    behind."""
+    sra_space = collinear(41)  # 10,660 violations at alpha 0.9
+    cases = [(sra_space, lambda: is_sra(sra_space, 0.9),
+              lambda: sra_analysis._violations(sra_space.dist, 0.9, default_tol(sra_space)),
+              MAX_VIOLATIONS)]
+    # Squared distances break triangles: from middle 1 on along a line, and at
+    # every middle, the first included, in a ball around point 0.
+    ball = from_point_cloud(sample_model(ModelSpaceSpec(EUCLIDEAN_L2, 3), 41, 1.0, 7))
+    for tri_space in (FiniteMetricSpace(collinear(41).dist ** 2),
+                      FiniteMetricSpace(ball.dist ** 2)):
+        for cap in (1, 5, 300):
+            cases.append((tri_space, lambda m=tri_space: validate_metric(m),
+                          lambda m=tri_space: metric_core._metric_violations(m.dist,
+                                                                             default_tol(m)),
+                          cap))
+    for m, check, found, cap in cases:
+        # the middle of the witness past the cap, which stops the scan
+        stop = list(islice(found(), cap + 1))[-1]
+        z = stop[1] if isinstance(stop, tuple) else stop.indices[1]
+        with monkeypatch.context() as mp:
+            force_threads(mp, m, middles)
+            mp.setattr(metric_core, "MAX_VIOLATIONS", cap)
+            mp.setattr(sra_analysis, "MAX_VIOLATIONS", cap)
+            calls = count_blocks(mp)
+            threads = threading.active_count()
+            assert check().truncated
+            assert threading.active_count() == threads
+        workers = metric_core._scan_workers(m.n)
+        spans = sorted(calls)
+        assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+        consumed = sum(lo <= z for lo, _ in spans)
+        assert consumed <= len(spans) <= consumed + workers + 1
+        if z == 0:  # blocks start at one middle and double
+            assert spans[-1][1] <= 2 ** (workers + 2) - 1
+
+
+def test_abandoned_scan_stops_its_threads(monkeypatch):
+    m = gen_snowflaked_path(30, 0.5)
+    force_threads(monkeypatch, m, 2)
+    threads = threading.active_count()
+    scan = metric_core._middle_scan(m.dist, 0.6, default_tol(m), True)
+    assert next(scan)[0] == 0
+    if metric_core._scan_workers(m.n) > 1:
+        assert threading.active_count() > threads
+    scan.close()
+    assert threading.active_count() == threads
+    assert critical_alpha(m) <= 0.5 + 1e-12
+    assert threading.active_count() == threads
+
+
+def test_one_usable_core_scans_inline(monkeypatch):
+    m = gen_snowflaked_path(30, 0.5)
+    force_threads(monkeypatch, m, 1)
+    monkeypatch.setattr(metric_core.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert metric_core._scan_workers(m.n) == 1
+    threads = threading.active_count()
+    for _ in metric_core._middle_scan(m.dist, 0.6, default_tol(m), True):
+        assert threading.active_count() == threads
+
+
+def test_scan_workers_follow_cores_and_buffer_budget(monkeypatch):
+    monkeypatch.delattr(metric_core.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(metric_core.os, "cpu_count", lambda: 64)
+    assert metric_core._scan_workers(200) == 64
+    # Each worker has the serial scan's two n x n buffers, and all of them
+    # together stay within twice the serial scan's at MAX_POINTS.
+    assert metric_core._scan_workers(metric_core.MAX_POINTS) == 2
+    assert metric_core._scan_workers(metric_core.MAX_POINTS // 4) == 32
+    monkeypatch.setattr(metric_core.os, "cpu_count", lambda: None)
+    assert metric_core._scan_workers(200) == 1
+
+
+def test_threaded_scan_raises_no_warning(monkeypatch):
+    """A new thread starts at numpy's default error state, so the kernel must
+    quiet its own 0/0 and x/0 divisions."""
+    for name, m in scan_corpus(np.random.default_rng(50)):
+        if name in ("repeated-point", "zero-entry"):
+            force_threads(monkeypatch, m, 1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert critical_alpha(m) == oracle_critical_alpha(m)
+
+
+def test_scan_workers_call_no_public_function(monkeypatch):
+    """Tracing wraps the package's public functions and files spans by
+    thread, so only the consumer's thread may call them."""
+    callers = []
+    for module in (metric_core, sra_analysis):
+        for fname, f in vars(module).items():
+            if (not fname.startswith("_") and inspect.isfunction(f)
+                    and f.__module__ == module.__name__):
+                def wrapper(*args, _f=f, **kwargs):
+                    callers.append(threading.current_thread())
+                    return _f(*args, **kwargs)
+                monkeypatch.setattr(module, fname, wrapper)
+    m = gen_snowflaked_path(40, 0.5)
+    force_threads(monkeypatch, m, 2)
+    calls = count_blocks(monkeypatch)
+    sra_analysis.sra_report(m, 0.6, budget=1)
+    metric_core.validate_metric(m)
+    assert calls and callers
+    assert set(callers) == {threading.current_thread()}
 
 
 # ---------------------------------------------------------------------------
