@@ -9,8 +9,10 @@ order instead, with the hyperedges handed over lazily as bitmasks, which only
 triples, ``row_third`` from one boolean (b, c) block per first vertex a,
 built and packed the first time the search reaches a.  Given the optimum
 size found by the former, one in-order pass returns the lexicographically
-smallest maximum subset.  Vertices are bitmask-encoded; all tie-breaks are
-by smallest index so results are deterministic regardless of schedule.
+smallest maximum subset.  Asked for the maximum itself, the in-order search
+bounds its passes by Ostergard's Russian doll.  Vertices are bitmask-encoded;
+all tie-breaks are by smallest index so results are deterministic regardless
+of schedule.
 """
 
 from __future__ import annotations
@@ -210,23 +212,42 @@ def _in_order_search(n: int, third: Callable[[int, int], int],
     including a vertex before excluding it, keeps ``free`` (the vertices after
     the tuple's last that complete no hyperedge with two of its members) as a
     bitmask, and replaces the incumbent only on a strict improvement, so the
-    first maximum it meets is the lexicographically smallest one.
+    first tuple it meets of a size is the lexicographically first one.
+
+    With ``target``, a node is cut when its size plus the popcount of ``free``
+    cannot beat the incumbent.  Without it, the search for the maximum is
+    Ostergard's Russian doll (*A fast algorithm for the maximum clique
+    problem*, 2002): for i from n-1 down to 0, one pass asks for an
+    independent tuple that starts at i and is one point larger than
+    ``doll[i+1]``, the maximum over {i+1..n-1}; that gives ``doll[i]``.  In
+    these passes a node is also cut when its size plus ``doll`` at its lowest
+    free vertex falls short of the goal.  A last pass under the same bound
+    asks for the first tuple of size ``doll[0]``, unless the pass at 0 has
+    found it already.
     """
     masks: dict[int, int] = {}
     seq: list[int] = []
     best: tuple[int, ...] = ()
+    goal = 1  # the size the search looks for next
+    doll = [0] * (n + 1) if target is None else None
 
     def extend(free: int) -> bool:
-        nonlocal best
+        nonlocal best, goal
         size = len(seq)
-        if size > len(best):
+        if size >= goal:
             best = tuple(seq)
             if size == target:
                 return True
-        while free and size + free.bit_count() > len(best):
+            goal = size + 1
+        while free:
             low = free & -free
-            free ^= low
             v = low.bit_length() - 1
+            room = free.bit_count()
+            if doll is not None and doll[v] < room:
+                room = doll[v]
+            if size + room < goal:
+                break
+            free ^= low
             cut = 0
             for a in seq:
                 key = a * n + v
@@ -240,5 +261,15 @@ def _in_order_search(n: int, third: Callable[[int, int], int],
             seq.pop()
         return False
 
-    extend((1 << n) - 1)
+    if doll is None:
+        extend((1 << n) - 1)
+        return best
+    for i in range(n - 1, -1, -1):  # each pass stops at its first tuple of size goal
+        seq[:] = [i]
+        goal = target = doll[i + 1] + 1
+        doll[i] = goal if extend((1 << n) - (2 << i)) else goal - 1
+    if n == 0 or doll[0] == doll[1]:
+        seq.clear()
+        goal = target = doll[0]
+        extend((1 << n) - 1)
     return best

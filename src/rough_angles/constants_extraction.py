@@ -44,7 +44,7 @@ import numpy as np
 from . import _hypergraph
 from .dse_spaces import DseSpace, _dse_violations
 from .metric_core import _metric_violations, subspace
-from .sra_analysis import SubsetCertificate, is_sra, violating_triples
+from .sra_analysis import SubsetCertificate, _sra_third, is_sra
 
 Rational = Union[int, float, str, Fraction]
 
@@ -624,9 +624,12 @@ def extract_sra_subspace(
     4. "below-threshold": no route produced k points; the sizes reached are
        reported and no certificate is fabricated.
 
-    No search is budgeted.  The direct search visits only independent tuples
-    of at most k points, at most 1 + sum_{j<k} C(n, j): O(n^3) for k <= 4;
-    when it finds no k-tuple, the size it reports is the exact maximum.
+    No search is budgeted.  The largest theta-straight subset is a Russian-doll
+    search.  The direct search visits only independent tuples of at most k
+    points, at most 1 + sum_{j<k} C(n, j): O(n^3) for k <= 4; when it finds
+    no k-tuple, the size it reports is the exact maximum.  It reads the
+    violating triples through ``_sra_third``, one row per first vertex it
+    reaches, so it lists no violation beforehand.
     """
     theta = default_theta(alpha)
     if k < 2:
@@ -658,8 +661,7 @@ def extract_sra_subspace(
         return ExtractionResult(alpha, theta, k, n_blue, "straight-red", cert, straight)
     blue_found = monochrome(False, n_blue)
 
-    direct = _hypergraph._in_order_search(
-        d.n, _hypergraph.edge_third(violating_triples(d.space, alpha)), target=k)
+    direct = _hypergraph._in_order_search(d.n, _sra_third(d.space, alpha), target=k)
     cert = certified(direct)
     if cert is not None:
         return ExtractionResult(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -62,6 +62,11 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
 
 
+def _check_symmetric(d: np.ndarray) -> None:
+    if not np.array_equal(d, d.T):
+        raise ValueError("SRA analysis needs a symmetric distance matrix")
+
+
 def _violations(d: np.ndarray, alpha: float, tol: float,
                 needs: Optional[list] = None) -> Iterator[tuple[int, int, int, float]]:
     """Yield (x, z, y, slack) for every triple whose slack
@@ -71,8 +76,7 @@ def _violations(d: np.ndarray, alpha: float, tol: float,
 
     Only symmetric ``d`` is accepted: x < y covers both orientations of a
     triple only when d(x,y) = d(y,x)."""
-    if not np.array_equal(d, d.T):
-        raise ValueError("SRA analysis needs a symmetric distance matrix")
+    _check_symmetric(d)
     for z, need, hits in _middle_scan(d, alpha, tol, needs is not None):
         if needs is not None:
             needs.append(need)
@@ -81,6 +85,37 @@ def _violations(d: np.ndarray, alpha: float, tol: float,
         xs, ys, slack = hits
         keep = (xs < ys) & (xs != z) & (ys != z)
         yield from zip(xs[keep].tolist(), repeat(z), ys[keep].tolist(), slack[keep].tolist())
+
+
+def _sra_third(m: FiniteMetricSpace, alpha: float,
+               tol: Optional[float] = None) -> Callable[[int, int], int]:
+    """``third`` for ``_hypergraph._in_order_search`` of the hyperedges of
+    ``violating_triples``, built one row per first vertex a.  With
+    r = d(a, b) over b > a and S = d(b, c) over b, c > a, the block of a is
+    true where {a, b, c} violates with middle a, b or c, each slack in the
+    float operations of the per-middle scan, so the masks are bit for bit
+    those of ``edge_third(violating_triples(m, alpha, tol))``, with no scan
+    of the rows the search never reaches."""
+    _check_alpha(alpha)
+    d = m.dist
+    _check_symmetric(d)
+    if tol is None:
+        tol = default_tol(m)
+
+    def over(far: np.ndarray, near: np.ndarray, mid: np.ndarray) -> np.ndarray:
+        # far - max(near + alpha*mid, alpha*near + mid) > tol, in two temporaries.
+        top = near + alpha * mid
+        return np.subtract(far, np.maximum(top, alpha * near + mid, out=top), out=top) > tol
+
+    def bad_row(a: int) -> np.ndarray:
+        r, s = d[a, a + 1:], d[a + 1:, a + 1:]
+        ra, rc = r[:, None], r[None, :]
+        bad = over(s, ra, rc)  # middle a
+        bad |= over(rc, ra, s)  # middle b
+        bad |= over(ra, rc, s)  # middle c
+        return bad
+
+    return _hypergraph.row_third(bad_row)
 
 
 def is_sra(m: FiniteMetricSpace, alpha: float, tol: Optional[float] = None) -> SraVerdict:

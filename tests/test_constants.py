@@ -607,23 +607,30 @@ def test_in_order_search_matches_brute_force():
 
 
 def test_in_order_search_prunes_ties():
-    # With the one edge {0, 1, 2} the first maximum is (0, 1, 3); every other
-    # branch can at best tie it, so no other pair's mask is asked for.
+    # With the one edge {0, 1, 2} the first independent triple is (0, 1, 3);
+    # the popcount search of a target meets it first, so no other pair's mask
+    # is asked for.
     calls = []
 
     def third(a, b):
         calls.append((a, b))
         return 1 << 2 if (a, b) == (0, 1) else 0
 
-    assert _in_order_search(4, third) == (0, 1, 3)
+    assert _in_order_search(4, third, target=3) == (0, 1, 3)
     assert calls == [(0, 1), (0, 3), (1, 3)]
 
 
-def test_row_third_and_edge_third_match_edge_lists():
+def random_hypergraphs():
+    """(n, edges): ``hypergraph_corpus``, then 20-vertex hypergraphs with
+    edge densities 0.05 and 0.3."""
+    yield from hypergraph_corpus()
     rng = np.random.default_rng(5)
-    big = [(20, [t for t in combinations(range(20), 3) if rng.random() < p])
-           for p in (0.05, 0.3)]
-    for n, edges in chain(hypergraph_corpus(), big):
+    for p in (0.05, 0.3):
+        yield 20, [t for t in combinations(range(20), 3) if rng.random() < p]
+
+
+def test_row_third_and_edge_third_match_edge_lists():
+    for n, edges in random_hypergraphs():
         edge_set = set(edges)
         by_edges = edge_third(edges)
         # Entries with c <= b are set, to show that row_third ignores them.
@@ -637,8 +644,9 @@ def test_row_third_and_edge_third_match_edge_lists():
 
 
 def test_row_third_builds_each_reached_row_once():
-    # The graph of test_in_order_search_prunes_ties: the search asks for the
-    # pairs (0, 1), (0, 3) and (1, 3), so only rows 0 and 1 are built.
+    # The graph of test_in_order_search_prunes_ties: the search for a triple
+    # asks for the pairs (0, 1), (0, 3) and (1, 3), so only rows 0 and 1 are
+    # built.
     rows = []
 
     def bad_row(a):
@@ -648,8 +656,98 @@ def test_row_third_builds_each_reached_row_once():
             block[0, 1] = True  # {0, 1, 2}
         return block
 
-    assert _in_order_search(4, row_third(bad_row)) == (0, 1, 3)
+    assert _in_order_search(4, row_third(bad_row), target=3) == (0, 1, 3)
     assert rows == [0, 1]
+
+
+def reference_in_order_search(n, third, target=None):
+    """The in-order search before the Russian-doll bound, kept verbatim as a
+    test oracle: one pass cut by the popcount of ``free`` alone."""
+    masks = {}
+    seq = []
+    best = ()
+
+    def extend(free):
+        nonlocal best
+        size = len(seq)
+        if size > len(best):
+            best = tuple(seq)
+            if size == target:
+                return True
+        while free and size + free.bit_count() > len(best):
+            low = free & -free
+            free ^= low
+            v = low.bit_length() - 1
+            cut = 0
+            for a in seq:
+                key = a * n + v
+                mask = masks.get(key)
+                if mask is None:
+                    mask = masks[key] = third(a, v)
+                cut |= mask
+            seq.append(v)
+            if extend(free & ~cut):
+                return True
+            seq.pop()
+        return False
+
+    extend((1 << n) - 1)
+    return best
+
+
+def recorded(third):
+    """``third`` and the list of the pairs it is asked for."""
+    calls = []
+
+    def asked(a, b):
+        calls.append((a, b))
+        return third(a, b)
+
+    return asked, calls
+
+
+def assert_asked_once(calls):
+    assert len(calls) == len(set(calls)) and all(a < b for a, b in calls)
+
+
+def test_russian_doll_search_matches_popcount_search():
+    for n, edges in random_hypergraphs():
+        third, calls = recorded(edge_third(edges))
+        assert _in_order_search(n, third) == reference_in_order_search(n, edge_third(edges))
+        assert_asked_once(calls)
+
+
+def test_target_searches_keep_the_popcount_search():
+    # Same tuple and the same pairs asked for, in the same order.
+    for n, edges in random_hypergraphs():
+        for k in range(1, min(n, 6) + 1):
+            third, calls = recorded(edge_third(edges))
+            want, want_calls = recorded(edge_third(edges))
+            assert (_in_order_search(n, third, target=k)
+                    == reference_in_order_search(n, want, target=k))
+            assert calls == want_calls
+
+
+def test_russian_doll_straight_search_on_snowflaked_paths():
+    for beta in (0.5, 0.2, 0.1):
+        for n in (12, 25, 37, 50):
+            d = gen_snowflaked_path(n, beta)
+            dist = d.dist
+            for alpha in (0.6, 0.8, 0.95):
+                theta = default_theta(alpha)
+                rows = []
+
+                def bad_row(a):
+                    rows.append(a)
+                    return dist[a, None, a + 1:] > (dist[a, a + 1:, None]
+                                                    + theta * dist[a + 1:, a + 1:])
+
+                third, calls = recorded(row_third(bad_row))
+                want = reference_in_order_search(n, _straight_third(d, theta))
+                assert _in_order_search(n, third) == want
+                assert max_theta_straight_subset(d, theta) == want
+                assert_asked_once(calls)
+                assert len(rows) == len(set(rows))
 
 
 def pair_mask(row, b):
@@ -785,6 +883,15 @@ def test_direct_search_on_gradient_dse():
     res = extract_sra_subspace(gradient_dse(9, 40), 0.8, 4)
     assert res.branch == "direct-search"
     assert res.certificate.subset == (0, 1, 38, 39) and res.certificate.bound == 41
+
+
+def test_extract_on_snowflaked_path_keeps_its_result():
+    # The result of the popcount search, which took about 6.6 s on a 2-core VM.
+    res = extract_sra_subspace(gen_snowflaked_path(60, 0.05), 0.8, 4)
+    assert res.branch == "straight-red"
+    assert res.certificate.subset == (0, 5, 10, 14)
+    assert res.straight_subset == (0, 5, 10, 14, 18, 22, 25, 28, 31, 34, 36, 38, 40, 42, 44,
+                                   45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from rough_angles import (
 from rough_angles import metric_core, sra_analysis
 
 from rough_angles._hypergraph import (SearchResult, _Budget, _canonical_edges, _matching_bound,
-                                      max_independent_subset)
+                                      edge_third, max_independent_subset)
 from rough_angles.sra_analysis import MAX_VIOLATIONS, AngleAudit, AngleAuditEntry
 
 from _generators import (
@@ -364,12 +364,56 @@ def test_asymmetric_input_is_refused():
             for tol in (None, 0.0):
                 with pytest.raises(ValueError, match="symmetric"):
                     is_sra(m, alpha, tol=tol)
-                with pytest.raises(ValueError, match="symmetric"):
+                with pytest.raises(ValueError, match="symmetric") as want:
                     violating_triples(m, alpha, tol=tol)
+                with pytest.raises(ValueError) as got:
+                    sra_analysis._sra_third(m, alpha, tol=tol)
+                assert str(got.value) == str(want.value)
                 with pytest.raises(ValueError, match="symmetric"):
                     sra_report(m, alpha, tol=tol)
                 with pytest.raises(ValueError, match="symmetric"):
                     max_sra_subset(m, alpha, tol=tol)
+
+
+def assert_rows_match_triples(m, alpha, tol):
+    want = edge_third(violating_triples(m, alpha, tol=tol))
+    got = sra_analysis._sra_third(m, alpha, tol=tol)
+    for a, b in combinations(range(m.n), 2):
+        assert got(a, b) == want(a, b), (a, b)
+
+
+def test_sra_rows_match_violating_triples():
+    """The hyperedge rows of the direct search against the masks of the
+    violation scan, bit for bit, on degenerate and boundary inputs."""
+    for name, m in scan_corpus(np.random.default_rng(50)):
+        alphas = (0.8,) if m.n > 20 else (0.2, 0.5, 0.8, 0.95)
+        for alpha in alphas:
+            for tol in (None, 0.0, -1e-6):
+                assert_rows_match_triples(m, alpha, tol)
+
+
+def test_sra_rows_at_the_tolerance_and_branch_ties():
+    # A triple's largest slack over its three middles, in the scan's float
+    # operations: at tol exactly the triple is no hyperedge, one ulp above
+    # tol it is.  The equal legs tie the two branches of the SRA bound.
+    rng = np.random.default_rng(51)
+    spaces = [equilateral(), collinear(3), boundary_triple(0.5, 1.0),
+              FiniteMetricSpace([[0, 1, 1.5], [1, 0, 1], [1.5, 1, 0]])]
+    for _ in range(10):
+        d = random_metric(3, rng).dist
+        spaces += [FiniteMetricSpace(d[np.ix_(p, p)]) for p in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
+    worst = set()
+    for m in spaces:
+        d = m.dist
+        for alpha in (0.2, 0.5, 0.8, 0.95):
+            slacks = [d[x, y] - max(d[x, z] + alpha * d[z, y], alpha * d[x, z] + d[z, y])
+                      for x, z, y in ((1, 0, 2), (0, 1, 2), (0, 2, 1))]
+            top = max(slacks)
+            worst.add(slacks.index(top))
+            for tol, edge in ((top, 0), (np.nextafter(top, -np.inf), 1 << 2)):
+                assert sra_analysis._sra_third(m, alpha, tol=tol)(0, 1) == edge
+                assert_rows_match_triples(m, alpha, tol)
+    assert worst == {0, 1, 2}
 
 
 def test_violations_truncated_at_max():
