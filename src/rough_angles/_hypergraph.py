@@ -3,22 +3,22 @@
 A subset of vertices is independent when it contains no hyperedge entirely.
 ``max_independent_subset`` solves the complementary minimum hitting-set
 problem by budgeted branch and bound: every edge needs at least one vertex
-outside the subset.  ``_in_order_search`` grows increasing tuples in index
-order instead, with the hyperedges handed over lazily as bitmasks, which only
-``row_third`` and ``edge_third`` build: ``edge_third`` from a list of
-triples, ``row_third`` from one boolean (b, c) block per first vertex a,
-built and packed the first time the search reaches a.  Given the optimum
-size found by the former, one in-order pass returns the lexicographically
-smallest maximum subset.  Asked for the maximum itself, the in-order search
-bounds its passes by Ostergard's Russian doll.  Vertices are bitmask-encoded;
-all tie-breaks are by smallest index so results are deterministic regardless
-of schedule.
+outside the subset.  It takes the hyperedges as a sorted list of distinct
+increasing triples, as its callers build them, and does not check that.
+``_in_order_search`` grows increasing tuples in index order instead, with the
+hyperedges handed over lazily as bitmasks, which only ``row_third`` builds:
+from one boolean (b, c) block per first vertex a, built and packed the first
+time the search reaches a.  Given the optimum size found by the former, one
+in-order pass returns the lexicographically smallest maximum subset.  Asked
+for the maximum itself, the in-order search bounds its passes by Ostergard's
+Russian doll.  Vertices are bitmask-encoded; all tie-breaks are by smallest
+index so results are deterministic regardless of schedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -33,34 +33,6 @@ class SearchResult:
     optimal: bool
     upper_bound: int
     nodes: int
-
-
-class _Budget:
-    """Counts search nodes; with a limit, refuses any node past it."""
-
-    __slots__ = ("limit", "used", "exhausted")
-
-    def __init__(self, limit: Optional[int]):
-        self.limit = limit
-        self.used = 0
-        self.exhausted = False
-
-    def tick(self) -> bool:
-        if self.limit is not None and self.used >= self.limit:
-            self.exhausted = True
-            return False
-        self.used += 1
-        return True
-
-
-def _canonical_edges(triples: Iterable[Sequence[int]]) -> list[tuple[int, int, int]]:
-    seen = set()
-    for t in triples:
-        e = tuple(sorted(int(v) for v in t))
-        if len(set(e)) != 3:
-            raise ValueError(f"hyperedge must have 3 distinct vertices, got {t}")
-        seen.add(e)
-    return sorted(seen)
 
 
 def _greedy_cover(n: int, edges: list[tuple[int, int, int]]) -> int:
@@ -95,25 +67,29 @@ def _matching_bound(edges: list[tuple[int, int, int]]) -> int:
 
 def max_independent_subset(
     n: int,
-    triples: Iterable[Sequence[int]],
+    edges: list[tuple[int, int, int]],
     budget: Optional[int] = DEFAULT_BUDGET,
 ) -> SearchResult:
-    """Largest subset of range(n) spanning no triple.  On budget exhaustion
-    the best subset found is returned with ``optimal=False``, so budget 0
-    returns the complement of the greedy cover.  A negative budget is refused."""
+    """Largest subset of range(n) spanning no triple of ``edges``, which must
+    be a sorted list of distinct increasing triples (as ``violating_triples``
+    and ``sra_report`` build them).  Each search node counts against
+    ``budget`` (None: no limit).  On budget exhaustion the best subset found
+    is returned with ``optimal=False``, so budget 0 returns the complement of
+    the greedy cover.  A negative budget is refused."""
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    edges = _canonical_edges(triples)
     upper = n - _matching_bound(edges)
     best_cover = _greedy_cover(n, edges)
     best_cover_size = best_cover.bit_count()
-
-    budget_box = _Budget(budget)
+    nodes = 0
+    exhausted = False
 
     def recurse(cover: int, keep: int, cover_size: int) -> None:
-        nonlocal best_cover, best_cover_size
-        if not budget_box.tick():
+        nonlocal best_cover, best_cover_size, nodes, exhausted
+        if budget is not None and nodes >= budget:
+            exhausted = True
             return
+        nodes += 1
         # Unit propagation: an edge with no covered vertex and <= 1 vertex
         # still undecided forces that vertex into the cover.
         while True:
@@ -164,8 +140,7 @@ def max_independent_subset(
     recurse(0, 0, 0)
 
     subset = tuple(v for v in range(n) if not (best_cover >> v) & 1)
-    return SearchResult(subset, len(subset), not budget_box.exhausted,
-                        max(upper, len(subset)), budget_box.used)
+    return SearchResult(subset, len(subset), not exhausted, max(upper, len(subset)), nodes)
 
 
 def row_third(bad_row: Callable[[int], np.ndarray]) -> Callable[[int, int], int]:
@@ -190,14 +165,6 @@ def row_third(bad_row: Callable[[int], np.ndarray]) -> Callable[[int, int], int]
         return masks[b - a - 1]
 
     return third
-
-
-def edge_third(edges: Iterable[tuple[int, int, int]]) -> Callable[[int, int], int]:
-    """``third`` for ``_in_order_search`` from increasing triples (a, b, c)."""
-    masks: dict[tuple[int, int], int] = {}
-    for a, b, c in edges:
-        masks[a, b] = masks.get((a, b), 0) | (1 << c)
-    return lambda a, b: masks.get((a, b), 0)
 
 
 def _in_order_search(n: int, third: Callable[[int, int], int],

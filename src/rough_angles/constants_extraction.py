@@ -253,11 +253,16 @@ def globq_bound(k: int, lam: int, big_r: float, small_r: float) -> int:
 # Theta-straight subsets
 # ----------------------------------------------------------------------------
 
+def _not_straight(dist: np.ndarray, a: int, theta: float) -> np.ndarray:
+    """Boolean block over (b, c) in a+1..n-1, true where
+    d(a,c) > d(a,b) + theta d(b,c): for b < c, (a, b, c) is not straight."""
+    return dist[a, None, a + 1:] > dist[a, a + 1:, None] + theta * dist[a + 1:, a + 1:]
+
+
 def _straight_third(d: DseSpace, theta: float) -> Callable[[int, int], int]:
-    """``third`` of the non-straight triples: d(a,c) > d(a,b) + theta d(b,c)."""
+    """``third`` of the non-straight triples."""
     dist = d.dist
-    return _hypergraph.row_third(
-        lambda a: dist[a, None, a + 1:] > dist[a, a + 1:, None] + theta * dist[a + 1:, a + 1:])
+    return _hypergraph.row_third(lambda a: _not_straight(dist, a, theta))
 
 
 def _colour_third(sub: np.ndarray, alpha: float, red: bool) -> Callable[[int, int], int]:
@@ -314,10 +319,9 @@ def weird_conditions_satisfied(dmat: np.ndarray, theta: float, alpha: float) -> 
     # fails when its slack d(i,k) - (d(i,j) + d(j,k)) exceeds 1e-15.
     if next(chain(_metric_violations(d, 1e-15), _dse_violations(d, 0.0)), None) is not None:
         return False
-    # Straightness by middle j, with the float expression of ``_straight_third``.
-    for j in range(1, n - 1):
-        if np.any(d[:j, j + 1:] > d[:j, j, None] + theta * d[j, j + 1:]):
-            return False
+    # Straightness, per first vertex a over a < b < c.
+    if any(np.triu(_not_straight(d, a, theta), 1).any() for a in range(n - 2)):
+        return False
     i = np.arange(n - 2)
     return not np.any(d[n - 1, i + 1] < d[n - 1, i] + alpha * d[i, i + 1])
 

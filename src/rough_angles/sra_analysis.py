@@ -93,9 +93,9 @@ def _sra_third(m: FiniteMetricSpace, alpha: float,
     ``violating_triples``, built one row per first vertex a.  With
     r = d(a, b) over b > a and S = d(b, c) over b, c > a, the block of a is
     true where {a, b, c} violates with middle a, b or c, each slack in the
-    float operations of the per-middle scan, so the masks are bit for bit
-    those of ``edge_third(violating_triples(m, alpha, tol))``, with no scan
-    of the rows the search never reaches."""
+    float operations of the per-middle scan, so the masks hold bit for bit
+    the triples of ``violating_triples(m, alpha, tol)``, with no scan of the
+    rows the search never reaches."""
     _check_alpha(alpha)
     d = m.dist
     _check_symmetric(d)
@@ -159,18 +159,18 @@ def violating_triples(
     return sorted({tuple(sorted(v[:3])) for v in _violations(m.dist, alpha, tol)})
 
 
-def _certificate(
-    n: int, edges: list[tuple[int, int, int]], alpha: float, budget: Optional[int]
-) -> SubsetCertificate:
-    """Maximum independent subset of the sorted violating-triple hypergraph
-    ``edges``.  One budgeted search gives the size, ``optimal`` and the bound;
-    when it completed, one in-order pass for the first independent tuple of
-    that size replaces its subset by the lexicographically smallest optimum."""
-    res = _hypergraph.max_independent_subset(n, edges, budget=budget)
+def _certificate(m: FiniteMetricSpace, edges: list[tuple[int, int, int]], alpha: float,
+                 tol: Optional[float], budget: Optional[int]) -> SubsetCertificate:
+    """Maximum SRA(alpha) subset of ``m``, whose sorted violating triples at
+    ``tol`` are ``edges``.  One budgeted branch and bound over ``edges`` gives
+    the size, ``optimal`` and the bound.  When it completed below ``m.n``,
+    one in-order pass for the first independent tuple of that size, over the
+    rows of ``_sra_third(m, alpha, tol)``, replaces its subset by the
+    lexicographically smallest optimum."""
+    res = _hypergraph.max_independent_subset(m.n, edges, budget=budget)
     subset = res.subset
-    if res.optimal and res.size < n:
-        subset = _hypergraph._in_order_search(n, _hypergraph.edge_third(edges),
-                                              target=res.size)
+    if res.optimal and res.size < m.n:
+        subset = _hypergraph._in_order_search(m.n, _sra_third(m, alpha, tol), target=res.size)
     return SubsetCertificate(alpha=float(alpha), subset=subset, size=res.size,
                              optimal=res.optimal, bound=res.upper_bound)
 
@@ -186,9 +186,11 @@ def max_sra_subset(
     returned with ``optimal=False`` and a proven upper bound.
 
     Among equal-size optima the lexicographically smallest subset is returned,
-    so certificates are reproducible.
+    so certificates are reproducible: a completed search is rebuilt by one
+    in-order pass over the hyperedge rows of ``_sra_third`` at the same
+    ``tol``.
     """
-    return _certificate(m.n, violating_triples(m, alpha, tol=tol), alpha, budget)
+    return _certificate(m, violating_triples(m, alpha, tol=tol), alpha, tol, budget)
 
 
 # ----------------------------------------------------------------------------
@@ -289,7 +291,7 @@ def sra_report(
         if len(shown) < MAX_VIOLATIONS:
             shown.append({"x": x, "z": z, "y": y, "slack": slack})
         edges.add(tuple(sorted((x, z, y))))
-    cert = _certificate(m.n, sorted(edges), alpha, budget)
+    cert = _certificate(m, sorted(edges), alpha, tol, budget)
     return {
         "alpha": float(alpha),
         "is_sra": not shown,

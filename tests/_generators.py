@@ -6,9 +6,14 @@ Three constructions, all metrics by construction:
   triangle inequality since every sum of two entries is >= 2.
 * euclidean: pairwise distances of a random point cloud.
 * graph: shortest-path closure (Floyd-Warshall) of random positive weights.
+
+``edge_third`` turns a list of hyperedges into the ``third`` masks of the
+in-order search, as a test's independent route to them.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -64,6 +69,15 @@ def gradient_dse(seed: int, steps: int = 40):
     q = a.T @ a + 0.5 * np.eye(2)
     step = 0.9 / float(np.max(np.linalg.eigvalsh(q)))
     return curve_to_dse(gen_gradient_trajectory(q, rng.standard_normal(2), step, steps))
+
+
+def edge_third(edges: Iterable[tuple[int, int, int]]) -> Callable[[int, int], int]:
+    """``third`` for ``_hypergraph._in_order_search`` from increasing triples
+    (a, b, c)."""
+    masks: dict[tuple[int, int], int] = {}
+    for a, b, c in edges:
+        masks[a, b] = masks.get((a, b), 0) | (1 << c)
+    return lambda a, b: masks.get((a, b), 0)
 
 
 def boundary_triple(alpha: float, frac: float, scale: float = 1.0) -> FiniteMetricSpace:

@@ -21,11 +21,9 @@ import time
 from itertools import combinations
 
 import numpy as np
-import pytest
 
 from rough_angles import (
     EUCLIDEAN_L2,
-    FiniteMetricSpace,
     ModelSpaceSpec,
     PointCloud,
     all_pair_colorings_force_triangle,

@@ -35,7 +35,7 @@ from rough_angles import (
     weird_conditions_satisfied,
 )
 
-from rough_angles._hypergraph import _in_order_search, edge_third, row_third
+from rough_angles._hypergraph import _in_order_search, row_third
 from rough_angles.constants_extraction import (
     VERIFY_TOL,
     _as_fraction,
@@ -49,7 +49,7 @@ from rough_angles.constants_extraction import (
 # run, unedited, against a search that has no tail.
 from rough_angles import constants_extraction
 
-from _generators import collinear, gradient_dse
+from _generators import collinear, edge_third, gradient_dse
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from rough_angles import (
     greedy_net,
     net_embed,
     sample_model,
-    subspace,
 )
 
 from _generators import collinear, random_metric

@@ -35,10 +35,12 @@ def _unused_imports(source: str) -> list[str]:
 
 
 def test_modules_use_every_name_they_import():
-    """``__init__.py`` is left out: it imports names to re-export them."""
+    """The package's modules and the test modules.  The package's
+    ``__init__.py`` is left out: it imports names to re-export them."""
     src = Path(rough_angles.__file__).parent
-    unused = {p.name: _unused_imports(p.read_text())
-              for p in sorted(src.glob("*.py")) if p.name != "__init__.py"}
+    files = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    files += sorted(Path(__file__).parent.glob("*.py"))
+    unused = {f"{p.parent.name}/{p.name}": _unused_imports(p.read_text()) for p in files}
     assert {k: v for k, v in unused.items() if v} == {}
 
 

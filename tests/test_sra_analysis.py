@@ -30,8 +30,7 @@ from rough_angles import (
 )
 from rough_angles import metric_core, sra_analysis
 
-from rough_angles._hypergraph import (SearchResult, _Budget, _canonical_edges, _matching_bound,
-                                      edge_third, max_independent_subset)
+from rough_angles._hypergraph import SearchResult, max_independent_subset
 from rough_angles.sra_analysis import MAX_VIOLATIONS, AngleAudit, AngleAuditEntry
 
 from _generators import (
@@ -40,6 +39,7 @@ from _generators import (
     angle_corpus,
     boundary_triple,
     collinear,
+    edge_third,
     gradient_dse,
     graph_metric,
     random_metric,
@@ -293,6 +293,11 @@ def check_against_oracles(m, alpha, tol, budget):
     assert rep["violations"] == [{"x": x, "z": z, "y": y, "slack": s}
                                  for x, z, y, s in expect[:MAX_VIOLATIONS]]
     assert rep["tol"] == verdict.tol
+    # The report's search reads the need-gated scan's edges, max_sra_subset
+    # those of violating_triples; both rebuild from the ungated rows.
+    cert = max_sra_subset(m, alpha, budget=budget, tol=tol)
+    assert rep["max_subset"] == {"indices": list(cert.subset), "size": cert.size,
+                                 "optimal": cert.optimal, "bound": cert.bound}
     return rep
 
 
@@ -307,9 +312,6 @@ def test_violation_scan_matches_triple_loop_oracle():
                 for tol in (0.0, None):
                     rep = check_against_oracles(m, alpha, tol, 500_000)
                     assert rep["critical_alpha"] == crit
-                    cert = max_sra_subset(m, alpha, tol=tol)
-                    assert rep["max_subset"] == {"indices": list(cert.subset), "size": cert.size,
-                                                 "optimal": cert.optimal, "bound": cert.bound}
 
 
 def test_scan_corpus_matches_oracles():
@@ -441,7 +443,7 @@ def test_budgeted_search_matches_reference():
 
 
 def test_search_counts_nodes_without_budget():
-    edges = [(0, 1, 2), (1, 2, 3), (0, 2, 4), (2, 3, 4)]
+    edges = [(0, 1, 2), (0, 2, 4), (1, 2, 3), (2, 3, 4)]
     free = max_independent_subset(5, edges, budget=None)
     capped = max_independent_subset(5, edges, budget=10**6)
     assert free.nodes == capped.nodes > 0
@@ -449,7 +451,50 @@ def test_search_counts_nodes_without_budget():
 
 # Reference copies of the certificate rebuild that the in-order pass
 # replaced: prefix forcing, one forced and targeted re-search per vertex.
-# Kept verbatim as test oracles.
+# Kept verbatim as test oracles, with the search helpers they used, so that
+# they share no code with the search they check.
+
+class _Budget:
+    """Counts search nodes; with a limit, refuses any node past it."""
+
+    __slots__ = ("limit", "used", "exhausted")
+
+    def __init__(self, limit: Optional[int]):
+        self.limit = limit
+        self.used = 0
+        self.exhausted = False
+
+    def tick(self) -> bool:
+        if self.limit is not None and self.used >= self.limit:
+            self.exhausted = True
+            return False
+        self.used += 1
+        return True
+
+
+def _canonical_edges(triples: Iterable[Sequence[int]]) -> list[tuple[int, int, int]]:
+    seen = set()
+    for t in triples:
+        e = tuple(sorted(int(v) for v in t))
+        if len(set(e)) != 3:
+            raise ValueError(f"hyperedge must have 3 distinct vertices, got {t}")
+        seen.add(e)
+    return sorted(seen)
+
+
+def _matching_bound(edges: list[tuple[int, int, int]]) -> int:
+    """Number of pairwise vertex-disjoint edges found greedily: a lower bound
+    on any hitting set of those edges."""
+    used = 0
+    count = 0
+    for a, b, c in edges:
+        m = (1 << a) | (1 << b) | (1 << c)
+        if used & m:
+            continue
+        used |= m
+        count += 1
+    return count
+
 
 def _reference_greedy_cover(n: int, edges: list[tuple[int, int, int]], banned: int) -> Optional[int]:
     """Cover all edges by repeatedly taking the non-banned vertex of highest
