@@ -269,13 +269,15 @@ def _cmd_refute_weird(args) -> int:
 
 
 def _cmd_net_embed(args) -> int:
+    if args.format == "csv" and not args.out:
+        raise ValueError("--format csv writes its coordinates to --out, which is missing")
     m = rio.load_distance_matrix(args.in_path)
     r = args.r if args.r is not None else 0.1 * diameter(m)
     net = greedy_net(m, r)
     emb = net_embed(m, net)
     result = {"gamma": emb.gamma, "upper": emb.upper, "net_size": len(emb.net),
               "net": emb.net, "r": r}
-    csv_out = bool(args.out) and args.format == "csv"
+    csv_out = args.format == "csv"
     if csv_out:
         rio.save_net_coords(emb, args.out)
         result["out"] = args.out
@@ -379,7 +381,7 @@ _FLAGS = {
     "step": dict(type=_finite),
     "dim": dict(type=int, default=2),
     "model": dict(default=EUCLIDEAN_L2),
-    "scales": dict(type=_finite, nargs="*"),
+    "scales": dict(type=_finite, nargs="+"),
     "format": dict(choices=["json", "csv"], default="json"),
 }
 

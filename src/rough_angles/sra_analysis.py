@@ -214,6 +214,10 @@ class AngleAudit:
     boundary_dropped: int
 
 
+# Most cosines, Z*n*n, that one block of Z middles of the angle audit holds.
+_ANGLE_BLOCK_ELEMENTS = 1 << 14
+
+
 def euclidean_angle_audit(pc: PointCloud, alpha: float) -> AngleAudit:
     """Triples of a Euclidean cloud whose vertex angle at the middle point
     exceeds arccos(-alpha).
@@ -235,38 +239,49 @@ def euclidean_angle_audit(pc: PointCloud, alpha: float) -> AngleAudit:
     dropped = 0
 
     dmat = _pairwise(pc.model, coords)
+    above = np.triu(np.ones((n, n), dtype=bool), 1)
 
-    # The cosine matrix differs from the per-pair cosines below by a few ulps,
-    # so the candidate cut sits 1e-9 above -alpha: every triple whose exact
-    # angle exceeds the threshold is a candidate.  A middle's candidates are
-    # then decided as one batch: their dot products come from one batched
-    # matmul, whose 1-by-d times d-by-1 products run the kernel of np.dot, and
-    # their cosines and SRA slacks are array arithmetic, all bit for bit what
-    # a per-pair loop gives.  math.acos stays per candidate, as np.arccos
-    # rounds differently from it.
+    # Middles are audited in contiguous blocks of Z, each in one pass over
+    # (Z, n, d) offsets, so that a small cloud pays numpy's call overhead once
+    # per block rather than once per middle; _ANGLE_BLOCK_ELEMENTS bounds the
+    # Z*n*n cosines of a block, which leaves a cloud of 91 or more points at
+    # one middle per block.  The batched cosine matrix differs from the
+    # per-pair cosines below by a few ulps, so the candidate cut sits 1e-9
+    # above -alpha: every triple whose exact angle exceeds the threshold is
+    # a candidate.  A block's candidates are then decided as one batch:
+    # their dot products come from one batched matmul, whose 1-by-d times
+    # d-by-1 products run the kernel of np.dot, and their cosines and SRA
+    # slacks are array arithmetic, all bit for bit what a per-pair loop
+    # gives.  math.acos stays per candidate, mapped over the block, as
+    # np.arccos rounds differently from it; the masks below keep the
+    # comparisons of a per-candidate loop, so a NaN angle or slack is kept
+    # as an entry just as that loop would keep it.
     cut = -alpha + 1e-9
-    for z in range(n):
-        v = coords - coords[z]
-        norms = np.linalg.norm(v, axis=1)
+    block = max(1, _ANGLE_BLOCK_ELEMENTS // max(1, n * n))
+    for z0 in range(0, n, block):
+        zs = np.arange(z0, min(z0 + block, n))
+        v = coords[None, :, :] - coords[zs][:, None, :]
+        norms = np.linalg.norm(v, axis=2)
         degenerate = norms <= 1e-12  # holds at z itself: v[z] is exactly 0
-        skipped += [(x, z) for x in np.flatnonzero(degenerate).tolist() if x != z]
+        zi, xi = np.nonzero(degenerate)
+        skipped += [(x, z) for x, z in zip(xi.tolist(), (zi + z0).tolist()) if x != z]
         legs = ~degenerate
         with np.errstate(divide="ignore", invalid="ignore"):
-            cos = (v @ v.T) / (norms[:, None] * norms[None, :])
-        candidates = np.triu(~(cos >= cut), 1) & legs[:, None] & legs[None, :]
-        xs, ys = np.nonzero(candidates)
-        dots = np.matmul(v[xs][:, None, :], v[ys][:, :, None])[:, 0, 0]
-        cosang = np.clip(dots / (norms[xs] * norms[ys]), -1.0, 1.0)
+            cos = np.matmul(v, v.transpose(0, 2, 1)) / (norms[:, :, None] * norms[:, None, :])
+        candidates = ~(cos >= cut) & above & legs[:, :, None] & legs[:, None, :]
+        zi, xs, ys = np.nonzero(candidates)
+        z = zs[zi]
+        dots = np.matmul(v[zi, xs][:, None, :], v[zi, ys][:, :, None])[:, 0, 0]
+        cosang = np.clip(dots / (norms[zi, xs] * norms[zi, ys]), -1.0, 1.0)
         a, b = dmat[xs, z], dmat[z, ys]
         slack = dmat[xs, ys] - np.maximum(a + alpha * b, alpha * a + b)
-        for x, y, c, s in zip(xs.tolist(), ys.tolist(), cosang.tolist(), slack.tolist()):
-            ang = math.acos(c)
-            if ang <= threshold:
-                continue
-            if s <= 0.0:
-                dropped += 1
-                continue
-            entries.append(AngleAuditEntry(x, z, y, ang))
+        ang = np.array(list(map(math.acos, cosang.tolist())))
+        wide = ~(ang <= threshold)
+        short = slack <= 0.0
+        dropped += int(np.count_nonzero(wide & short))
+        keep = wide & ~short
+        entries += map(AngleAuditEntry, xs[keep].tolist(), z[keep].tolist(), ys[keep].tolist(),
+                       ang[keep].tolist())
     return AngleAudit(alpha=float(alpha), threshold=threshold, entries=tuple(entries),
                       skipped_degenerate=tuple(sorted(skipped)), boundary_dropped=dropped)
 

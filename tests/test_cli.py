@@ -436,6 +436,27 @@ def test_doubling_cli(capsys, collinear6):
     assert rep["result"]["estimates"][0]["covering_number"] >= 1
 
 
+def test_net_embed_csv_needs_out(capsys, tmp_path, monkeypatch):
+    """--format csv writes its coordinates to --out; without --out it is an
+    error, found before the input is read (here the input does not exist)."""
+    monkeypatch.chdir(tmp_path)
+    rc = main(["net-embed", "--in", "missing.json", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and "--out" in captured.err
+    assert captured.err.count("\n") == 1 and "missing.json" not in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+def test_doubling_scales_default_and_empty(capsys, collinear6):
+    """Without --scales the report echoes the default, a quarter of the
+    diameter; --scales with no values is a usage error, not that default."""
+    rc, rep = run(capsys, "doubling", "--in", collinear6)
+    assert rc == 0 and rep["params"]["scales"] == [1.25]
+    usage_error(capsys, ["doubling", "--in", collinear6, "--scales"],
+                "argument --scales: expected at least one argument")
+
+
 def test_freeness_cover_cli(capsys, collinear6):
     rc, rep = run(capsys, "freeness-cover", "--in", collinear6, "--alpha", "0.8",
                   "--r", "1.5", "--R", "5.0", "--k", "3")

@@ -1049,3 +1049,30 @@ def test_angle_audit_repeated_point_raises_no_warning():
         audit = euclidean_angle_audit(cloud(pts), 0.5)
     assert audit.skipped_degenerate == ((1, 2), (2, 1))
     assert audit == reference_angle_audit(cloud(pts), 0.5)
+
+
+def test_angle_audit_blocks_match_reference_loop(monkeypatch):
+    """The audit takes its middles a block at a time; blocks of one middle,
+    of two or three, and of the whole cloud all give the triple loop's
+    entries (angles bit for bit), degenerate notices and boundary drops."""
+    for name, coords in angle_corpus(np.random.default_rng(2024)):
+        pc = cloud(coords)
+        for alpha in ANGLE_ALPHAS:
+            want = audit_key(reference_angle_audit(pc, alpha))
+            for middles in (1, 2, 3, pc.n):
+                monkeypatch.setattr(sra_analysis, "_ANGLE_BLOCK_ELEMENTS", middles * pc.n ** 2)
+                got = audit_key(euclidean_angle_audit(pc, alpha))
+                assert got == want, (name, alpha, middles)
+
+
+def test_angle_audit_repeated_point_across_blocks_raises_no_warning(monkeypatch):
+    """Blocks of two middles put the repeated points 1 and 2 in different
+    blocks; each block's 0/0 cosines must stay silent and the degenerate
+    pair must be noticed from both sides."""
+    pts = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [-1.0, 0.1], [2.0, 0.0]]
+    monkeypatch.setattr(sra_analysis, "_ANGLE_BLOCK_ELEMENTS", 2 * len(pts) ** 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        audit = euclidean_angle_audit(cloud(pts), 0.5)
+    assert audit.skipped_degenerate == ((1, 2), (2, 1))
+    assert audit == reference_angle_audit(cloud(pts), 0.5)
