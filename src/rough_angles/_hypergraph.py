@@ -90,27 +90,23 @@ def max_independent_subset(
             exhausted = True
             return
         nodes += 1
-        # Unit propagation: an edge with no covered vertex and <= 1 vertex
-        # still undecided forces that vertex into the cover.
+        # Unit propagation: an edge with no covered vertex and one vertex
+        # still undecided forces that vertex into the cover.  None is left
+        # with no undecided vertex: propagation ran to the end before the
+        # branch that kept a vertex, so every uncovered edge then had two.
         while True:
             active: list[tuple[int, int, int]] = []
             forced_v = -1
-            infeasible = False
             for e in edges:
                 a, b, c = e
                 em = (1 << a) | (1 << b) | (1 << c)
                 if em & cover:
                     continue
                 free = [v for v in e if not (keep >> v) & 1]
-                if not free:
-                    infeasible = True
-                    break
                 if len(free) == 1:
                     forced_v = free[0]
                     break
                 active.append(e)
-            if infeasible:
-                return
             if forced_v >= 0:
                 cover |= 1 << forced_v
                 cover_size += 1

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import _hypergraph
 from .dse_spaces import DseSpace, _dse_violations
-from .metric_core import _metric_violations, subspace
+from .metric_core import _metric_violations, default_tol, subspace
 from .sra_analysis import SubsetCertificate, _sra_third, is_sra
 
 Rational = Union[int, float, str, Fraction]
@@ -586,10 +586,6 @@ def make_bundle(
                            c_m_theta=c, n_theta_alpha=n_blue, globq=gq)
 
 
-# Tolerance of the ``is_sra`` re-check of every extracted certificate.
-VERIFY_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class ExtractionResult:
     alpha: float
@@ -634,15 +630,20 @@ def extract_sra_subspace(
     no k-tuple, the size it reports is the exact maximum.  It reads the
     violating triples through ``_sra_third``, one row per first vertex it
     reaches, so it lists no violation beforehand.
+
+    The direct search and every ``is_sra`` re-check run at one tolerance,
+    ``default_tol(d.space)``, so a tuple the direct search finds is always
+    certified.
     """
     theta = default_theta(alpha)
     if k < 2:
         raise ValueError("need k >= 2")
     n_blue = n_of_theta_alpha(theta, alpha)
+    tol = default_tol(d.space)
 
     def certified(subset: tuple[int, ...]) -> Optional[SubsetCertificate]:
         # The k-subset as a certificate, if ``is_sra`` re-verifies it.
-        if len(subset) == k and is_sra(subspace(d.space, subset), alpha, tol=VERIFY_TOL).is_sra:
+        if len(subset) == k and is_sra(subspace(d.space, subset), alpha, tol=tol).is_sra:
             return SubsetCertificate(alpha=float(alpha), subset=subset, size=k,
                                      optimal=False, bound=d.n)
         return None
@@ -665,7 +666,7 @@ def extract_sra_subspace(
         return ExtractionResult(alpha, theta, k, n_blue, "straight-red", cert, straight)
     blue_found = monochrome(False, n_blue)
 
-    direct = _hypergraph._in_order_search(d.n, _sra_third(d.space, alpha), target=k)
+    direct = _hypergraph._in_order_search(d.n, _sra_third(d.space, alpha, tol), target=k)
     cert = certified(direct)
     if cert is not None:
         return ExtractionResult(

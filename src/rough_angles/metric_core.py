@@ -203,6 +203,18 @@ def _scan_workers(n: int) -> int:
     return max(1, min(cores, _SCAN_BUFFER_BYTES // (16 * n * n)))
 
 
+def _sra_slack(dxy, dxz, dzy, alpha: float, out: Optional[np.ndarray] = None,
+               tmp: Optional[np.ndarray] = None) -> np.ndarray:
+    """The SRA slack d(x,y) - max{d(x,z) + alpha*d(z,y), alpha*d(x,z) + d(z,y)},
+    elementwise over the broadcast arrays, in ``out`` (``tmp`` as scratch) if
+    given.  Every SRA decision of the package computes its slacks here, so
+    they agree bit for bit.  At alpha = 1 both branches are d(x,z) + d(z,y)."""
+    out = np.add(dxz, alpha * dzy, out=out)
+    if alpha != 1.0:
+        np.maximum(out, np.add(alpha * dxz, dzy, out=tmp), out=out)
+    return np.subtract(dxy, out, out=out)
+
+
 def _scan_block(d: np.ndarray, lo: int, hi: int, alpha: Optional[float], tol: Optional[float],
                 critical: bool, gate: bool, diam: float, a: np.ndarray,
                 b: np.ndarray) -> list[tuple[int, Optional[float], Optional[tuple]]]:
@@ -221,13 +233,12 @@ def _scan_block(d: np.ndarray, lo: int, hi: int, alpha: Optional[float], tol: Op
             need = float(np.fmax.reduce(b, axis=None))
         hits = None
         if alpha is not None and not (gate and need <= alpha + tol / (2.0 * diam)):
-            np.add(col[:, None], alpha * row[None, :], out=a)
-            if alpha != 1.0:  # at alpha = 1 both branches are d(x,z) + d(z,y)
-                np.maximum(a, np.add(alpha * col[:, None], row[None, :], out=b), out=a)
-            slack = np.subtract(d, a, out=a)
+            slack = _sra_slack(d, col[:, None], row[None, :], alpha, out=a, tmp=b)
             over = slack > tol
             if over.any():
                 xs, ys = np.nonzero(over)
+                keep = (xs != ys) & (xs != z) & (ys != z)
+                xs, ys = xs[keep], ys[keep]
                 hits = (xs, ys, slack[xs, ys])
         out.append((z, need, hits))
     return out
@@ -252,11 +263,10 @@ def _middle_scan(d: np.ndarray, alpha: Optional[float], tol: Optional[float],
 
     ``need`` (if ``critical``) is the largest min{(d(x,y)-d(x,z))/d(y,z),
     (d(y,x)-d(y,z))/d(x,z)} over distinct x, y other than z, NaN skipped.
-    ``hits`` (if ``alpha`` is given) is None or the arrays (xs, ys, slack), in
-    row-major order, of every pair whose slack d(x,y) - max{d(x,z) +
-    alpha*d(z,y), alpha*d(x,z) + d(z,y)} exceeds ``tol``; at alpha = 1 the
-    slack is the triangle slack d(x,y) - (d(x,z) + d(z,y)).  Pairs with x = y,
-    x = z or y = z are among them; each caller drops the ones it does not want.
+    ``hits`` (if ``alpha`` is given) is None or the arrays (xs, ys, slack),
+    possibly empty, in row-major order, of every ordered pair of distinct
+    points x, y other than z whose ``_sra_slack`` exceeds ``tol``; at
+    alpha = 1 the slack is the triangle slack d(x,y) - (d(x,z) + d(z,y)).
 
     At n >= ``_THREADED_MIN_N`` with more than one usable core, contiguous
     blocks of middles (``_block_spans``) run on a thread pool over the usable
@@ -271,7 +281,7 @@ def _middle_scan(d: np.ndarray, alpha: Optional[float], tol: Optional[float],
     # With both asked for, report no hits where need <= alpha + tol/(2*diam): one
     # branch's slack is then <= tol/2, plus rounding of about 1e-15*diam.  A NaN
     # need (0/0, a repeated point) has slack exactly 0.  The bound needs d symmetric
-    # (the only caller asking for both, sra_analysis._violations, refuses anything
+    # (the only caller asking for both, sra_analysis.sra_report, refuses anything
     # else), non-negative and tol well above rounding; else every middle is exact.
     gate = (critical and alpha is not None and diam > 0.0 and tol >= 1e-12 * (1.0 + diam)
             and not np.any(d < 0.0))
@@ -334,12 +344,10 @@ def _metric_violations(d: np.ndarray, tri_tol: float) -> Iterator[MetricViolatio
         yield MetricViolation("positivity", (int(i), int(j)), float(d[i, j]))
     # Triangle (SRA at alpha = 1): for each middle j, d[i,k] <= d[i,j] + d[j,k] + tol.
     for j, _, hits in _middle_scan(d, 1.0, tri_tol, False):
-        if hits is None:
-            continue
-        ii, kk, slack = hits
-        keep = (ii != j) & (kk != j) & (ii != kk)
-        for i, k, s in zip(ii[keep].tolist(), kk[keep].tolist(), slack[keep].tolist()):
-            yield MetricViolation("triangle", (i, j, k), s)
+        if hits is not None:
+            ii, kk, slack = hits
+            for i, k, s in zip(ii.tolist(), kk.tolist(), slack.tolist()):
+                yield MetricViolation("triangle", (i, j, k), s)
 
 
 def validate_metric(m: FiniteMetricSpace, tri_tol: Optional[float] = None) -> ValidationReport:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._hypergraph import DEFAULT_BUDGET
-from .metric_core import FiniteMetricSpace, subspace
+from .metric_core import FiniteMetricSpace, default_tol, subspace
 from .sra_analysis import max_sra_subset
 
 
@@ -152,7 +152,9 @@ def freeness_via_cover(
 
     Any SRA subset splits across the cover into per-ball SRA subsets, so the
     inequality must hold whenever all searches are exact; ``holds=None``
-    reports budget exhaustion instead of guessing.
+    reports budget exhaustion instead of guessing.  Every search runs at the
+    tolerance of the R-ball, so that a triple is a violation in a ball
+    exactly when it is one in the R-ball.
     """
     if not (0.0 < r < big_r):
         raise ValueError("need 0 < r < R")
@@ -161,19 +163,19 @@ def freeness_via_cover(
     d = m.dist
     ball_r = [int(i) for i in np.nonzero(d[0] <= big_r)[0]]
     centers = greedy_net(m, r, on=ball_r)
+    sub_r = subspace(m, ball_r)
+    tol = default_tol(sub_r)
     entries: list[BallFreenessEntry] = []
     exact = True
     for c in centers:
         members = [p for p in ball_r if d[c, p] <= r]
         if not members:
             continue
-        sub = subspace(m, members)
-        cert = max_sra_subset(sub, alpha, budget=budget)
+        cert = max_sra_subset(subspace(m, members), alpha, budget=budget, tol=tol)
         exact = exact and cert.optimal
         entries.append(BallFreenessEntry(center=c, ball=tuple(members),
                                          max_sra_size=cert.size, optimal=cert.optimal))
-    sub_r = subspace(m, ball_r)
-    global_cert = max_sra_subset(sub_r, alpha, budget=budget)
+    global_cert = max_sra_subset(sub_r, alpha, budget=budget, tol=tol)
     exact = exact and global_cert.optimal
     per_ball_max = max((e.max_sra_size for e in entries), default=0)
     bound = len(centers) * per_ball_max

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _hypergraph
 from .metric_core import (EUCLIDEAN_L2, FiniteMetricSpace, PointCloud, _capped, _middle_scan,
-                          _pairwise, default_tol)
+                          _pairwise, _sra_slack, default_tol)
 
 # Most violations a verdict or report lists.
 MAX_VIOLATIONS = 10_000
@@ -62,28 +62,32 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
 
 
-def _check_symmetric(d: np.ndarray) -> None:
+def _sra_args(m: FiniteMetricSpace, alpha: float,
+              tol: Optional[float]) -> tuple[np.ndarray, float]:
+    """The distance matrix of ``m`` and the tolerance (``default_tol(m)`` if
+    None) of an SRA(alpha) decision, once alpha is in (0, 1) and the matrix is
+    symmetric: the scans take x < y, which covers both orientations of a
+    triple only when d(x,y) = d(y,x)."""
+    _check_alpha(alpha)
+    d = m.dist
     if not np.array_equal(d, d.T):
         raise ValueError("SRA analysis needs a symmetric distance matrix")
+    return d, default_tol(m) if tol is None else tol
 
 
 def _violations(d: np.ndarray, alpha: float, tol: float,
                 needs: Optional[list] = None) -> Iterator[tuple[int, int, int, float]]:
-    """Yield (x, z, y, slack) for every triple whose slack
-    d(x,y) - max{d(x,z)+a*d(z,y), a*d(x,z)+d(z,y)} exceeds ``tol``: middle z
-    first, then x < y row-major, with x and y distinct from z.  Given a list
-    ``needs``, the same pass appends each middle's largest need to it.
-
-    Only symmetric ``d`` is accepted: x < y covers both orientations of a
-    triple only when d(x,y) = d(y,x)."""
-    _check_symmetric(d)
+    """Yield (x, z, y, slack) for every triple of the symmetric ``d`` whose
+    ``_sra_slack`` exceeds ``tol``: middle z first, then x < y row-major, with
+    x and y distinct from z.  Given a list ``needs``, the same pass appends
+    each middle's largest need to it."""
     for z, need, hits in _middle_scan(d, alpha, tol, needs is not None):
         if needs is not None:
             needs.append(need)
         if hits is None:
             continue
         xs, ys, slack = hits
-        keep = (xs < ys) & (xs != z) & (ys != z)
+        keep = xs < ys
         yield from zip(xs[keep].tolist(), repeat(z), ys[keep].tolist(), slack[keep].tolist())
 
 
@@ -92,27 +96,18 @@ def _sra_third(m: FiniteMetricSpace, alpha: float,
     """``third`` for ``_hypergraph._in_order_search`` of the hyperedges of
     ``violating_triples``, built one row per first vertex a.  With
     r = d(a, b) over b > a and S = d(b, c) over b, c > a, the block of a is
-    true where {a, b, c} violates with middle a, b or c, each slack in the
-    float operations of the per-middle scan, so the masks hold bit for bit
+    true where {a, b, c} violates with middle a, b or c, each slack from
+    ``_sra_slack`` as in the per-middle scan, so the masks hold bit for bit
     the triples of ``violating_triples(m, alpha, tol)``, with no scan of the
     rows the search never reaches."""
-    _check_alpha(alpha)
-    d = m.dist
-    _check_symmetric(d)
-    if tol is None:
-        tol = default_tol(m)
-
-    def over(far: np.ndarray, near: np.ndarray, mid: np.ndarray) -> np.ndarray:
-        # far - max(near + alpha*mid, alpha*near + mid) > tol, in two temporaries.
-        top = near + alpha * mid
-        return np.subtract(far, np.maximum(top, alpha * near + mid, out=top), out=top) > tol
+    d, tol = _sra_args(m, alpha, tol)
 
     def bad_row(a: int) -> np.ndarray:
         r, s = d[a, a + 1:], d[a + 1:, a + 1:]
         ra, rc = r[:, None], r[None, :]
-        bad = over(s, ra, rc)  # middle a
-        bad |= over(rc, ra, s)  # middle b
-        bad |= over(ra, rc, s)  # middle c
+        bad = _sra_slack(s, ra, rc, alpha) > tol  # middle a
+        bad |= _sra_slack(rc, ra, s, alpha) > tol  # middle b
+        bad |= _sra_slack(ra, rc, s, alpha) > tol  # middle c
         return bad
 
     return _hypergraph.row_third(bad_row)
@@ -122,10 +117,8 @@ def is_sra(m: FiniteMetricSpace, alpha: float, tol: Optional[float] = None) -> S
     """Decide SRA(alpha) over all distinct triples; a triple is recorded as a
     violation when its slack exceeds ``tol``.  At most ``MAX_VIOLATIONS`` are
     kept, and ``truncated`` says whether more exist."""
-    _check_alpha(alpha)
-    if tol is None:
-        tol = default_tol(m)
-    out, truncated = _capped((TripleViolation(*v) for v in _violations(m.dist, alpha, tol)),
+    d, tol = _sra_args(m, alpha, tol)
+    out, truncated = _capped((TripleViolation(*v) for v in _violations(d, alpha, tol)),
                              MAX_VIOLATIONS)
     return SraVerdict(alpha=float(alpha), is_sra=not out, violations=out,
                       tol=float(tol), truncated=truncated)
@@ -153,10 +146,8 @@ def violating_triples(
 ) -> list[tuple[int, int, int]]:
     """Unordered triples {a,b,c} that violate SRA(alpha) for at least one
     choice of middle point.  These are the hyperedges of the freeness search."""
-    _check_alpha(alpha)
-    if tol is None:
-        tol = default_tol(m)
-    return sorted({tuple(sorted(v[:3])) for v in _violations(m.dist, alpha, tol)})
+    d, tol = _sra_args(m, alpha, tol)
+    return sorted({tuple(sorted(v[:3])) for v in _violations(d, alpha, tol)})
 
 
 def _certificate(m: FiniteMetricSpace, edges: list[tuple[int, int, int]], alpha: float,
@@ -273,8 +264,7 @@ def euclidean_angle_audit(pc: PointCloud, alpha: float) -> AngleAudit:
         z = zs[zi]
         dots = np.matmul(v[zi, xs][:, None, :], v[zi, ys][:, :, None])[:, 0, 0]
         cosang = np.clip(dots / (norms[zi, xs] * norms[zi, ys]), -1.0, 1.0)
-        a, b = dmat[xs, z], dmat[z, ys]
-        slack = dmat[xs, ys] - np.maximum(a + alpha * b, alpha * a + b)
+        slack = _sra_slack(dmat[xs, ys], dmat[xs, z], dmat[z, ys], alpha)
         ang = np.array(list(map(math.acos, cosang.tolist())))
         wide = ~(ang <= threshold)
         short = slack <= 0.0
@@ -296,13 +286,11 @@ def sra_report(
 
     One scan gives the critical alpha, the first ``MAX_VIOLATIONS``
     violations and the full hyperedge set of the subset search."""
-    _check_alpha(alpha)
-    if tol is None:
-        tol = default_tol(m)
+    d, tol = _sra_args(m, alpha, tol)
     shown: list[dict] = []
     edges: set[tuple[int, int, int]] = set()
     needs: list[float] = []
-    for x, z, y, slack in _violations(m.dist, alpha, tol, needs):
+    for x, z, y, slack in _violations(d, alpha, tol, needs):
         if len(shown) < MAX_VIOLATIONS:
             shown.append({"x": x, "z": z, "y": y, "slack": slack})
         edges.add(tuple(sorted((x, z, y))))

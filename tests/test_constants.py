@@ -16,6 +16,7 @@ from rough_angles import (
     as_dse,
     c_of_m_theta,
     default_theta,
+    default_tol,
     extract_sra_subspace,
     find_theta_straight_subset,
     format_constant,
@@ -23,6 +24,7 @@ from rough_angles import (
     globq_bound,
     is_sra,
     make_bundle,
+    max_sra_subset,
     max_theta_straight_subset,
     n_of_theta_alpha,
     ramsey_pair_bound,
@@ -37,7 +39,6 @@ from rough_angles import (
 
 from rough_angles._hypergraph import _in_order_search, row_third
 from rough_angles.constants_extraction import (
-    VERIFY_TOL,
     _as_fraction,
     _candidate_batch,
     _colour_third,
@@ -831,7 +832,8 @@ def test_colouring_searches_match_brute_force():
         sub = dist[np.ix_(y, y)]
         red = first_monochrome(sub, alpha, k, True)
         chosen = None if red is None else tuple(y[p] for p in red)
-        if chosen is not None and is_sra(subspace(d.space, chosen), alpha, VERIFY_TOL).is_sra:
+        if chosen is not None and is_sra(subspace(d.space, chosen), alpha,
+                                            default_tol(d.space)).is_sra:
             assert res.branch == "straight-red" and res.certificate.subset == chosen
             continue
         assert res.branch != "straight-red"
@@ -1403,6 +1405,45 @@ def test_extract_blue_breach_diagnostic():
     assert res.certificate is None
     assert res.branch == "blue-breach"
     assert res.blue_subset == (0, 1, 2)
+
+
+def boundary_dse(alpha, frac):
+    """The 4-point DSE space [[0,1,b,10],[1,0,1,10],[b,1,0,10],[10,10,10,0]]
+    whose one SRA(alpha) slack, of (0, 2) at middle 1, is b - (1 + alpha) =
+    ``frac`` times its default tolerance."""
+    b = 1.0 + alpha + frac * default_tol(FiniteMetricSpace(10.0 - 10.0 * np.eye(4)))
+    return as_dse(FiniteMetricSpace([[0, 1, b, 10], [1, 0, 1, 10], [b, 1, 0, 10],
+                                     [10, 10, 10, 0]]))
+
+
+def test_extract_at_the_tolerance_boundary():
+    # The direct search and the re-check of its tuple run at one tolerance, so
+    # a slack under it is no violation to either.
+    res = extract_sra_subspace(boundary_dse(0.8, 0.005), 0.8, 4)
+    assert res.branch == "direct-search" and res.certificate.subset == (0, 1, 2, 3)
+    res = extract_sra_subspace(boundary_dse(0.8, 1.5), 0.8, 4)
+    assert res.branch == "below-threshold" and res.certificate is None
+
+
+extraction_inputs = st.one_of(
+    st.builds(boundary_dse, st.floats(0.55, 0.95), st.floats(-2.0, 3.0)),
+    st.builds(gen_snowflaked_path, st.integers(3, 12), st.floats(0.05, 0.95)),
+    st.builds(gradient_dse, st.integers(0, 10_000), st.integers(3, 14)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(extraction_inputs, st.floats(0.55, 0.95), st.integers(2, 6))
+def test_extract_certifies_exactly_when_a_k_point_sra_subset_exists(d, alpha, k):
+    """``extract`` returns a certificate exactly when the exact maximum
+    SRA(alpha) subset at the space's tolerance has at least k points."""
+    best = max_sra_subset(d.space, alpha, tol=default_tol(d.space))
+    assert best.optimal
+    res = extract_sra_subspace(d, alpha, k)
+    assert (res.certificate is not None) == (best.size >= k), (res.branch, best.size)
+    if res.certificate is not None:
+        assert len(res.certificate.subset) == k
+        assert is_sra(subspace(d.space, res.certificate.subset), alpha,
+                      tol=default_tol(d.space)).is_sra
 
 
 def test_extract_alpha_range():

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rough_angles import (
     EUCLIDEAN_L2,
@@ -18,7 +19,7 @@ from rough_angles import (
     sample_model,
 )
 
-from _generators import collinear, random_metric
+from _generators import boundary_triple, collinear, random_metric
 
 
 def circle_space(samples=360):
@@ -209,6 +210,49 @@ def test_freeness_cover_random_instances():
         rep = freeness_via_cover(m, alpha, r, big_r, k=4)
         assert rep.holds
         assert rep.global_max <= rep.bound
+
+
+def far_clusters(alpha, fracs, gap):
+    """One ``boundary_triple(alpha, frac)`` per frac, each point ``gap`` from
+    every point of the other triples."""
+    n = 3 * len(fracs)
+    d = np.full((n, n), float(gap))
+    for i, frac in enumerate(fracs):
+        d[3 * i:3 * i + 3, 3 * i:3 * i + 3] = boundary_triple(alpha, frac).dist
+    return FiniteMetricSpace(d)
+
+
+def test_freeness_cover_at_the_tolerance_boundary():
+    # Each triple breaks SRA(0.8) by about 3.6 times its own tolerance, but
+    # by less than the R-ball's, at which every search runs.
+    rep = freeness_via_cover(far_clusters(0.8, (3.6, 3.6), 100.0), 0.8, 2.0, 200.0, k=3)
+    assert [e.max_sra_size for e in rep.per_ball] == [3, 3]
+    assert (rep.global_max, rep.bound, rep.holds, rep.all_balls_free_of_k) == (6, 6, True, False)
+
+
+@st.composite
+def cover_cases(draw):
+    """(space, alpha, r, R): far-apart boundary triples whose slack is 1 to
+    50 times their own tolerance, with one r-ball per triple, or a random
+    metric at radii that are fractions of its diameter."""
+    alpha = draw(st.floats(0.2, 0.95))
+    if draw(st.booleans()):
+        fracs = draw(st.lists(st.floats(1.01, 50.0), min_size=1, max_size=3))
+        gap = draw(st.floats(10.0, 1000.0))
+        return far_clusters(alpha, fracs, gap), alpha, 2.0, 2.0 * gap
+    m = random_metric(draw(st.integers(3, 10)), np.random.default_rng(draw(st.integers(0, 2**32))))
+    big_r = draw(st.floats(0.3, 1.0)) * diameter(m)
+    return m, alpha, draw(st.floats(0.1, 0.9)) * big_r, big_r
+
+
+@settings(max_examples=120, deadline=None)
+@given(cover_cases(), st.integers(1, 5))
+def test_freeness_cover_never_breaks_the_pigeonhole(case, k):
+    """The pigeonhole inequality is a theorem, so an exact check never reports
+    it broken."""
+    m, alpha, r, big_r = case
+    rep = freeness_via_cover(m, alpha, r, big_r, k)
+    assert rep.holds is not False, (rep.global_max, rep.bound)
 
 
 def test_freeness_cover_unknown_on_budget():
