@@ -35,7 +35,8 @@ from .curves import (DivergenceError, curve_length, curve_diameter, curve_to_dse
                      gen_gradient_trajectory, is_self_contracted)
 from .dse_spaces import (DseSpace, RejectionError, check_two_lemma, gap_D, gen_random_dse,
                          gen_snowflaked_path, is_dse, length_L)
-from .metric_core import EUCLIDEAN_L2, ModelSpaceSpec, diameter, snowflake, validate_metric
+from .metric_core import (EUCLIDEAN_L2, Columns, ModelSpaceSpec, diameter, snowflake,
+                          validate_metric)
 from .net_embedding import doubling_estimate, freeness_via_cover, greedy_net, net_embed
 from .sra_analysis import critical_alpha, euclidean_angle_audit, sra_report
 
@@ -175,10 +176,8 @@ def _cmd_curve_check(args) -> int:
         "self_contracted": verdict.ok,
         "length": curve_length(c),
         "diameter": curve_diameter(c),
-        "violations": [
-            {"t1": v.t1, "t2": v.t2, "t3": v.t3, "amount": v.amount}
-            for v in verdict.violations
-        ],
+        "violations": Columns.from_rows(("t1", "t2", "t3", "amount"), [
+            (v.t1, v.t2, v.t3, v.amount) for v in verdict.violations]),
     }
     return _emit(args, "curve-check", {"in": args.in_path}, result,
                  {"tol": verdict.tol}, None if verdict.ok else "violated")

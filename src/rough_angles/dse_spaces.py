@@ -22,6 +22,7 @@ import numpy as np
 
 from .metric_core import (
     EUCLIDEAN_L2,
+    Columns,
     FiniteMetricSpace,
     ModelSpaceSpec,
     _capped,
@@ -45,17 +46,9 @@ class RejectionError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DseViolation:
-    i: int
-    j: int
-    k: int
-    amount: float  # d(i,j) - d(i,k) > tol
-
-
-@dataclass(frozen=True)
 class DseVerdict:
     ok: bool
-    violations: tuple[DseViolation, ...]
+    violations: Columns  # i, j, k and amount = d(i,j) - d(i,k) > tol
     tol: float
     truncated: bool = False
 
@@ -86,30 +79,31 @@ def _monotone_breaks(row: np.ndarray, tol: float) -> Iterator[tuple[int, int, fl
         yield w, b, float(row[w] - row[b])
 
 
-def _dse_violations(d: np.ndarray, tol: float) -> Iterator[DseViolation]:
-    """Yield every DSE witness, row i by row i: d(x_i, x_j) exceeds
-    d(x_i, x_k) + tol with j the first farthest point of row i up to k."""
+def _dse_violations(d: np.ndarray, tol: float) -> Iterator[tuple[int, int, int, float]]:
+    """Yield every DSE witness (i, j, k, d(x_i, x_j) - d(x_i, x_k) > tol), row i
+    by row i, with j the first farthest point of row i up to k."""
     for i in range(d.shape[0]):
         for w, b, amount in _monotone_breaks(d[i, i:], tol):
-            yield DseViolation(i, i + w, i + b, amount)
+            yield i, i + w, i + b, amount
 
 
 def is_dse(m: FiniteMetricSpace, tol: Optional[float] = None) -> DseVerdict:
     """Check d(x_i, x_j) <= d(x_i, x_k) + tol for all i <= j <= k, listing up
-    to ``MAX_VIOLATIONS`` witnesses."""
+    to ``MAX_VIOLATIONS`` witnesses as the columns i, j, k and amount."""
     if tol is None:
         tol = default_tol(m)
     out, truncated = _capped(_dse_violations(m.dist, tol), MAX_VIOLATIONS)
-    return DseVerdict(ok=not out and not truncated, violations=out, tol=float(tol),
-                      truncated=truncated)
+    return DseVerdict(ok=not out and not truncated, tol=float(tol), truncated=truncated,
+                      violations=Columns.from_rows(("i", "j", "k", "amount"), out))
 
 
 def as_dse(m: FiniteMetricSpace, tol: Optional[float] = None) -> DseSpace:
     v = next(_dse_violations(m.dist, default_tol(m) if tol is None else tol), None)
     if v is not None:
+        i, j, k, _ = v
         raise ValueError(
-            f"order is not DSE: d(x{v.i},x{v.j})={m.dist[v.i, v.j]:.6g} exceeds "
-            f"d(x{v.i},x{v.k})={m.dist[v.i, v.k]:.6g}"
+            f"order is not DSE: d(x{i},x{j})={m.dist[i, j]:.6g} exceeds "
+            f"d(x{i},x{k})={m.dist[i, k]:.6g}"
         )
     return DseSpace(m)
 

@@ -5,11 +5,10 @@ re-verified against the monotonicity.  Writers give the bytes of
 ``csv.writer`` and of ``json.dumps`` with indent 2 and sorted keys: every
 matrix entry is written with ``repr``, formatted once per unordered pair of a
 symmetric matrix, and the indent-2 layout is built around the C encoder.
-A dataclass record is written as the object of its fields.  A list of dicts
-with the same str keys and scalar values, or of records of one dataclass
-with scalar fields (report rows such as audit entries and violations), is
-written column by column: one encoder call per key, then one ``%`` template
-per row."""
+A dataclass record is written as the object of its fields.  Report rows
+(audit entries, violations) arrive as ``metric_core.Columns`` and are
+written as the list of their row dicts, column by column: one encoder call
+per column, then one ``%`` template per row."""
 
 from __future__ import annotations
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .curves import SampledCurve
 from .dse_spaces import DseSpace, as_dse
-from .metric_core import FiniteMetricSpace, ModelSpaceSpec, PointCloud
+from .metric_core import Columns, FiniteMetricSpace, ModelSpaceSpec, PointCloud
 from .net_embedding import NetEmbedding
 
 PathLike = Union[str, Path]
@@ -100,10 +99,13 @@ def _json_matrix(p: Path, payload: dict) -> np.ndarray:
 
 
 def _jsonable(x):
+    """``x`` as what json encodes: a Columns as the list of its row dicts."""
     if isinstance(x, (np.floating, np.integer, np.ndarray)):
         return x.tolist()  # a Python number for a numpy scalar
     if dataclasses.is_dataclass(x):
         return vars(x)  # a record as the object of its fields
+    if isinstance(x, Columns):
+        return [dict(zip(x.columns, row)) for row in x]
     raise TypeError(f"not JSON-serializable: {type(x)}")
 
 
@@ -151,30 +153,14 @@ def _block(items: str, pad: str, brackets: str) -> str:
 _ROW_VALUES = {str, int, float, bool, type(None), np.float64}
 
 
-def _rows(o: list, pad: str) -> Optional[str]:
-    """The text of a list of two or more dicts with the same str keys, in the
-    same order, and only scalar values; None for any other list.  Records of
-    one dataclass count as the dicts of their fields.  Each key's column is
-    encoded in one call and split on the item separator, which no encoded
-    value contains (the encoder escapes every newline in a string), and one
-    ``%`` template per row lays the cells out."""
-    first = o[0]
-    if len(o) < 2:
-        return None
-    records = dataclasses.is_dataclass(first) and all(type(r) is type(first) for r in o)
-    if records:
-        o = [vars(r) for r in o]
-        first = o[0]
-    if type(first) is not dict or not first:
-        return None
-    keys = list(first)
-    # The field dicts of records of one dataclass share their keys and key
-    # order, so only plain dicts are compared with the first row.
-    if not all(type(k) is str for k in keys) or not (records or all(
-            type(r) is dict and list(r) == keys for r in o)):
-        return None
-    keys.sort()
-    columns = [[r[k] for r in o] for k in keys]
+def _rows(o: Columns, pad: str) -> Optional[str]:
+    """The text of the list of the row dicts of ``o``, one or more; None when a
+    cell is not a scalar.  Each column (an array listed with one ``tolist``) is encoded in
+    one call and split on the item separator, which no encoded value contains
+    (the encoder escapes every newline in a string), and one ``%`` template
+    per row lays the cells out, so no row is built as an object."""
+    keys = sorted(o.columns)
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in map(o.columns.get, keys)]
     if not set(map(type, itertools.chain.from_iterable(columns))) <= _ROW_VALUES:
         return None
     inner = pad + "  "
@@ -186,8 +172,8 @@ def _rows(o: list, pad: str) -> Optional[str]:
 
 
 def _layout(o, pad: str) -> str:
-    """The text of ``o`` as ``json.dumps`` writes it with indent 2, sorted
-    keys and ``default=_jsonable``, starting on a line indented by ``pad``."""
+    """The text of ``o`` as ``json.dumps`` writes it with indent 2, sorted keys and
+    ``default=_jsonable`` (a Columns via ``_rows``), starting on a line indented by ``pad``."""
     if isinstance(o, _SCALARS):
         return _flat(pad)(o)
     inner = pad + "  "
@@ -203,10 +189,9 @@ def _layout(o, pad: str) -> str:
             return "[]"
         if all(isinstance(v, _SCALARS) for v in o):
             return _block(_flat(inner)(o)[1:-1], pad, "[]")
-        text = _rows(o, pad)
-        if text is not None:
-            return text
         return _block((",\n" + inner).join([_layout(v, inner) for v in o]), pad, "[]")
+    if isinstance(o, Columns) and len(o) and (text := _rows(o, pad)) is not None:
+        return text  # no rows is "[]", the text of an empty list
     if (isinstance(o, np.ndarray) and o.ndim == 2 and o.dtype == np.float64 and o.size
             and np.isfinite(o).all()):  # json spells nan and inf as NaN and Infinity
         sep = ",\n" + inner + "  "

@@ -154,6 +154,38 @@ class FiniteMetricSpace:
         return self.dist.shape[0]
 
 
+class Columns:
+    """Report rows held column by column: ``columns`` maps each name to a list
+    or 1-D array, all of one length; iterating gives the rows as tuples.  ``io``
+    writes the list of their dicts a column at a time, with no object per row."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, /, **columns) -> None:
+        if len({len(c) for c in columns.values()}) != 1:
+            raise ValueError("need one or more columns, all of one length")
+        self.columns = columns
+
+    @classmethod
+    def from_rows(cls, names: Sequence[str], rows: Iterable[tuple]) -> "Columns":
+        """The columns of ``rows``, each a tuple in the order of ``names``."""
+        cols = [list(c) for c in zip(*rows)] or [[] for _ in names]
+        return cls(**dict(zip(names, cols, strict=True)))
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+    def __iter__(self) -> Iterator[tuple]:
+        return zip(*self.columns.values())
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Columns) and list(self.columns) == list(other.columns)
+                and list(self) == list(other))
+
+    def __repr__(self) -> str:
+        return f"Columns({', '.join(f'{k}={c!r}' for k, c in self.columns.items())})"
+
+
 @dataclass(frozen=True)
 class MetricViolation:
     kind: str  # "diagonal" | "symmetry" | "positivity" | "triangle"

@@ -24,26 +24,20 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from . import _hypergraph
-from .metric_core import (EUCLIDEAN_L2, FiniteMetricSpace, PointCloud, _capped, _middle_scan,
-                          _pairwise, _sra_slack, default_tol)
+from .metric_core import (EUCLIDEAN_L2, Columns, FiniteMetricSpace, PointCloud, _capped,
+                          _middle_scan, _pairwise, _sra_slack, default_tol)
 
 # Most violations a verdict or report lists.
 MAX_VIOLATIONS = 10_000
 
-
-@dataclass(frozen=True)
-class TripleViolation:
-    x: int
-    z: int
-    y: int
-    slack: float  # d(x,y) - max{d(x,z)+a*d(z,y), a*d(x,z)+d(z,y)} > tol
+_VIOLATION_NAMES = ("x", "z", "y", "slack")  # columns: a triple and its _sra_slack > tol
 
 
 @dataclass(frozen=True)
 class SraVerdict:
     alpha: float
     is_sra: bool
-    violations: tuple[TripleViolation, ...]
+    violations: Columns  # x, z, y, slack
     tol: float
     truncated: bool = False
 
@@ -116,12 +110,11 @@ def _sra_third(m: FiniteMetricSpace, alpha: float,
 def is_sra(m: FiniteMetricSpace, alpha: float, tol: Optional[float] = None) -> SraVerdict:
     """Decide SRA(alpha) over all distinct triples; a triple is recorded as a
     violation when its slack exceeds ``tol``.  At most ``MAX_VIOLATIONS`` are
-    kept, and ``truncated`` says whether more exist."""
+    kept as the columns x, z, y and slack; ``truncated`` says if more exist."""
     d, tol = _sra_args(m, alpha, tol)
-    out, truncated = _capped((TripleViolation(*v) for v in _violations(d, alpha, tol)),
-                             MAX_VIOLATIONS)
-    return SraVerdict(alpha=float(alpha), is_sra=not out, violations=out,
-                      tol=float(tol), truncated=truncated)
+    out, truncated = _capped(_violations(d, alpha, tol), MAX_VIOLATIONS)
+    return SraVerdict(alpha=float(alpha), is_sra=not out, tol=float(tol), truncated=truncated,
+                      violations=Columns.from_rows(_VIOLATION_NAMES, out))
 
 
 def critical_alpha(m: FiniteMetricSpace) -> float:
@@ -189,18 +182,10 @@ def max_sra_subset(
 # ----------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AngleAuditEntry:
-    x: int
-    z: int
-    y: int
-    angle: float
-
-
-@dataclass(frozen=True)
 class AngleAudit:
     alpha: float
     threshold: float  # arccos(-alpha)
-    entries: tuple[AngleAuditEntry, ...]
+    entries: Columns  # x, z, y and the angle at z, in middle order
     skipped_degenerate: tuple[tuple[int, int], ...]
     boundary_dropped: int
 
@@ -217,7 +202,8 @@ def euclidean_angle_audit(pc: PointCloud, alpha: float) -> AngleAudit:
     induced metric, which is what a wide angle forces: cos(angle) < -alpha
     gives d(x,y)^2 > d(x,z)^2 + d(z,y)^2 + 2*alpha*d(x,z)*d(z,y), which
     strictly dominates both branches of the SRA bound.  Numerically boundary
-    triples that fail the cross-check are dropped and counted.
+    triples that fail the cross-check are dropped and counted.  The entries
+    are columns x, z, y and angle (lists), by middle z, then x < y row-major.
     """
     _check_alpha(alpha)
     if pc.model.kind != EUCLIDEAN_L2:
@@ -225,7 +211,7 @@ def euclidean_angle_audit(pc: PointCloud, alpha: float) -> AngleAudit:
     threshold = math.acos(-alpha)
     coords = pc.coords
     n = pc.n
-    entries: list[AngleAuditEntry] = []
+    kept: list[tuple[np.ndarray, ...]] = []
     skipped: list[tuple[int, int]] = []
     dropped = 0
 
@@ -246,7 +232,8 @@ def euclidean_angle_audit(pc: PointCloud, alpha: float) -> AngleAudit:
     # gives.  math.acos stays per candidate, mapped over the block, as
     # np.arccos rounds differently from it; the masks below keep the
     # comparisons of a per-candidate loop, so a NaN angle or slack is kept
-    # as an entry just as that loop would keep it.
+    # as an entry just as that loop would keep it.  Each block's kept
+    # triples stay arrays; the columns are joined and listed once at the end.
     cut = -alpha + 1e-9
     block = max(1, _ANGLE_BLOCK_ELEMENTS // max(1, n * n))
     for z0 in range(0, n, block):
@@ -270,9 +257,10 @@ def euclidean_angle_audit(pc: PointCloud, alpha: float) -> AngleAudit:
         short = slack <= 0.0
         dropped += int(np.count_nonzero(wide & short))
         keep = wide & ~short
-        entries += map(AngleAuditEntry, xs[keep].tolist(), z[keep].tolist(), ys[keep].tolist(),
-                       ang[keep].tolist())
-    return AngleAudit(alpha=float(alpha), threshold=threshold, entries=tuple(entries),
+        kept.append((xs[keep], z[keep], ys[keep], ang[keep]))
+    x, z, y, angle = (np.concatenate(col).tolist() for col in zip(*kept))
+    return AngleAudit(alpha=float(alpha), threshold=threshold,
+                      entries=Columns(x=x, z=z, y=y, angle=angle),
                       skipped_degenerate=tuple(sorted(skipped)), boundary_dropped=dropped)
 
 
@@ -285,15 +273,16 @@ def sra_report(
     """Combined JSON-ready report: verdict, critical alpha, max subset.
 
     One scan gives the critical alpha, the first ``MAX_VIOLATIONS``
-    violations and the full hyperedge set of the subset search."""
+    violations (the columns of ``is_sra``) and the full hyperedge set of the
+    subset search."""
     d, tol = _sra_args(m, alpha, tol)
-    shown: list[dict] = []
+    shown: list[tuple[int, int, int, float]] = []
     edges: set[tuple[int, int, int]] = set()
     needs: list[float] = []
-    for x, z, y, slack in _violations(d, alpha, tol, needs):
+    for v in _violations(d, alpha, tol, needs):
         if len(shown) < MAX_VIOLATIONS:
-            shown.append({"x": x, "z": z, "y": y, "slack": slack})
-        edges.add(tuple(sorted((x, z, y))))
+            shown.append(v)
+        edges.add(tuple(sorted(v[:3])))
     cert = _certificate(m, sorted(edges), alpha, tol, budget)
     return {
         "alpha": float(alpha),
@@ -305,6 +294,6 @@ def sra_report(
             "optimal": cert.optimal,
             "bound": cert.bound,
         },
-        "violations": shown,
+        "violations": Columns.from_rows(_VIOLATION_NAMES, shown),
         "tol": float(tol),
     }

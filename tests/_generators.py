@@ -8,7 +8,8 @@ Three constructions, all metrics by construction:
 * graph: shortest-path closure (Floyd-Warshall) of random positive weights.
 
 ``edge_third`` turns a list of hyperedges into the ``third`` masks of the
-in-order search, as a test's independent route to them.
+in-order search, as a test's independent route to them.  ``rows`` reads the
+report columns of verdicts and audits back as tuples.
 """
 
 from __future__ import annotations
@@ -78,6 +79,13 @@ def edge_third(edges: Iterable[tuple[int, int, int]]) -> Callable[[int, int], in
     for a, b, c in edges:
         masks[a, b] = masks.get((a, b), 0) | (1 << c)
     return lambda a, b: masks.get((a, b), 0)
+
+
+def rows(columns, names: str) -> list[tuple]:
+    """The rows of a report ``Columns`` as tuples, once its column names are
+    checked to be the space-separated ``names``, in that order."""
+    assert list(columns.columns) == names.split(), list(columns.columns)
+    return list(zip(*columns.columns.values()))
 
 
 def boundary_triple(alpha: float, frac: float, scale: float = 1.0) -> FiniteMetricSpace:

@@ -16,8 +16,9 @@ import pytest
 
 from rough_angles import cli
 from rough_angles.cli import main, report_schema_version
+from rough_angles.curves import SampledCurve, is_self_contracted
 from rough_angles.dse_spaces import RejectionError
-from rough_angles.io import json_text, save_distance_matrix, save_point_cloud
+from rough_angles.io import json_text, save_curve, save_distance_matrix, save_point_cloud
 from rough_angles.metric_core import (
     EUCLIDEAN_L2,
     MODEL_KINDS,
@@ -490,6 +491,23 @@ def test_angles_refuses_overflowing_distances(capsys, tmp_path):
             entries = json.loads(out.out)["result"]["entries"]
             triples[scale] = [(e["x"], e["z"], e["y"]) for e in entries]
     assert triples[1.0] and triples[1e150] == triples[1.0]
+
+
+def test_curve_check_rows_match_one_dict_per_violation(capsys, tmp_path):
+    """curve-check writes its violations as columns; the report is byte for
+    byte the one built from one dict per violation."""
+    t = np.linspace(0.0, 2 * math.pi - 1e-3, 9)
+    curve = SampledCurve(ModelSpaceSpec(EUCLIDEAN_L2, 2), t, np.stack([np.cos(t), np.sin(t)], 1))
+    src = tmp_path / "loop.json"
+    save_curve(curve, src)
+    rc = main(["curve-check", "--in", str(src), "--tol", "0"])
+    text = capsys.readouterr().out
+    violations = is_self_contracted(curve, tol=0.0).violations
+    assert rc == 2 and len(violations) > 5
+    rep = json.loads(text)
+    rep["result"]["violations"] = [{"t1": v.t1, "t2": v.t2, "t3": v.t3, "amount": v.amount}
+                                   for v in violations]
+    assert text == json.dumps(rep, indent=2, sort_keys=True) + "\n"
 
 
 def test_pipeline_composes(capsys, tmp_path):

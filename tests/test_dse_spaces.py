@@ -24,7 +24,7 @@ from rough_angles import (
     snowflake,
 )
 
-from _generators import collinear, random_metric
+from _generators import collinear, random_metric, rows
 
 
 def test_is_dse_collinear_in_order():
@@ -36,9 +36,9 @@ def test_is_dse_out_of_order():
     m = FiniteMetricSpace(np.abs(pos[:, None] - pos[None, :]))
     verdict = is_dse(m, tol=0.0)
     assert not verdict.ok
-    v = verdict.violations[0]
-    assert (v.i, v.j, v.k) == (0, 1, 2)
-    assert v.amount == pytest.approx(1.0)
+    i, j, k, amount = rows(verdict.violations, "i j k amount")[0]
+    assert (i, j, k) == (0, 1, 2)
+    assert amount == pytest.approx(1.0)
 
 
 def test_is_dse_snowflaked():
@@ -217,7 +217,7 @@ def test_is_dse_matches_witness_oracle(monkeypatch):
                 monkeypatch.setattr(dse_spaces, "MAX_VIOLATIONS", cap)
                 verdict = is_dse(m, tol=tol)
                 expect, truncated = oracle_dse(d, t, cap)
-                assert [(v.i, v.j, v.k, v.amount) for v in verdict.violations] == expect
+                assert rows(verdict.violations, "i j k amount") == expect
                 assert verdict.truncated == truncated and verdict.tol == t
                 assert verdict.ok == (not expect and not truncated)
             first = oracle_dse(d, t, 1)[0]
@@ -227,6 +227,38 @@ def test_is_dse_matches_witness_oracle(monkeypatch):
                     as_dse(m, tol=tol)
             else:
                 assert as_dse(m, tol=tol).space is m
+
+
+def loop_dse(d, tol, cap):
+    """The witness list ``is_dse`` built one record per row of: every break
+    of ``_monotone_breaks`` row i by row i, cut at ``cap``, and whether any
+    break lies past the cut."""
+    found = [(i, i + w, i + b, amount) for i in range(d.shape[0])
+             for w, b, amount in dse_spaces._monotone_breaks(d[i, i:], tol)]
+    return found[:cap], len(found) > cap
+
+
+def test_is_dse_columns_match_monotone_breaks_loop(monkeypatch):
+    """The columns of ``is_dse`` hold, bit for bit and in the same Python
+    types, what a per-row loop over ``_monotone_breaks`` finds, up to the cut
+    at ``MAX_VIOLATIONS``, with ``truncated`` set when more exist."""
+    rng = np.random.default_rng(63)
+    big = random_metric(60, rng).dist  # band entries: about n^2 / 2 breaks
+    cases = [d for d in dse_corpus(rng) if d.shape[0] > 4][:40] + [big, big[::-1, ::-1]]
+    default_cap = dse_spaces.MAX_VIOLATIONS
+    for d in cases:
+        m = FiniteMetricSpace(d)
+        tol = default_tol(m)
+        for cap in (0, 1, 5, default_cap):
+            monkeypatch.setattr(dse_spaces, "MAX_VIOLATIONS", cap)
+            want, truncated = loop_dse(m.dist, tol, cap)
+            verdict = is_dse(m)
+            got = rows(verdict.violations, "i j k amount")
+            assert got == want
+            assert [tuple(map(type, v)) for v in got] == [tuple(map(type, v)) for v in want]
+            assert verdict.truncated == truncated
+            assert verdict.ok == (not want and not truncated)
+    assert loop_dse(big, default_tol(FiniteMetricSpace(big)), default_cap)[1]
 
 
 # SHA-256 of gen_random_dse(n, seed).dist.tobytes(), recorded before the

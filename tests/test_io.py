@@ -12,10 +12,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rough_angles import io as rio
-from rough_angles.dse_spaces import DseViolation
 from rough_angles.io import load_curve, load_point_cloud
-from rough_angles.metric_core import MetricViolation
-from rough_angles.sra_analysis import AngleAuditEntry
+from rough_angles.metric_core import Columns, MetricViolation
 
 # The only asymmetry is the sign of a zero, which repr shows.
 ZERO_SIGNS = np.array([[0.0, 0.0, 1.5], [-0.0, 0.0, 2.0], [1.5, 2.0, 0.0]])
@@ -59,9 +57,9 @@ def test_json_text_matches_json_dumps(payload):
     assert rio.json_text(payload) == dumps_text(payload)
 
 
-# Lists of dicts with the same str keys and scalar values, such as the entries
-# of an angle audit, are written column by column; the near misses below send
-# a list down the general path.
+# Lists of dicts with the same str keys and scalar values, the rows reports
+# wrote before they held Columns, and near misses of them: all are laid out
+# row by row on the general path.
 ROW_KEYS = ("%", "%s", '"q"', "a\nb", "é", "")
 ROW_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(),
@@ -91,15 +89,12 @@ def rows(draw):
     return out
 
 
-# Lists of records are written as the dicts of their fields: those of one
-# dataclass with scalar fields column by column, the rest on the general path.
+# Lists of records are written as the dicts of their fields, on the general
+# path (the fields of a metric violation include a tuple).
 INDEX = st.integers(0, 10**6)
-DSE_ROWS = st.builds(DseViolation, INDEX, INDEX, INDEX, ROW_VALUES)
-AUDIT_ROWS = st.builds(AngleAuditEntry, INDEX, INDEX, INDEX, ROW_VALUES)
 METRIC_ROWS = st.builds(MetricViolation, st.sampled_from(["triangle", "diagonal"]),
                         st.lists(INDEX, max_size=3).map(tuple), ROW_VALUES)
-RECORD_LISTS = st.one_of(*[st.lists(r, min_size=1, max_size=5)
-                           for r in (DSE_ROWS, AUDIT_ROWS, METRIC_ROWS, DSE_ROWS | AUDIT_ROWS)])
+RECORD_LISTS = st.lists(METRIC_ROWS, min_size=1, max_size=5)
 
 
 @settings(max_examples=400, deadline=None)
@@ -109,8 +104,75 @@ def test_rows_match_json_dumps(rows):
         assert rio.json_text(payload) == dumps_text(payload)
 
 
-DSE_VIOLATIONS = [DseViolation(0, 2, 3, 0.5), DseViolation(1, 4, 5, np.float64(1e-3))]
-AUDIT_ENTRIES = [AngleAuditEntry(0, 1, 2, 3.0), AngleAuditEntry(2, 0, 1, math.pi)]
+# Report rows held as Columns: 0, 1 or many rows of scalar cells, in list or
+# 1-D array columns, under keys that need escaping, nested at any depth.
+COLUMN_NAMES = st.sampled_from(ROW_KEYS + ("self", "x", "slack")) | st.text(max_size=3)
+CELLS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.floats().map(np.float64), st.text(max_size=4),
+    st.text(st.sampled_from('%"\\\né s'), max_size=5),
+)
+
+
+@st.composite
+def columns(draw):
+    names = draw(st.lists(COLUMN_NAMES, min_size=1, max_size=4, unique=True))
+    n = draw(st.sampled_from([0, 1]) | st.integers(2, 8))
+    return Columns(**{k: draw(st.one_of(
+        st.lists(CELLS, min_size=n, max_size=n),
+        hnp.arrays(np.float64, n, elements=st.floats()),
+        hnp.arrays(np.int64, n),
+    )) for k in names})
+
+
+COLUMN_PAYLOADS = st.recursive(columns() | CELLS, lambda kids: st.one_of(
+    st.lists(kids, max_size=3),
+    st.dictionaries(COLUMN_NAMES, kids, max_size=3),
+), max_leaves=6)
+
+
+def with_row_dicts(payload):
+    """``payload`` with each Columns replaced by the list of its row dicts,
+    built here from its names and listed columns."""
+    if isinstance(payload, Columns):
+        cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in payload.columns.values()]
+        return [dict(zip(payload.columns, row)) for row in zip(*cols)]
+    if isinstance(payload, list):
+        return [with_row_dicts(v) for v in payload]
+    if isinstance(payload, dict):
+        return {k: with_row_dicts(v) for k, v in payload.items()}
+    return payload
+
+
+@settings(max_examples=500, deadline=None)
+@given(COLUMN_PAYLOADS)
+def test_columns_match_json_dumps_of_row_dicts(payload):
+    """Columns are written as json.dumps writes the list of their row dicts,
+    and ``_jsonable`` gives json.dumps those same rows."""
+    text = rio.json_text(payload)
+    assert text == json.dumps(with_row_dicts(payload), indent=2, sort_keys=True) + "\n"
+    assert text == dumps_text(payload)
+
+
+# Cells the encoder cannot take send Columns down the general path; an array
+# column of another dtype is listed first, as the float32 one is.
+ODD_COLUMNS = [
+    Columns(x=[np.int64(1), 2]),
+    Columns(x=[[1, 2], 3], y=["a", None]),
+    Columns(x=np.zeros((2, 2)), y=[0.5, 1.5]),
+    Columns(x=np.array([0.1, 2.5], dtype=np.float32)),
+]
+
+
+@pytest.mark.parametrize("cols", ODD_COLUMNS, ids=["int64", "nested", "2d-array", "float32"])
+def test_columns_of_odd_cells_match_json_dumps(cols):
+    for payload in (cols, {"result": {"entries": cols}}):
+        assert rio.json_text(payload) == dumps_text(payload)
+
+
+DSE_VIOLATIONS = Columns(i=[0, 1], j=[2, 4], k=[3, 5], amount=[0.5, np.float64(1e-3)])
+AUDIT_ENTRIES = Columns(x=[0, 2], z=[1, 0], y=[2, 1], angle=[3.0, math.pi])
 METRIC_VIOLATIONS = [MetricViolation("triangle", (0, 1, 2), 0.25),
                      MetricViolation("symmetry", (1, 0), 1e-9)]
 
@@ -120,29 +182,31 @@ METRIC_VIOLATIONS = [MetricViolation("triangle", (0, 1, 2), 0.25),
     {"report": [{"kind": "triangle", "indices": (0, 1, 2)}], "": {}, "x": [[], [[]]]},
     {"dist": mirrored(np.random.default_rng(1).random((40, 40)) * 1e-5)},
     {"violations": DSE_VIOLATIONS, "n": 6},
-    {"entries": tuple(AUDIT_ENTRIES)},
+    {"entries": AUDIT_ENTRIES},
     {"violations": METRIC_VIOLATIONS},
-    {"record": DSE_VIOLATIONS[0]},
-    {"entries": AUDIT_ENTRIES[:1]},
+    {"record": METRIC_VIOLATIONS[0]},
+    {"entries": Columns(x=[0], z=[1], y=[2], angle=[3.0])},
 ], ids=["zero-signs", "nesting", "symmetric-40", "dse-violations", "audit-entries",
         "metric-violations", "one-record", "one-record-list"])
 def test_json_text_matches_json_dumps_on_examples(payload):
     assert rio.json_text(payload) == dumps_text(payload)
 
 
-def test_record_lists_of_scalar_fields_are_written_column_by_column():
+def test_columns_of_scalar_cells_are_written_column_by_column():
     assert rio._rows(DSE_VIOLATIONS, "") is not None
     assert rio._rows(AUDIT_ENTRIES, "") is not None
-    assert rio._rows(METRIC_VIOLATIONS, "") is None  # its indices are a tuple
-    assert rio._rows([DSE_VIOLATIONS[0], AUDIT_ENTRIES[0]], "") is None
+    assert rio._layout(Columns(x=[]), "") == "[]"
+    assert rio._rows(Columns(v=METRIC_VIOLATIONS), "") is None  # records take the general path
+    assert all(rio._rows(cols, "") is None for cols in ODD_COLUMNS[:3])
 
 
 def test_dicts_in_another_key_order_take_the_general_path():
-    """Only records of one dataclass skip the row-by-row key comparison."""
+    """Lists of dicts, in one key order or several, are laid out row by row
+    on the general path; only Columns are written column by column."""
     rows = [{"x": 0, "y": 1.5}, {"y": 2.5, "x": 1}]
-    assert rio._rows(rows, "") is None
-    assert rio._rows(rows[:1] * 2, "") is not None
-    assert rio.json_text({"entries": rows}) == dumps_text({"entries": rows})
+    for payload in ({"entries": rows}, {"entries": rows[:1] * 2}):
+        assert rio.json_text(payload) == dumps_text(payload)
+    assert rio._rows(Columns(x=[0, 1], y=[1.5, 2.5]), "") is not None
 
 
 def csv_writer_bytes(d, header):

@@ -31,7 +31,8 @@ from rough_angles import (
 from rough_angles import metric_core, sra_analysis
 
 from rough_angles._hypergraph import SearchResult, max_independent_subset
-from rough_angles.sra_analysis import MAX_VIOLATIONS, AngleAudit, AngleAuditEntry
+from rough_angles.metric_core import Columns
+from rough_angles.sra_analysis import MAX_VIOLATIONS, AngleAudit
 
 from _generators import (
     ANGLE_ALPHAS,
@@ -43,6 +44,7 @@ from _generators import (
     gradient_dse,
     graph_metric,
     random_metric,
+    rows,
     scan_corpus,
 )
 
@@ -70,8 +72,9 @@ def test_is_sra_equilateral():
 def test_is_sra_collinear_violation():
     v = is_sra(collinear(3), 0.9, tol=0.0)
     assert not v.is_sra
-    assert (v.violations[0].x, v.violations[0].z, v.violations[0].y) == (0, 1, 2)
-    assert v.violations[0].slack == pytest.approx(0.1)
+    x, z, y, slack = rows(v.violations, "x z y slack")[0]
+    assert (x, z, y) == (0, 1, 2)
+    assert slack == pytest.approx(0.1)
 
 
 def test_is_sra_snowflaked_collinear():
@@ -119,8 +122,8 @@ def test_monotonicity_in_alpha(n, seed, a1, bump):
     v2 = is_sra(m, a2, tol=0.0)
     if v1.is_sra:
         assert v2.is_sra
-    t1 = {(t.x, t.z, t.y) for t in v1.violations}
-    t2 = {(t.x, t.z, t.y) for t in v2.violations}
+    t1 = {t[:3] for t in rows(v1.violations, "x z y slack")}
+    t2 = {t[:3] for t in rows(v2.violations, "x z y slack")}
     assert t2 <= t1
 
 
@@ -284,14 +287,13 @@ def oracle_critical_alpha(m):
 def check_against_oracles(m, alpha, tol, budget):
     expect = oracle_violations(m, alpha, default_tol(m) if tol is None else tol)
     verdict = is_sra(m, alpha, tol=tol)
-    assert [(v.x, v.z, v.y, v.slack) for v in verdict.violations] == expect[:MAX_VIOLATIONS]
+    assert rows(verdict.violations, "x z y slack") == expect[:MAX_VIOLATIONS]
     assert verdict.is_sra == (not expect)
     assert verdict.truncated == (len(expect) > MAX_VIOLATIONS)
     assert violating_triples(m, alpha, tol=tol) == sorted({tuple(sorted(v[:3])) for v in expect})
     rep = sra_report(m, alpha, budget=budget, tol=tol)
     assert rep["is_sra"] == verdict.is_sra
-    assert rep["violations"] == [{"x": x, "z": z, "y": y, "slack": s}
-                                 for x, z, y, s in expect[:MAX_VIOLATIONS]]
+    assert rows(rep["violations"], "x z y slack") == expect[:MAX_VIOLATIONS]
     assert rep["tol"] == verdict.tol
     # The report's search reads the need-gated scan's edges, max_sra_subset
     # those of violating_triples; both rebuild from the ungated rows.
@@ -424,10 +426,35 @@ def test_violations_truncated_at_max():
     assert len(expect) == 10_660 and MAX_VIOLATIONS == 10_000
     verdict = is_sra(m, 0.9)
     assert verdict.truncated and not verdict.is_sra
-    assert [(v.x, v.z, v.y, v.slack) for v in verdict.violations] == expect[:MAX_VIOLATIONS]
+    assert rows(verdict.violations, "x z y slack") == expect[:MAX_VIOLATIONS]
     rep = sra_report(m, 0.9, budget=1)
-    assert rep["violations"] == [{"x": x, "z": z, "y": y, "slack": s}
-                                 for x, z, y, s in expect[:MAX_VIOLATIONS]]
+    assert rows(rep["violations"], "x z y slack") == expect[:MAX_VIOLATIONS]
+
+
+def test_violation_columns_match_violations_generator(monkeypatch):
+    """The columns of ``is_sra`` and ``sra_report`` hold, bit for bit and in
+    the same Python types, the first ``MAX_VIOLATIONS`` tuples of
+    ``_violations``, which each verdict used to turn into one record or dict
+    per row; ``truncated`` says whether the generator has more."""
+    rng = np.random.default_rng(31)
+    cases = [(collinear(41), 0.9), (equilateral(5), 0.5)]
+    cases += [(random_metric(int(rng.integers(3, 12)), rng), float(rng.uniform(0.2, 0.95)))
+              for _ in range(20)]
+    for m, alpha in cases:
+        full = list(sra_analysis._violations(m.dist, alpha, default_tol(m)))
+        for cap in (1, 7, MAX_VIOLATIONS):
+            monkeypatch.setattr(sra_analysis, "MAX_VIOLATIONS", cap)
+            want = full[:cap]
+            kinds = [tuple(map(type, v)) for v in want]
+            verdict = is_sra(m, alpha)
+            got = rows(verdict.violations, "x z y slack")
+            assert got == want and [tuple(map(type, v)) for v in got] == kinds
+            assert verdict.truncated == (len(full) > cap)
+            assert verdict.is_sra == (not full)
+            rep = sra_report(m, alpha, budget=1)
+            got = rows(rep["violations"], "x z y slack")
+            assert got == want and [tuple(map(type, v)) for v in got] == kinds
+            assert rep["is_sra"] == (not full)
 
 
 def test_budgeted_search_matches_reference():
@@ -888,19 +915,20 @@ def cloud(coords):
 
 def test_angle_audit_collinear():
     audit = euclidean_angle_audit(cloud([[0, 0], [1, 0], [2, 0]]), 0.9)
-    assert [(e.x, e.z, e.y) for e in audit.entries] == [(0, 1, 2)]
-    assert audit.entries[0].angle == pytest.approx(math.pi)
+    entries = rows(audit.entries, "x z y angle")
+    assert [e[:3] for e in entries] == [(0, 1, 2)]
+    assert entries[0][3] == pytest.approx(math.pi)
 
 
 def test_angle_audit_equilateral_empty():
     h = math.sqrt(3) / 2
     audit = euclidean_angle_audit(cloud([[0, 0], [1, 0], [0.5, h]]), 0.5)
-    assert audit.entries == ()
+    assert rows(audit.entries, "x z y angle") == []
 
 
 def test_angle_audit_square_empty():
     audit = euclidean_angle_audit(cloud([[0, 0], [1, 0], [1, 1], [0, 1]]), 0.9)
-    assert audit.entries == ()
+    assert rows(audit.entries, "x z y angle") == []
 
 
 def test_angle_audit_degenerate_skipped():
@@ -928,9 +956,9 @@ def test_wide_angle_implies_sra_violation():
         for alpha in (0.5, 0.8):
             thr = math.acos(-alpha)
             audit = euclidean_angle_audit(pc, alpha)
-            for e in audit.entries:
-                a, b = m.dist[e.x, e.z], m.dist[e.z, e.y]
-                assert m.dist[e.x, e.y] > max(a + alpha * b, alpha * a + b)
+            for x, z, y, _ in rows(audit.entries, "x z y angle"):
+                a, b = m.dist[x, z], m.dist[z, y]
+                assert m.dist[x, y] > max(a + alpha * b, alpha * a + b)
             # oracle recount: entries are exactly the angle-exceeding triples
             count = 0
             for z in range(n):
@@ -957,7 +985,7 @@ def test_sra_violation_does_not_imply_wide_angle():
     assert not verdict.is_sra
     assert ang < math.acos(-0.5)
     audit = euclidean_angle_audit(cloud(pts), 0.5)
-    assert audit.entries == ()  # wide-angle set misses this violation
+    assert rows(audit.entries, "x z y angle") == []  # wide-angle set misses this violation
 
 
 def reference_angle_audit(pc, alpha):
@@ -966,7 +994,7 @@ def reference_angle_audit(pc, alpha):
     threshold = math.acos(-alpha)
     coords = pc.coords
     n = pc.n
-    entries: list[AngleAuditEntry] = []
+    entries: list[tuple[int, int, int, float]] = []
     skipped: list[tuple[int, int]] = []
     dropped = 0
 
@@ -994,17 +1022,20 @@ def reference_angle_audit(pc, alpha):
                 if slack <= 0.0:
                     dropped += 1
                     continue
-                entries.append(AngleAuditEntry(x, z, y, ang))
+                entries.append((x, z, y, ang))
     # Deduplicate degenerate notices and keep output order stable.
     seen = sorted(set(skipped))
-    return AngleAudit(alpha=float(alpha), threshold=threshold, entries=tuple(entries),
+    return AngleAudit(alpha=float(alpha), threshold=threshold,
+                      entries=Columns.from_rows(("x", "z", "y", "angle"), entries),
                       skipped_degenerate=tuple(seen), boundary_dropped=dropped)
 
 
 def audit_key(audit):
-    """Everything an audit reports, with the Python types it reports them in."""
-    entries = [(e.x, e.z, e.y, e.angle) for e in audit.entries]
+    """Everything an audit reports, with the Python types it reports them in,
+    its entry columns lists included."""
+    entries = rows(audit.entries, "x z y angle")
     types = {tuple(type(f).__name__ for f in e) for e in entries}
+    types.add(tuple(type(c).__name__ for c in audit.entries.columns.values()))
     types |= {tuple(type(f).__name__ for f in p) for p in audit.skipped_degenerate}
     return (audit.alpha, audit.threshold, entries, list(audit.skipped_degenerate),
             audit.boundary_dropped, sorted(types))
