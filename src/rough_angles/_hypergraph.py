@@ -6,19 +6,22 @@ problem by budgeted branch and bound: every edge needs at least one vertex
 outside the subset.  It takes the hyperedges as a sorted list of distinct
 increasing triples, as its callers build them, and does not check that.
 ``_in_order_search`` grows increasing tuples in index order instead, with the
-hyperedges handed over lazily as bitmasks, which only ``row_third`` builds:
-from one boolean (b, c) block per first vertex a, built and packed the first
-time the search reaches a.  Given the optimum size found by the former, one
-in-order pass returns the lexicographically smallest maximum subset.  Asked
-for the maximum itself, the in-order search bounds its passes by Ostergard's
-Russian doll.  Vertices are bitmask-encoded; all tie-breaks are by smallest
-index so results are deterministic regardless of schedule.
+hyperedges handed over lazily as bitmasks: ``row_third`` builds them from one
+boolean (b, c) block per first vertex a, built and packed the first time the
+search reaches a, and ``edge_third`` from a list of triples.  Given the
+optimum size found by the former, one in-order pass returns the
+lexicographically smallest maximum subset.  Asked for the maximum itself, the
+in-order search bounds its passes by Ostergard's Russian doll.  Both searches
+take a node budget and, once it runs out, return their best subset with
+``optimal=False`` and a true upper bound.  Vertices are bitmask-encoded; all
+tie-breaks are by smallest index so results are deterministic regardless of
+schedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -33,6 +36,12 @@ class SearchResult:
     optimal: bool
     upper_bound: int
     nodes: int
+
+
+def _check_budget(budget: Optional[int]) -> None:
+    """Refuse a negative node budget (None: no limit)."""
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
 
 
 def _greedy_cover(n: int, edges: list[tuple[int, int, int]]) -> int:
@@ -76,8 +85,7 @@ def max_independent_subset(
     ``budget`` (None: no limit).  On budget exhaustion the best subset found
     is returned with ``optimal=False``, so budget 0 returns the complement of
     the greedy cover.  A negative budget is refused."""
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+    _check_budget(budget)
     upper = n - _matching_bound(edges)
     best_cover = _greedy_cover(n, edges)
     best_cover_size = best_cover.bit_count()
@@ -163,8 +171,17 @@ def row_third(bad_row: Callable[[int], np.ndarray]) -> Callable[[int, int], int]
     return third
 
 
+def edge_third(edges: Iterable[tuple[int, int, int]]) -> Callable[[int, int], int]:
+    """``third`` for ``_in_order_search`` from increasing triples (a, b, c)."""
+    masks: dict[tuple[int, int], int] = {}
+    for a, b, c in edges:
+        masks[a, b] = masks.get((a, b), 0) | (1 << c)
+    return lambda a, b: masks.get((a, b), 0)
+
+
 def _in_order_search(n: int, third: Callable[[int, int], int],
-                     target: Optional[int] = None) -> tuple[int, ...]:
+                     target: Optional[int] = None,
+                     budget: Optional[int] = None) -> SearchResult:
     """The lexicographically smallest of the largest independent subsets of
     range(n), as an increasing tuple; with ``target``, the lexicographically
     first independent tuple of that size (or the former, if none exists).
@@ -187,19 +204,40 @@ def _in_order_search(n: int, third: Callable[[int, int], int],
     free vertex falls short of the goal.  A last pass under the same bound
     asks for the first tuple of size ``doll[0]``, unless the pass at 0 has
     found it already.
+
+    Each tuple the search visits is a node, counted against ``budget`` (None:
+    no limit; a negative budget is refused).  ``optimal`` says whether the
+    search ran to its end.  Once the budget is spent it stops with the best
+    tuple found so far and a true ``upper_bound`` on the maximum.  With
+    ``target`` that is the largest size plus popcount of ``free`` over the
+    nodes left unfinished, or the incumbent's size: every finished or cut
+    branch stays at or below the latter.  In the Russian-doll pass at i it is
+    i + ``doll[i+1]`` + 1 (at most i points below i, at most one more than
+    ``doll[i+1]`` from i on), and ``doll[0]`` in the last pass.
     """
+    _check_budget(budget)
+    limit = -1 if budget is None else budget
     masks: dict[int, int] = {}
     seq: list[int] = []
     best: tuple[int, ...] = ()
     goal = 1  # the size the search looks for next
     doll = [0] * (n + 1) if target is None else None
+    nodes = 0
+    exhausted = False
+    top = 0  # the largest size + popcount(free) over the nodes left unfinished
 
     def extend(free: int) -> bool:
-        nonlocal best, goal
+        nonlocal best, goal, nodes, exhausted, top
         size = len(seq)
+        if nodes == limit:
+            exhausted = True
+            top = max(top, size + free.bit_count())
+            return True
+        nodes += 1
         if size >= goal:
             best = tuple(seq)
             if size == target:
+                top = max(top, size + free.bit_count())
                 return True
             goal = size + 1
         while free:
@@ -220,19 +258,23 @@ def _in_order_search(n: int, third: Callable[[int, int], int],
                 cut |= mask
             seq.append(v)
             if extend(free & ~cut):
+                top = max(top, size + free.bit_count())
                 return True
             seq.pop()
         return False
 
     if doll is None:
         extend((1 << n) - 1)
-        return best
+        return SearchResult(best, len(best), not exhausted, max(len(best), top), nodes)
     for i in range(n - 1, -1, -1):  # each pass stops at its first tuple of size goal
         seq[:] = [i]
         goal = target = doll[i + 1] + 1
-        doll[i] = goal if extend((1 << n) - (2 << i)) else goal - 1
+        found = extend((1 << n) - (2 << i))
+        if exhausted:
+            return SearchResult(best, len(best), False, min(n, i + goal), nodes)
+        doll[i] = goal if found else goal - 1
     if n == 0 or doll[0] == doll[1]:
         seq.clear()
         goal = target = doll[0]
         extend((1 << n) - 1)
-    return best
+    return SearchResult(best, len(best), not exhausted, doll[0], nodes)

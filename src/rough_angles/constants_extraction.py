@@ -281,14 +281,14 @@ def find_theta_straight_subset(d: DseSpace, m: int, theta: float) -> Optional[tu
         raise ValueError("need m >= 2")
     if m > d.n:
         return None
-    got = _hypergraph._in_order_search(d.n, _straight_third(d, theta), target=m)
+    got = _hypergraph._in_order_search(d.n, _straight_third(d, theta), target=m).subset
     return got if len(got) == m else None
 
 
 def max_theta_straight_subset(d: DseSpace, theta: float) -> tuple[int, ...]:
     """Largest theta-straight increasing subset (the lexicographically
     smallest among maxima)."""
-    return _hypergraph._in_order_search(d.n, _straight_third(d, theta))
+    return _hypergraph._in_order_search(d.n, _straight_third(d, theta)).subset
 
 
 # ----------------------------------------------------------------------------
@@ -658,7 +658,7 @@ def extract_sra_subspace(
         # The first increasing size-tuple of Y whose in-order triples are all red
         # (or all blue).
         got = _hypergraph._in_order_search(len(straight), _colour_third(sub, alpha, red),
-                                           target=size)
+                                           target=size).subset
         return tuple(straight[p] for p in got) if len(got) == size else None
 
     cert = certified(monochrome(True, k) or ())
@@ -666,7 +666,8 @@ def extract_sra_subspace(
         return ExtractionResult(alpha, theta, k, n_blue, "straight-red", cert, straight)
     blue_found = monochrome(False, n_blue)
 
-    direct = _hypergraph._in_order_search(d.n, _sra_third(d.space, alpha, tol), target=k)
+    direct = _hypergraph._in_order_search(d.n, _sra_third(d.space, alpha, tol),
+                                           target=k).subset
     cert = certified(direct)
     if cert is not None:
         return ExtractionResult(

@@ -154,7 +154,8 @@ def _certificate(m: FiniteMetricSpace, edges: list[tuple[int, int, int]], alpha:
     res = _hypergraph.max_independent_subset(m.n, edges, budget=budget)
     subset = res.subset
     if res.optimal and res.size < m.n:
-        subset = _hypergraph._in_order_search(m.n, _sra_third(m, alpha, tol), target=res.size)
+        subset = _hypergraph._in_order_search(m.n, _sra_third(m, alpha, tol),
+                                              target=res.size).subset
     return SubsetCertificate(alpha=float(alpha), subset=subset, size=res.size,
                              optimal=res.optimal, bound=res.upper_bound)
 

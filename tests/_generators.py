@@ -7,14 +7,10 @@ Three constructions, all metrics by construction:
 * euclidean: pairwise distances of a random point cloud.
 * graph: shortest-path closure (Floyd-Warshall) of random positive weights.
 
-``edge_third`` turns a list of hyperedges into the ``third`` masks of the
-in-order search, as a test's independent route to them.  ``rows`` reads the
-report columns of verdicts and audits back as tuples.
+``rows`` reads the report columns of verdicts and audits back as tuples.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Iterable
 
 import numpy as np
 
@@ -70,15 +66,6 @@ def gradient_dse(seed: int, steps: int = 40):
     q = a.T @ a + 0.5 * np.eye(2)
     step = 0.9 / float(np.max(np.linalg.eigvalsh(q)))
     return curve_to_dse(gen_gradient_trajectory(q, rng.standard_normal(2), step, steps))
-
-
-def edge_third(edges: Iterable[tuple[int, int, int]]) -> Callable[[int, int], int]:
-    """``third`` for ``_hypergraph._in_order_search`` from increasing triples
-    (a, b, c)."""
-    masks: dict[tuple[int, int], int] = {}
-    for a, b, c in edges:
-        masks[a, b] = masks.get((a, b), 0) | (1 << c)
-    return lambda a, b: masks.get((a, b), 0)
 
 
 def rows(columns, names: str) -> list[tuple]:

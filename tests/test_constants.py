@@ -37,7 +37,7 @@ from rough_angles import (
     weird_conditions_satisfied,
 )
 
-from rough_angles._hypergraph import _in_order_search, row_third
+from rough_angles._hypergraph import _in_order_search, edge_third, row_third
 from rough_angles.constants_extraction import (
     _as_fraction,
     _candidate_batch,
@@ -50,7 +50,7 @@ from rough_angles.constants_extraction import (
 # run, unedited, against a search that has no tail.
 from rough_angles import constants_extraction
 
-from _generators import collinear, edge_third, gradient_dse
+from _generators import collinear, gradient_dse
 
 
 # ---------------------------------------------------------------------------
@@ -598,13 +598,13 @@ def test_in_order_search_matches_brute_force():
             calls.append((a, b))
             return sum(1 << c for x, y, c in edges if (x, y) == (a, b))
 
-        best = _in_order_search(n, third)
+        best = _in_order_search(n, third).subset
         assert len(calls) == len(set(calls)) and all(a < b for a, b in calls)
         top = max(k for k in range(n + 1) if brute_independent(n, edges, k) is not None)
         assert best == brute_independent(n, edges, top)
         for k in range(1, n + 1):
             want = brute_independent(n, edges, k)
-            assert _in_order_search(n, third, target=k) == (best if want is None else want)
+            assert _in_order_search(n, third, target=k).subset == (best if want is None else want)
 
 
 def test_in_order_search_prunes_ties():
@@ -617,7 +617,7 @@ def test_in_order_search_prunes_ties():
         calls.append((a, b))
         return 1 << 2 if (a, b) == (0, 1) else 0
 
-    assert _in_order_search(4, third, target=3) == (0, 1, 3)
+    assert _in_order_search(4, third, target=3).subset == (0, 1, 3)
     assert calls == [(0, 1), (0, 3), (1, 3)]
 
 
@@ -657,7 +657,7 @@ def test_row_third_builds_each_reached_row_once():
             block[0, 1] = True  # {0, 1, 2}
         return block
 
-    assert _in_order_search(4, row_third(bad_row), target=3) == (0, 1, 3)
+    assert _in_order_search(4, row_third(bad_row), target=3).subset == (0, 1, 3)
     assert rows == [0, 1]
 
 
@@ -714,7 +714,7 @@ def assert_asked_once(calls):
 def test_russian_doll_search_matches_popcount_search():
     for n, edges in random_hypergraphs():
         third, calls = recorded(edge_third(edges))
-        assert _in_order_search(n, third) == reference_in_order_search(n, edge_third(edges))
+        assert _in_order_search(n, third).subset == reference_in_order_search(n, edge_third(edges))
         assert_asked_once(calls)
 
 
@@ -724,7 +724,7 @@ def test_target_searches_keep_the_popcount_search():
         for k in range(1, min(n, 6) + 1):
             third, calls = recorded(edge_third(edges))
             want, want_calls = recorded(edge_third(edges))
-            assert (_in_order_search(n, third, target=k)
+            assert (_in_order_search(n, third, target=k).subset
                     == reference_in_order_search(n, want, target=k))
             assert calls == want_calls
 
@@ -745,7 +745,7 @@ def test_russian_doll_straight_search_on_snowflaked_paths():
 
                 third, calls = recorded(row_third(bad_row))
                 want = reference_in_order_search(n, _straight_third(d, theta))
-                assert _in_order_search(n, third) == want
+                assert _in_order_search(n, third).subset == want
                 assert max_theta_straight_subset(d, theta) == want
                 assert_asked_once(calls)
                 assert len(rows) == len(set(rows))

@@ -9,15 +9,22 @@ from rough_angles import (
     EUCLIDEAN_L2,
     FiniteMetricSpace,
     ModelSpaceSpec,
+    PointCloud,
+    default_tol,
     diameter,
     doubling_estimate,
     freeness_via_cover,
     from_point_cloud,
     gen_snowflaked_path,
     greedy_net,
+    max_sra_subset,
     net_embed,
     sample_model,
+    subspace,
 )
+from rough_angles import metric_core, net_embedding, sra_analysis
+from rough_angles._hypergraph import DEFAULT_BUDGET
+from rough_angles.net_embedding import BallFreenessEntry, CoverFreenessReport
 
 from _generators import boundary_triple, collinear, random_metric
 
@@ -264,3 +271,127 @@ def test_freeness_cover_unknown_on_budget():
 def test_freeness_cover_validates_radii():
     with pytest.raises(ValueError):
         freeness_via_cover(collinear(4), 0.8, 2.0, 1.0, k=3)
+
+
+# The cover as it was before it scanned the R-ball once: one branch and
+# bound (``max_sra_subset``) per ball and one for the R-ball, each over its
+# own scan.  Kept verbatim as a test oracle.
+
+def reference_freeness_via_cover(m, alpha, r, big_r, k, budget=DEFAULT_BUDGET):
+    if not (0.0 < r < big_r):
+        raise ValueError("need 0 < r < R")
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    d = m.dist
+    ball_r = [int(i) for i in np.nonzero(d[0] <= big_r)[0]]
+    centers = greedy_net(m, r, on=ball_r)
+    sub_r = subspace(m, ball_r)
+    tol = default_tol(sub_r)
+    entries = []
+    exact = True
+    for c in centers:
+        members = [p for p in ball_r if d[c, p] <= r]
+        if not members:
+            continue
+        cert = max_sra_subset(subspace(m, members), alpha, budget=budget, tol=tol)
+        exact = exact and cert.optimal
+        entries.append(BallFreenessEntry(center=c, ball=tuple(members),
+                                         max_sra_size=cert.size, optimal=cert.optimal))
+    global_cert = max_sra_subset(sub_r, alpha, budget=budget, tol=tol)
+    exact = exact and global_cert.optimal
+    per_ball_max = max((e.max_sra_size for e in entries), default=0)
+    bound = len(centers) * per_ball_max
+    holds = (global_cert.size <= bound) if exact else None
+    return CoverFreenessReport(
+        alpha=float(alpha), r=float(r), big_r=float(big_r), k=k,
+        cover_centers=tuple(centers), per_ball=tuple(entries),
+        global_max=global_cert.size, global_optimal=global_cert.optimal,
+        bound=bound, holds=holds,
+        all_balls_free_of_k=all(e.max_sra_size < k for e in entries),
+    )
+
+
+def assert_cover_matches_reference(m, alpha, r, big_r, k):
+    """Where every search of the reference completes, the one-scan cover
+    gives the same report, field for field."""
+    want = reference_freeness_via_cover(m, alpha, r, big_r, k)
+    if want.holds is None:
+        return
+    got = freeness_via_cover(m, alpha, r, big_r, k)
+    assert got == want
+    assert got.global_optimal and all(e.optimal for e in got.per_ball)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cover_cases(), st.integers(1, 5))
+def test_freeness_cover_matches_reference_on_cover_cases(case, k):
+    assert_cover_matches_reference(*case, k)
+
+
+def test_freeness_cover_matches_reference_on_random_metrics():
+    rng = np.random.default_rng(40)
+    for _ in range(20):
+        m = random_metric(int(rng.integers(8, 16)), rng)
+        big_r = float(rng.uniform(0.5, 1.0)) * diameter(m)
+        assert_cover_matches_reference(m, float(rng.uniform(0.3, 0.9)),
+                                       float(rng.uniform(0.4, 0.9)) * big_r, big_r, 4)
+
+
+def lattice(k, jitter=0.0, seed=0):
+    """The k x k unit lattice, each point moved by up to ``jitter`` per
+    coordinate; point 0 is a corner."""
+    pts = np.array([(i, j) for i in range(k) for j in range(k)], dtype=float)
+    pts += np.random.default_rng(seed).uniform(-jitter, jitter, pts.shape)
+    return from_point_cloud(PointCloud(ModelSpaceSpec(EUCLIDEAN_L2, 2), pts))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+@pytest.mark.parametrize("jitter, r", [(0.0, 2.5), (0.1, 1.5)])
+def test_freeness_cover_matches_reference_on_lattices(k, jitter, r):
+    # R = 2k reaches every lattice point from the corner.
+    assert_cover_matches_reference(lattice(k, jitter, seed=k), 0.8, r, 2.0 * k, 3)
+
+
+def counted_scans(monkeypatch):
+    """A list that gains one entry per call of the per-middle scan."""
+    calls = []
+    scan = metric_core._middle_scan
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(metric_core, "_middle_scan", counted)
+    monkeypatch.setattr(sra_analysis, "_middle_scan", counted)
+    return calls
+
+
+@pytest.mark.parametrize("alpha, passes", [(0.5, True), (0.9, False)])
+def test_freeness_cover_scans_once(monkeypatch, alpha, passes):
+    # A snowflaked path is SRA(0.5), and every triple of a line breaks SRA(0.9).
+    m = gen_snowflaked_path(12, 0.5).space if passes else collinear(12)
+    big_r = diameter(m)
+    calls = counted_scans(monkeypatch)
+    rep = freeness_via_cover(m, alpha, 0.4 * big_r, big_r, k=3)
+    assert calls == [alpha]
+    assert rep.holds and (rep.global_max == 12) == passes
+
+
+def test_freeness_cover_counts_balls_without_hyperedges(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a ball with no hyperedge was searched")
+
+    monkeypatch.setattr(net_embedding, "_in_order_search", no_search)
+    m = gen_snowflaked_path(12, 0.5).space
+    big_r = diameter(m)
+    rep = freeness_via_cover(m, 0.5, 0.3 * big_r, big_r, k=3)
+    assert len(rep.per_ball) > 1
+    assert all(e.max_sra_size == len(e.ball) and e.optimal for e in rep.per_ball)
+    assert (rep.global_max, rep.global_optimal, rep.holds) == (12, True, True)
+
+
+def test_freeness_cover_refuses_negative_budget_before_scanning(monkeypatch):
+    calls = counted_scans(monkeypatch)
+    with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+        freeness_via_cover(collinear(6), 0.8, 1.5, 5.0, k=3, budget=-1)
+    assert calls == []

@@ -30,7 +30,8 @@ from rough_angles import (
 )
 from rough_angles import metric_core, sra_analysis
 
-from rough_angles._hypergraph import SearchResult, max_independent_subset
+from rough_angles._hypergraph import (SearchResult, _in_order_search, edge_third,
+                                      max_independent_subset)
 from rough_angles.metric_core import Columns
 from rough_angles.sra_analysis import MAX_VIOLATIONS, AngleAudit
 
@@ -40,7 +41,6 @@ from _generators import (
     angle_corpus,
     boundary_triple,
     collinear,
-    edge_third,
     gradient_dse,
     graph_metric,
     random_metric,
@@ -474,6 +474,44 @@ def test_search_counts_nodes_without_budget():
     free = max_independent_subset(5, edges, budget=None)
     capped = max_independent_subset(5, edges, budget=10**6)
     assert free.nodes == capped.nodes > 0
+
+
+def brute_max_independent(n, edges):
+    """Size of the largest subset of range(n) spanning no edge."""
+    for size in range(n, -1, -1):
+        if any(not any(set(e) <= set(c) for e in edges) for c in combinations(range(n), size)):
+            return size
+
+
+def test_in_order_search_budget_bounds_its_work():
+    """Under a node budget the in-order search returns an independent tuple,
+    a true upper bound and at most ``budget`` nodes, and is optimal exactly
+    when it ran to its end; unbudgeted, it is the reference maximum."""
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        n = int(rng.integers(0, 13))
+        p = rng.uniform(0.05, 0.7)
+        edges = [t for t in combinations(range(n), 3) if rng.random() < p]
+        top = brute_max_independent(n, edges)
+        assert reference_max_independent_subset(n, edges, budget=None).size == top
+        for target in (None, 3):
+            full = _in_order_search(n, edge_third(edges), target=target)
+            assert full.optimal and full.size == len(full.subset)
+            if target is None:
+                assert full.size == full.upper_bound == top
+            for budget in (0, 1, 5, None):
+                res = _in_order_search(n, edge_third(edges), target=target, budget=budget)
+                assert not any(set(e) <= set(res.subset) for e in edges)
+                assert res.size == len(res.subset) <= top <= res.upper_bound <= n
+                assert budget is None or res.nodes <= budget
+                assert res.optimal == (budget is None or full.nodes <= budget)
+                if res.optimal:
+                    assert res == full
+
+
+def test_in_order_search_refuses_negative_budget():
+    with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+        _in_order_search(3, edge_third([(0, 1, 2)]), budget=-1)
 
 
 # Reference copies of the certificate rebuild that the in-order pass
