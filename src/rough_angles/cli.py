@@ -267,11 +267,21 @@ def _cmd_refute_weird(args) -> int:
                  result, {}, verdict)
 
 
+def _default(value: float, what: str, flag: str) -> float:
+    """A radius computed from the input, refused when it is not positive
+    (one point, or all distances 0): the error names the default and the
+    flag that sets the value, which the user did not give."""
+    if not value > 0.0:
+        raise ValueError(f"the default {what}, is {value} for this input; "
+                         f"give {flag} with a positive value")
+    return value
+
+
 def _cmd_net_embed(args) -> int:
     if args.format == "csv" and not args.out:
         raise ValueError("--format csv writes its coordinates to --out, which is missing")
     m = rio.load_distance_matrix(args.in_path)
-    r = args.r if args.r is not None else 0.1 * diameter(m)
+    r = args.r if args.r is not None else _default(0.1 * diameter(m), "r, 0.1*diameter", "--r")
     net = greedy_net(m, r)
     emb = net_embed(m, net)
     result = {"gamma": emb.gamma, "upper": emb.upper, "net_size": len(emb.net),
@@ -286,7 +296,7 @@ def _cmd_net_embed(args) -> int:
 
 def _cmd_doubling(args) -> int:
     m = rio.load_distance_matrix(args.in_path)
-    scales = args.scales or [diameter(m) / 4.0]
+    scales = args.scales or [_default(diameter(m) / 4.0, "scale, diameter/4", "--scales")]
     est = doubling_estimate(m, scales)
     return _emit(args, "doubling", {"in": args.in_path, "scales": scales},
                  {"estimates": est}, {}, None)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import io
 import itertools
 import json
 from pathlib import Path
@@ -250,18 +251,21 @@ def load_distance_matrix(path: PathLike) -> FiniteMetricSpace:
     p = Path(path)
     if p.suffix.lower() == ".json":
         return FiniteMetricSpace(_json_matrix(p, _read_object(p)))
-    with p.open(newline="") as fh:
-        # loadtxt warns on a file with no data lines; such a file has no numeric rows.
-        if not any(line.strip() for line in fh):
-            raise ValueError(f"{p}: no numeric rows")
+    raw = p.read_bytes()
+    # The file's text as open() would decode it, for the checks and the fallback.
+    fh = io.TextIOWrapper(io.BytesIO(raw), newline="")
+    # loadtxt warns on a file with no data lines; such a file has no numeric rows.
+    if not any(line.strip() for line in fh):
+        raise ValueError(f"{p}: no numeric rows")
+    try:
+        # Plain numeric CSV in numpy's C parser, which rounds as float() does and
+        # decodes the bytes as the text is decoded; anything it refuses (header,
+        # quotes, empty cells, a byte that does not decode, ...) goes cell by cell.
+        dist = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, dtype=np.float64,
+                          ndmin=2, encoding=fh.encoding)
+    except ValueError:
         fh.seek(0)
-        try:
-            # Plain numeric CSV in numpy's C parser, which rounds as float() does;
-            # anything it refuses (header, quotes, empty cells, ...) goes cell by cell.
-            dist = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-        except ValueError:
-            fh.seek(0)
-            dist = _parse_csv(p, fh)
+        dist = _parse_csv(p, fh)
     return FiniteMetricSpace(_checked_matrix(p, dist))
 
 

@@ -30,7 +30,8 @@ MAX_VIOLATIONS = 100
 # it, starting and feeding threads costs more than it saves), in blocks of up
 # to this many matrix elements' worth of middles (much smaller blocks lose
 # the gain), with as many workers as keep their buffers within twice the
-# serial scan's at MAX_POINTS.
+# serial scan's at MAX_POINTS.  The doubling estimate's greedy covers run on
+# blocks of centers of the same number of elements.
 _THREADED_MIN_N = 150
 _BLOCK_ELEMENTS = 1 << 20
 _SCAN_BUFFER_BYTES = 2 * 16 * MAX_POINTS * MAX_POINTS

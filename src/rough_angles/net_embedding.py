@@ -5,6 +5,11 @@ The embedding sends a point p to its vector of distances to the net points,
 Phi(p) = (d(p, z_1), ..., d(p, z_N)).  Under the sup norm on images Phi is
 exactly 1-Lipschitz (coordinatewise triangle inequality); the interesting
 quantity is the measured lower factor gamma.
+
+The doubling estimate runs the greedy net of every ball B(c, 2s) at once, a
+block of centers (``metric_core._BLOCK_ELEMENTS`` matrix elements) at a time:
+one row of gaps per ball, one ``argmax`` and one ``np.minimum`` per step.  Its
+covering numbers are those of one ``greedy_net`` per center.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import sra_analysis
+from . import metric_core, sra_analysis
 from ._hypergraph import DEFAULT_BUDGET, _check_budget, _in_order_search, edge_third
 from .metric_core import FiniteMetricSpace, default_tol, subspace
 
@@ -101,20 +106,54 @@ class ScaleEstimate:
 def doubling_estimate(m: FiniteMetricSpace, scales: Sequence[float]) -> list[ScaleEstimate]:
     """Per scale s, the largest number of s-balls a greedy cover needs for
     any ball of radius 2s.  An empirical stand-in for the doubling constant;
-    greedy covers overshoot the optimum, so values are upper-biased."""
-    out = []
+    greedy covers overshoot the optimum, so values are upper-biased.
+
+    Each ball's cover is ``greedy_net(m, s, on=ball)``, the same points and
+    so the same count, but the covers of a block of centers run at once
+    (``_largest_cover``).  A cover that never ends, which only a point p
+    with d(p, p) > s can cause, is refused."""
     d = m.dist
+    # cols[v] is the column d[:, v] that greedy_net folds in when it picks v.
+    cols = d if np.array_equal(d, d.T) else np.ascontiguousarray(d.T)
+    block = max(1, metric_core._BLOCK_ELEMENTS // m.n)
+    out = []
     for s in scales:
         if not s > 0.0:
             raise ValueError(f"scales must be positive, got {s}")
-        worst = 1
-        for center in range(m.n):
-            ball = np.nonzero(d[center] <= 2.0 * s)[0]
-            if ball.size <= 1:
-                continue
-            worst = max(worst, len(greedy_net(m, s, on=ball)))
+        worst = max(_largest_cover(d[lo:lo + block], cols, s)
+                    for lo in range(0, m.n, block))
         out.append(ScaleEstimate(scale=float(s), covering_number=worst))
     return out
+
+
+def _largest_cover(rows: np.ndarray, cols: np.ndarray, s: float) -> int:
+    """The largest greedy s-net of the balls B(c, 2s) whose centers' rows of
+    d are ``rows``, or 1 if none holds two points.
+
+    One row of ``gaps`` per ball: a point's distance to the ball's net so
+    far, -inf off the ball.  Each step adds every unfinished ball's farthest
+    point (the first, on ties) to its net; a ball is finished once no gap
+    exceeds s.  Finished rows are dropped once more than half of the rows
+    are finished, so no block works more than twice its balls' net sizes
+    times n, however large one ball's net is."""
+    inball = rows <= 2.0 * s
+    inball = inball[np.count_nonzero(inball, axis=1) > 1]
+    if not inball.size:
+        return 1
+    gaps = np.where(inball, cols[np.argmax(inball, axis=1)], -np.inf)
+    size = 1
+    while True:
+        far = np.argmax(gaps, axis=1)
+        growing = gaps[np.arange(far.size), far] > s
+        if not growing.any():
+            return size
+        size += 1
+        if size > cols.shape[0]:  # a point was picked twice, so d(p, p) > s
+            raise ValueError(f"scale {s}: a greedy cover does not end, "
+                             f"as some point p has d(p, p) > {s}")
+        if 2 * np.count_nonzero(growing) < far.size:
+            gaps, far = gaps[growing], far[growing]
+        np.minimum(gaps, cols[far], out=gaps)
 
 
 @dataclass(frozen=True)

@@ -458,6 +458,25 @@ def test_doubling_scales_default_and_empty(capsys, collinear6):
                 "argument --scales: expected at least one argument")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["doubling"], "error: the default scale, diameter/4, is 0.0 for this input; "
+                   "give --scales with a positive value\n"),
+    (["net-embed"], "error: the default r, 0.1*diameter, is 0.0 for this input; "
+                    "give --r with a positive value\n"),
+    (["doubling", "--scales", "0"], "error: scales must be positive, got 0.0\n"),
+    (["net-embed", "--r", "0"], "error: need r > 0, got 0.0\n"),
+], ids=["doubling-default", "net-embed-default", "doubling-given", "net-embed-given"])
+@pytest.mark.parametrize("text", ["0.0\n", "0,0\n0,0\n"], ids=["one-point", "zero-distances"])
+def test_zero_diameter_defaults_name_themselves(capsys, tmp_path, argv, message, text):
+    """A default radius of 0 is the input's, not the user's: the error names
+    the default and the flag to give; a 0 the user gave is reported as given."""
+    src = tmp_path / "zero.csv"
+    src.write_text(text)
+    rc = main([argv[0], "--in", str(src), *argv[1:]])
+    out = capsys.readouterr()
+    assert rc == 1 and out.out == "" and out.err == message
+
+
 def test_freeness_cover_cli(capsys, collinear6):
     rc, rep = run(capsys, "freeness-cover", "--in", collinear6, "--alpha", "0.8",
                   "--r", "1.5", "--R", "5.0", "--k", "3")

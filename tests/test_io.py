@@ -5,6 +5,7 @@ import csv
 import json
 import math
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,3 +245,70 @@ def test_whole_number_dims_load(tmp_path, dim):
                                 "times": [0, 1], "points": [[0, 0], [1, 0]]}))
     assert load_point_cloud(path).model.dim == 2
     assert load_curve(path).model.dim == 2
+
+
+def reference_load_distance_matrix(path):
+    """The CSV branch of ``load_distance_matrix`` as it was when it read the
+    file as text, frozen to test the byte reader against."""
+    p = Path(path)
+    with p.open(newline="") as fh:
+        if not any(line.strip() for line in fh):
+            raise ValueError(f"{p}: no numeric rows")
+        fh.seek(0)
+        try:
+            dist = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        except ValueError:
+            fh.seek(0)
+            dist = rio._parse_csv(p, fh)
+    return rio.FiniteMetricSpace(rio._checked_matrix(p, dist))
+
+
+def load_outcome(load, path):
+    """The loaded matrix's bytes, or the type and message of the error."""
+    try:
+        return load(path).dist.tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+LOADER_RNG = np.random.default_rng(11)
+BIG = "".join(",".join(map(repr, row)) + "\n" for row in mirrored(LOADER_RNG.random((60, 60))).tolist())
+CSV_FILES = {
+    "lf": b"0,1.5\n1.5,0\n",
+    "crlf": b"0,1.5\r\n1.5,0\r\n",
+    "cr": b"0,1.5\r1.5,0\r",
+    "no-final-newline": b"0,1.5\n1.5,0",
+    "header": b"a,b\n0,1.5\n1.5,0\n",
+    "header-crlf": b"d_to_net_0,d_to_net_1\r\n0,1.5\r\n1.5,0\r\n",
+    "blank": b"",
+    "whitespace": b"  \n\t\r\n",
+    "unicode-whitespace": "　\n\x1c\r\n".encode(),
+    "header-only": b"a,b\n",
+    "quoted": b'"0","1.5"\n"1.5","0"\n',
+    "empty-cells": b"0,,1.5\n1.5,,0,\n",
+    "padded": b" 0 , 1.5 \n\t1.5,0 \n",
+    "blank-lines": b"\n0,1.5\n\n \n1.5,0\n\n",
+    "bom": "﻿0,1.5\n1.5,0\n".encode(),
+    "bom-header": "﻿a,b\n0,1.5\n1.5,0\n".encode(),
+    "non-utf8": b"0,1.5\n1.5,\xff0\n",
+    "non-utf8-space": b"0,1.5\xa0\n1.5,0\n",
+    "non-utf8-header": b"\xff\n0,1.5\n1.5,0\n",
+    "non-utf8-late": BIG.encode() + b"\xff\n",
+    "ragged": b"0,1.5\n1.5\n",
+    "word-after-data": b"0,1.5\n1.5,x\n",
+    "asymmetric": b"0,1\n2,0\n",
+    "non-square": b"0,1,2\n1,0,2\n",
+    "nan": b"0,nan\nnan,0\n",
+    "big-lf": BIG.encode(),
+    "big-crlf": BIG.replace("\n", "\r\n").encode(),
+}
+
+
+@pytest.mark.parametrize("raw", CSV_FILES.values(), ids=CSV_FILES.keys())
+def test_csv_loader_matches_text_loader(tmp_path, raw):
+    path = tmp_path / "x.csv"
+    path.write_bytes(raw)
+    got = load_outcome(rio.load_distance_matrix, path)
+    assert got == load_outcome(reference_load_distance_matrix, path)
+    if raw in (CSV_FILES["lf"], CSV_FILES["crlf"], CSV_FILES["big-lf"]):
+        assert isinstance(got, bytes)

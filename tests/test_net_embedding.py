@@ -192,6 +192,98 @@ def test_doubling_estimate_plane_sample_reports():
     assert est[0].covering_number >= 1  # report only, no tight assertion
 
 
+def reference_doubling_estimate(m, scales):
+    """``doubling_estimate`` as one ``greedy_net`` per center, frozen to test
+    the covers that run a block of centers at once against."""
+    out = []
+    d = m.dist
+    for s in scales:
+        if not s > 0.0:
+            raise ValueError(f"scales must be positive, got {s}")
+        worst = 1
+        for center in range(m.n):
+            ball = np.nonzero(d[center] <= 2.0 * s)[0]
+            if ball.size <= 1:
+                continue
+            worst = max(worst, len(greedy_net(m, s, on=ball)))
+        out.append(net_embedding.ScaleEstimate(scale=float(s), covering_number=worst))
+    return out
+
+
+def star(leaves, arm=0.5):
+    """Point 0 at ``arm`` from each leaf, the leaves pairwise at 2 * arm."""
+    d = np.full((leaves + 1, leaves + 1), 2.0 * arm)
+    d[0, :] = d[:, 0] = arm
+    np.fill_diagonal(d, 0.0)
+    return FiniteMetricSpace(d)
+
+
+def asymmetric(n, rng):
+    """Random positive entries, a zero diagonal and d[i, j] != d[j, i]."""
+    d = rng.uniform(0.1, 2.0, size=(n, n))
+    np.fill_diagonal(d, 0.0)
+    return FiniteMetricSpace(d)
+
+
+def integer_graph(n, rng):
+    """Shortest paths over a sparse random graph with edge weights 1-3: many
+    distances tie, so the greedy covers' first-index rule decides their sizes."""
+    w = np.triu(rng.integers(1, 4, size=(n, n)).astype(float), 1)
+    edge = np.triu(rng.random((n, n)) < 0.4, 1)
+    d = np.where(edge | edge.T, w + w.T, 3.0 * n)
+    np.fill_diagonal(d, 0.0)
+    for k in range(n):
+        d = np.minimum(d, d[:, k][:, None] + d[k, None, :])
+    return FiniteMetricSpace(d)
+
+
+def doubling_cases():
+    """(space, scales) pairs: random metrics of 1-40 points, lattices, a line
+    and integer graphs with distances exactly at s and 2s, stars, asymmetric
+    spaces."""
+    rng = np.random.default_rng(33)
+    for _ in range(60):
+        m = random_metric(int(rng.integers(1, 41)), rng)
+        yield m, (rng.uniform(0.02, 0.7, size=4) * max(diameter(m), 1e-3)).tolist()
+    for _ in range(40):
+        yield integer_graph(int(rng.integers(3, 15)), rng), [0.5, 1.0, 1.5, 2.0, 3.0]
+    for m in (lattice(4), lattice(6), collinear(12)):
+        yield m, [0.5, 1.0, 1.5, 2.0, math.sqrt(2.0), 3.0]
+    for leaves in (1, 7, 60):
+        yield star(leaves), [0.2, 0.25, 0.26, 0.5, 1.0]
+    for n in (2, 5, 17):
+        m = asymmetric(n, rng)
+        yield m, (rng.uniform(0.05, 1.0, size=4) * diameter(m)).tolist()
+    # The cover of point 0's ball picks point 1, whose d(1, 1) = 2 is over the
+    # scale 1.5, and ends only once point 2 covers it.
+    yield FiniteMetricSpace([[0.0, 3.0, 2.9], [3.0, 2.0, 1.0], [2.9, 2.5, 0.0]]), [1.5]
+
+
+@pytest.mark.parametrize("block_centers", [None, 1, 3])
+def test_doubling_estimate_matches_reference(monkeypatch, block_centers):
+    # None keeps the block size; 1 and 3 cut every space into blocks of that
+    # many centers, so that block edges and dropping finished rows are crossed.
+    for m, scales in doubling_cases():
+        if block_centers is not None:
+            monkeypatch.setattr(metric_core, "_BLOCK_ELEMENTS", block_centers * m.n)
+        assert doubling_estimate(m, scales) == reference_doubling_estimate(m, scales)
+
+
+def test_doubling_estimate_star():
+    # From 2s = arm up, point 0's ball holds every leaf, and below s = arm its
+    # cover needs every point; a leaf's ball holds only point 0 besides itself
+    # until 2s reaches 2 * arm, where one point covers every ball.
+    got = [e.covering_number for e in doubling_estimate(star(60), [0.2, 0.25, 0.4, 0.5])]
+    assert got == [1, 61, 61, 1]
+
+
+def test_doubling_estimate_refuses_a_cover_that_does_not_end():
+    # The cover of point 0's ball picks point 1, at d(1, 1) = 3 from itself.
+    m = FiniteMetricSpace([[0.0, 2.0], [2.0, 3.0]])
+    with pytest.raises(ValueError, match=r"scale 1.5: a greedy cover does not end"):
+        doubling_estimate(m, [1.5])
+
+
 def test_freeness_cover_trivial():
     m = FiniteMetricSpace([[0.0]])
     rep = freeness_via_cover(m, 0.8, 0.5, 1.0, k=3)
