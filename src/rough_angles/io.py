@@ -32,10 +32,22 @@ PathLike = Union[str, Path]
 
 
 def _read_object(p: Path) -> dict:
-    payload = json.loads(p.read_text())
+    try:
+        payload = json.loads(p.read_text())
+    except ValueError as exc:  # not UTF-8 text, or not JSON
+        raise ValueError(f"{p}: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{p}: expected a JSON object, got {type(payload).__name__}")
     return payload
+
+
+def _named(p: Path, make, *args):
+    """``make(*args)``, a ValueError it raises (of the same class) naming the
+    file ``p``: for the checks the constructors make on what was loaded."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise type(exc)(f"{p}: {exc}") from None
 
 
 def _as_int(p: Path, value) -> int:
@@ -250,7 +262,7 @@ def load_distance_matrix(path: PathLike) -> FiniteMetricSpace:
     cell that is not a number; errors name the file and the line or row."""
     p = Path(path)
     if p.suffix.lower() == ".json":
-        return FiniteMetricSpace(_json_matrix(p, _read_object(p)))
+        return _named(p, FiniteMetricSpace, _json_matrix(p, _read_object(p)))
     raw = p.read_bytes()
     # The file's text as open() would decode it, for the checks and the fallback.
     fh = io.TextIOWrapper(io.BytesIO(raw), newline="")
@@ -266,7 +278,7 @@ def load_distance_matrix(path: PathLike) -> FiniteMetricSpace:
     except ValueError:
         fh.seek(0)
         dist = _parse_csv(p, fh)
-    return FiniteMetricSpace(_checked_matrix(p, dist))
+    return _named(p, FiniteMetricSpace, _checked_matrix(p, dist))
 
 
 def save_distance_matrix(m: FiniteMetricSpace, path: PathLike) -> None:
@@ -298,7 +310,7 @@ def _model(p: Path, payload: dict) -> ModelSpaceSpec:
 def load_point_cloud(path: PathLike) -> PointCloud:
     p = Path(path)
     payload = _read_object(p)
-    return PointCloud(_model(p, payload), _json_rows(p, payload, "coords"))
+    return _named(p, PointCloud, _model(p, payload), _json_rows(p, payload, "coords"))
 
 
 def save_point_cloud(pc: PointCloud, path: PathLike) -> None:
@@ -311,7 +323,8 @@ def load_curve(path: PathLike) -> SampledCurve:
     model = _model(p, payload)
     times = payload.get("times")
     _numbers(p, '"times"', times)
-    return SampledCurve(model, _as_floats(p, times), _json_rows(p, payload, "points"))
+    return _named(p, SampledCurve, model, _as_floats(p, times),
+                  _json_rows(p, payload, "points"))
 
 
 def save_curve(c: SampledCurve, path: PathLike) -> None:
@@ -327,7 +340,7 @@ def load_dse(path: PathLike) -> DseSpace:
     order = payload.get("order", "identity")
     if order != "identity":
         raise ValueError(f"{p}: unsupported order {order!r}")
-    return as_dse(FiniteMetricSpace(_json_matrix(p, payload)))
+    return _named(p, as_dse, _named(p, FiniteMetricSpace, _json_matrix(p, payload)))
 
 
 def save_dse(d: DseSpace, path: PathLike) -> None:

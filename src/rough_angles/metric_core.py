@@ -26,12 +26,17 @@ MAX_POINTS = 4096
 # Most violations a validation report lists.
 MAX_VIOLATIONS = 100
 
-# The per-middle scan runs on a thread pool from this many points up (below
-# it, starting and feeding threads costs more than it saves), in blocks of up
-# to this many matrix elements' worth of middles (much smaller blocks lose
-# the gain), with as many workers as keep their buffers within twice the
-# serial scan's at MAX_POINTS.  The doubling estimate's greedy covers run on
-# blocks of centers of the same number of elements.
+# The per-middle scan's kernel takes k = max(1, _PASS_ELEMENTS // n^2) middles
+# per numpy pass in (k, n, n) buffers, so that a small space pays numpy's call
+# overhead once per pass rather than once per middle; from 91 points up k = 1.
+# The angle audit's blocks of middles take the same budget.  The scan runs on
+# a thread pool from _THREADED_MIN_N points up (below it, starting and feeding
+# threads costs more than it saves), in blocks of up to _BLOCK_ELEMENTS
+# matrix elements' worth of middles (much smaller blocks lose the gain), with
+# as many workers as keep their buffers within twice the serial scan's at
+# MAX_POINTS.  The doubling estimate's greedy covers run on blocks of centers
+# of _BLOCK_ELEMENTS elements.
+_PASS_ELEMENTS = 1 << 14
 _THREADED_MIN_N = 150
 _BLOCK_ELEMENTS = 1 << 20
 _SCAN_BUFFER_BYTES = 2 * 16 * MAX_POINTS * MAX_POINTS
@@ -252,7 +257,24 @@ def _scan_block(d: np.ndarray, lo: int, hi: int, alpha: Optional[float], tol: Op
                 critical: bool, gate: bool, diam: float, a: np.ndarray,
                 b: np.ndarray) -> list[tuple[int, Optional[float], Optional[tuple]]]:
     """The scan kernel: (z, need, hits) for the middles lo <= z < hi, computed
-    in the n x n buffers ``a`` and ``b``.  See ``_middle_scan``."""
+    in the (k, n, n) buffers ``a`` and ``b``, k middles per numpy pass.  At
+    k = 1, and for a single middle, the middles run one at a time in n x n
+    arrays.  See ``_middle_scan``."""
+    args = (alpha, tol, critical, gate, diam)
+    k = a.shape[0]
+    if k == 1 or hi - lo == 1:
+        return _scan_middles(d, lo, hi, *args, a[0], b[0])
+    out = []
+    for z in range(lo, hi, k):
+        out += _scan_pass(d, z, min(z + k, hi), *args, a, b)
+    return out
+
+
+def _scan_middles(d: np.ndarray, lo: int, hi: int, alpha: Optional[float], tol: Optional[float],
+                  critical: bool, gate: bool, diam: float, a: np.ndarray,
+                  b: np.ndarray) -> list[tuple[int, Optional[float], Optional[tuple]]]:
+    """(z, need, hits) of the middles lo <= z < hi, one at a time in the n x n
+    buffers ``a`` and ``b``."""
     out = []
     for z in range(lo, hi):
         col, row = d[:, z], d[z, :]
@@ -275,6 +297,64 @@ def _scan_block(d: np.ndarray, lo: int, hi: int, alpha: Optional[float], tol: Op
                 hits = (xs, ys, slack[xs, ys])
         out.append((z, need, hits))
     return out
+
+
+def _scan_pass(d: np.ndarray, lo: int, hi: int, alpha: Optional[float], tol: Optional[float],
+               critical: bool, gate: bool, diam: float, a: np.ndarray,
+               b: np.ndarray) -> list[tuple[int, Optional[float], Optional[tuple]]]:
+    """(z, need, hits) of the middles lo <= z < hi, all in one numpy pass over
+    the first hi - lo planes of ``a`` and ``b``: the elementwise operations of
+    ``_scan_middles``, so every need, slack and hit is the same bit for bit."""
+    k, n = hi - lo, d.shape[0]
+    zs = np.arange(lo, hi)
+    # cols[i, x, 0] = d(x, z_i), copied so that its transpose divides contiguously
+    cols = np.ascontiguousarray(d[:, lo:hi].T)[:, :, None]
+    rows = d[lo:hi, None, :]  # rows[i, 0, y] = d(z_i, y)
+    needs = [None] * k
+    if critical:
+        c, e = a[:k], b[:k]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(np.subtract(d, cols, out=c), cols.transpose(0, 2, 1), out=c)
+        np.minimum(c, c.transpose(0, 2, 1), out=e)
+        planes = np.arange(k)
+        e[planes, zs, :] = e[planes, :, zs] = -np.inf
+        flat = e.reshape(k, n * n)
+        flat[:, ::n + 1] = -np.inf
+        needs = np.fmax.reduce(flat, axis=1).tolist()
+    hits = [None] * k
+    if alpha is not None:
+        scan = [i for i, need in enumerate(needs)
+                if not (gate and need <= alpha + tol / (2.0 * diam))]
+        if scan:
+            pick = slice(None) if len(scan) == k else scan
+            for i, h in zip(scan, _pass_hits(d, zs[pick], cols[pick], rows[pick], alpha, tol,
+                                             a, b)):
+                hits[i] = h
+    return list(zip(range(lo, hi), needs, hits))
+
+
+def _pass_hits(d: np.ndarray, zs: np.ndarray, cols: np.ndarray, rows: np.ndarray, alpha: float,
+               tol: float, a: np.ndarray, b: np.ndarray) -> list[Optional[tuple]]:
+    """The hits of the middles ``zs`` of ``_scan_pass``, their columns and rows
+    of d given as there, as ``_scan_middles`` gives them: None where no slack
+    of the middle's plane exceeds ``tol``, else (xs, ys, slack) without x = y,
+    x = z or y = z."""
+    j, n = zs.size, d.shape[0]
+    slack = _sra_slack(d, cols, rows, alpha, out=a[:j], tmp=b[:j])
+    # Flat indices, in the same row-major order: np.nonzero of a 3-d array
+    # costs 10 to 20 times what it costs on the same array flattened.
+    flat = np.flatnonzero(slack > tol)
+    if not flat.size:
+        return [None] * j
+    ii, rest = np.divmod(flat, n * n)
+    xs, ys = np.divmod(rest, n)
+    over = np.bincount(ii, minlength=j).tolist()
+    z = zs[ii]
+    keep = (xs != ys) & (xs != z) & (ys != z)
+    ii, xs, ys, vals = ii[keep], xs[keep], ys[keep], slack.reshape(-1)[flat[keep]]
+    ends = np.cumsum(np.bincount(ii, minlength=j)).tolist()
+    return [(xs[lo:hi], ys[lo:hi], vals[lo:hi]) if count else None
+            for count, lo, hi in zip(over, [0] + ends, ends)]
 
 
 def _block_spans(n: int, step: int) -> Iterator[tuple[int, int]]:
@@ -301,13 +381,20 @@ def _middle_scan(d: np.ndarray, alpha: Optional[float], tol: Optional[float],
     points x, y other than z whose ``_sra_slack`` exceeds ``tol``; at
     alpha = 1 the slack is the triangle slack d(x,y) - (d(x,z) + d(z,y)).
 
-    At n >= ``_THREADED_MIN_N`` with more than one usable core, contiguous
-    blocks of middles (``_block_spans``) run on a thread pool over the usable
-    cores (numpy releases the GIL in its ufuncs), at most one block per worker
-    plus one ahead of the consumer, so that a consumer that stops early wastes
-    little work.  There is no flag or environment variable for it.  Every
-    middle runs the same float operations either way, so the output is bit
-    for bit that of the serial scan.
+    The kernel (``_scan_block``) takes k = max(1, ``_PASS_ELEMENTS`` // n^2)
+    middles per numpy pass in (k, n, n) buffers, so that a small space pays
+    numpy's call overhead once per pass rather than once per middle; from 91
+    points up k = 1 and each middle runs in n x n arrays.  Inline, the scan
+    walks ``_block_spans(n, k)``: 1, 2, 4, ... middles, so a capped consumer
+    that stops at the first middles leaves little work done.  At n >=
+    ``_THREADED_MIN_N`` with more than one usable core, contiguous blocks of
+    middles (``_block_spans``) run on a thread pool over the usable cores
+    (numpy releases the GIL in its ufuncs), each worker with its own (k, n, n)
+    buffers, at most one block per worker plus one ahead of the consumer, so
+    that a consumer that stops early wastes little work.  There is no flag or
+    environment variable for either.  Every middle runs the same elementwise
+    float operations whatever its pass or thread, so the output is bit for bit
+    that of a scan of one middle at a time.
     """
     n = d.shape[0]
     diam = float(np.max(d))
@@ -319,11 +406,12 @@ def _middle_scan(d: np.ndarray, alpha: Optional[float], tol: Optional[float],
     gate = (critical and alpha is not None and diam > 0.0 and tol >= 1e-12 * (1.0 + diam)
             and not np.any(d < 0.0))
     args = (alpha, tol, critical, gate, diam)
+    k = max(1, _PASS_ELEMENTS // (n * n))
     workers = _scan_workers(n) if n >= _THREADED_MIN_N else 1
     if workers < 2:
-        a, b = np.empty((n, n)), np.empty((n, n))
-        for z in range(n):
-            yield from _scan_block(d, z, z + 1, *args, a, b)
+        a, b = np.empty((k, n, n)), np.empty((k, n, n))
+        for lo, hi in _block_spans(n, k):
+            yield from _scan_block(d, lo, hi, *args, a, b)
         return
     # Imported here: concurrent.futures imports logging, about 10 ms of the
     # command-line tool's start-up, which only a scan this large repays.
@@ -333,7 +421,7 @@ def _middle_scan(d: np.ndarray, alpha: Optional[float], tol: Optional[float],
 
     def block(lo: int, hi: int) -> list:
         if not hasattr(local, "buffers"):  # each worker's own, for the whole scan
-            local.buffers = np.empty((n, n)), np.empty((n, n))
+            local.buffers = np.empty((k, n, n)), np.empty((k, n, n))
         return _scan_block(d, lo, hi, *args, *local.buffers)
 
     pool = ThreadPoolExecutor(workers)

@@ -35,7 +35,9 @@ def greedy_net(m: FiniteMetricSpace, r: float,
 
     The result is simultaneously an r-covering of ``on`` (every point within
     r of some net point) and an r-packing (net points pairwise > r apart).
-    Starts at the first listed point; ties go to the first listed.
+    Starts at the first listed point; ties go to the first listed.  A point p
+    picked twice has d(p, p) > r and would be picked forever after, so the
+    net is refused when it picks the same point twice in a row.
     """
     if not r > 0.0:
         raise ValueError(f"need r > 0, got {r}")
@@ -50,6 +52,9 @@ def greedy_net(m: FiniteMetricSpace, r: float,
         if mind[far] <= r:
             return net
         v = int(idx[far])
+        if v == net[-1]:  # its own column left its gap above r, and will again
+            raise ValueError(f"r = {r}: a greedy net does not end, as point {v} "
+                             f"has d({v}, {v}) = {d[v, v]} > {r}")
         net.append(v)
         np.minimum(mind, d[idx, v], out=mind)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _hypergraph
 from .metric_core import (EUCLIDEAN_L2, Columns, FiniteMetricSpace, PointCloud, _capped,
-                          _middle_scan, _pairwise, _sra_slack, default_tol)
+                          _PASS_ELEMENTS, _middle_scan, _pairwise, _sra_slack, default_tol)
 
 # Most violations a verdict or report lists.
 MAX_VIOLATIONS = 10_000
@@ -191,10 +191,6 @@ class AngleAudit:
     boundary_dropped: int
 
 
-# Most cosines, Z*n*n, that one block of Z middles of the angle audit holds.
-_ANGLE_BLOCK_ELEMENTS = 1 << 14
-
-
 def euclidean_angle_audit(pc: PointCloud, alpha: float) -> AngleAudit:
     """Triples of a Euclidean cloud whose vertex angle at the middle point
     exceeds arccos(-alpha).
@@ -221,22 +217,22 @@ def euclidean_angle_audit(pc: PointCloud, alpha: float) -> AngleAudit:
 
     # Middles are audited in contiguous blocks of Z, each in one pass over
     # (Z, n, d) offsets, so that a small cloud pays numpy's call overhead once
-    # per block rather than once per middle; _ANGLE_BLOCK_ELEMENTS bounds the
-    # Z*n*n cosines of a block, which leaves a cloud of 91 or more points at
-    # one middle per block.  The batched cosine matrix differs from the
-    # per-pair cosines below by a few ulps, so the candidate cut sits 1e-9
-    # above -alpha: every triple whose exact angle exceeds the threshold is
-    # a candidate.  A block's candidates are then decided as one batch:
-    # their dot products come from one batched matmul, whose 1-by-d times
-    # d-by-1 products run the kernel of np.dot, and their cosines and SRA
-    # slacks are array arithmetic, all bit for bit what a per-pair loop
-    # gives.  math.acos stays per candidate, mapped over the block, as
-    # np.arccos rounds differently from it; the masks below keep the
-    # comparisons of a per-candidate loop, so a NaN angle or slack is kept
-    # as an entry just as that loop would keep it.  Each block's kept
+    # per block rather than once per middle; _PASS_ELEMENTS, the per-middle
+    # scan's budget too, bounds the Z*n*n cosines of a block, which leaves a
+    # cloud of 91 or more points at one middle per block.  The batched cosine
+    # matrix differs from the per-pair cosines below by a few ulps, so the
+    # candidate cut sits 1e-9 above -alpha: every triple whose exact angle
+    # exceeds the threshold is a candidate.  A block's candidates are then
+    # decided as one batch: their dot products come from one batched matmul,
+    # whose 1-by-d times d-by-1 products run the kernel of np.dot, and their
+    # cosines and SRA slacks are array arithmetic, all bit for bit what a
+    # per-pair loop gives.  math.acos stays per candidate, mapped over the
+    # block, as np.arccos rounds differently from it; the masks below keep
+    # the comparisons of a per-candidate loop, so a NaN angle or slack is
+    # kept as an entry just as that loop would keep it.  Each block's kept
     # triples stay arrays; the columns are joined and listed once at the end.
     cut = -alpha + 1e-9
-    block = max(1, _ANGLE_BLOCK_ELEMENTS // max(1, n * n))
+    block = max(1, _PASS_ELEMENTS // max(1, n * n))
     for z0 in range(0, n, block):
         zs = np.arange(z0, min(z0 + block, n))
         v = coords[None, :, :] - coords[zs][:, None, :]

@@ -281,6 +281,25 @@ def test_module_entry_point_runs_without_runpy_warning():
     assert json.loads(proc.stdout)["command"] == "constants"
 
 
+@pytest.mark.parametrize("argv", [
+    ["net-embed", "--r", "1"],
+    ["freeness-cover", "--alpha", "0.8", "--r", "1", "--R", "2.5", "--k", "3"],
+], ids=["net-embed", "freeness-cover"])
+def test_greedy_net_on_a_positive_diagonal_exits_1(tmp_path, argv):
+    """d(1, 1) = 3 > r: the greedy net picked point 1 forever; in a subprocess,
+    so that a hang fails the test instead of stalling the suite."""
+    src = tmp_path / "diag.csv"
+    src.write_text("0,2\n2,3\n")
+    env = dict(os.environ)
+    root = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "rough_angles.cli", argv[0], "--in", str(src)]
+                          + argv[1:], env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == ("error: r = 1.0: a greedy net does not end, as point 1 "
+                           "has d(1, 1) = 3.0 > 1.0\n")
+
+
 def test_snowflake_writes_matrix(capsys, tmp_path, collinear6):
     out = tmp_path / "snow.json"
     rc, rep = run(capsys, "snowflake", "--in", collinear6, "--beta", "0.5",

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rough_angles import io as rio
+from rough_angles import cli, io as rio
 from rough_angles.io import load_curve, load_point_cloud
 from rough_angles.metric_core import Columns, MetricViolation
 
@@ -260,7 +260,7 @@ def reference_load_distance_matrix(path):
         except ValueError:
             fh.seek(0)
             dist = rio._parse_csv(p, fh)
-    return rio.FiniteMetricSpace(rio._checked_matrix(p, dist))
+    return rio._named(p, rio.FiniteMetricSpace, rio._checked_matrix(p, dist))
 
 
 def load_outcome(load, path):
@@ -312,3 +312,24 @@ def test_csv_loader_matches_text_loader(tmp_path, raw):
     assert got == load_outcome(reference_load_distance_matrix, path)
     if raw in (CSV_FILES["lf"], CSV_FILES["crlf"], CSV_FILES["big-lf"]):
         assert isinstance(got, bytes)
+
+
+@pytest.mark.parametrize("argv, name, text, message", [
+    (["validate"], "cut.json", '{"n": 2, "dist": [[0, 1], [1, 0]',
+     "Expecting ',' delimiter: line 1 column 33 (char 32)"),
+    (["extract", "--alpha", "0.8", "--k", "3"], "two.csv", "0,1\n1,0\n",
+     "Extra data: line 1 column 2 (char 1)"),
+    (["validate"], "nan.csv", "0,nan\nnan,0\n", "distance matrix contains non-finite values"),
+    (["curve-check"], "curve.json",
+     json.dumps({"model": "euclidean-l2", "dim": 2, "times": [0, 1, 2], "points": [[0, 0], [1, 0]]}),
+     "points must be a (len(times), arity) array"),
+    (["angles", "--alpha", "0.5"], "latin1.json", b'{"model": "\xe9"}',
+     "'utf-8' codec can't decode byte 0xe9 in position 11: invalid continuation byte"),
+], ids=["truncated-json", "csv-as-json", "nan-cell", "curve-lengths", "not-utf8-json"])
+def test_loader_errors_name_the_file(capsys, tmp_path, argv, name, text, message):
+    path = tmp_path / name
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    rc = cli.main([argv[0], "--in", str(path)] + argv[1:])
+    out = capsys.readouterr()
+    assert rc == 1 and out.out == ""
+    assert out.err == f"error: {path}: {message}\n"

@@ -284,6 +284,27 @@ def test_doubling_estimate_refuses_a_cover_that_does_not_end():
         doubling_estimate(m, [1.5])
 
 
+def test_greedy_net_refuses_a_net_that_does_not_end():
+    # Point 1 is picked first (its gap 2 exceeds r) and stays 3 from itself.
+    m = FiniteMetricSpace([[0.0, 2.0], [2.0, 3.0]])
+    for on in (None, [1, 0], [1]):
+        with pytest.raises(ValueError, match=r"r = 1.0: a greedy net does not end, as point 1 "
+                                             r"has d\(1, 1\) = 3.0 > 1.0"):
+            greedy_net(m, 1.0, on=on)
+    with pytest.raises(ValueError, match=r"r = 1.0: a greedy net does not end"):
+        freeness_via_cover(m, 0.8, 1.0, 2.5, k=3)
+    # At r >= d(1, 1), or where another point covers point 1, the net ends.
+    assert greedy_net(m, 3.0) == [0]
+    assert greedy_net(m, 2.5) == [0]
+    assert greedy_net(m, 1.0, on=[0]) == [0]
+    covered = FiniteMetricSpace([[0.0, 3.0, 2.9], [3.0, 2.0, 1.0], [2.9, 2.5, 0.0]])
+    assert greedy_net(covered, 1.5) == [0, 1, 2]
+    # Picked again after another point: refused at the pick after.
+    again = FiniteMetricSpace([[0.0, 3.0, 2.9], [3.0, 2.0, 2.0], [2.9, 2.5, 0.0]])
+    with pytest.raises(ValueError, match=r"as point 1 has d\(1, 1\) = 2.0 > 1.5"):
+        greedy_net(again, 1.5)
+
+
 def test_freeness_cover_trivial():
     m = FiniteMetricSpace([[0.0]])
     rep = freeness_via_cover(m, 0.8, 0.5, 1.0, k=3)

@@ -822,6 +822,93 @@ def test_threaded_scan_matches_inline_across_the_real_cut(monkeypatch):
             assert scan_results(m, (alpha,), (None,)) == threaded
 
 
+def reference_scan_block(d, lo, hi, alpha, tol, critical, gate, diam):
+    """The scan kernel of one middle at a time in n x n buffers, frozen from
+    before middles shared a numpy pass."""
+    n = d.shape[0]
+    a, b = np.empty((n, n)), np.empty((n, n))
+    out = []
+    for z in range(lo, hi):
+        col, row = d[:, z], d[z, :]
+        need = None
+        if critical:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(np.subtract(d, col[:, None], out=a), col[None, :], out=a)
+            np.minimum(a, a.T, out=b)
+            b[z, :] = b[:, z] = -np.inf
+            np.fill_diagonal(b, -np.inf)
+            need = float(np.fmax.reduce(b, axis=None))
+        hits = None
+        if alpha is not None and not (gate and need <= alpha + tol / (2.0 * diam)):
+            out_ = np.add(col[:, None], alpha * row[None, :], out=a)
+            if alpha != 1.0:
+                np.maximum(out_, np.add(alpha * col[:, None], row[None, :], out=b), out=out_)
+            slack = np.subtract(d, out_, out=out_)
+            over = slack > tol
+            if over.any():
+                xs, ys = np.nonzero(over)
+                keep = (xs != ys) & (xs != z) & (ys != z)
+                xs, ys = xs[keep], ys[keep]
+                hits = (xs, ys, slack[xs, ys])
+        out.append((z, need, hits))
+    return out
+
+
+def raw_scans(m, alphas, tols):
+    """repr of every (z, need, hits) the scan yields on ``m``: critical alone,
+    the triangle check and SRA(alpha) with and without critical."""
+    d = m.dist
+    runs = [(None, None, True)] + [(1.0, tol, False) for tol in tols]
+    runs += [(alpha, tol, critical) for alpha in alphas for tol in tols
+             for critical in (False, True)]
+    return [[(z, repr(need), hits if hits is None else [repr(h.tolist()) for h in hits])
+             for z, need, hits in metric_core._middle_scan(d, *run)] for run in runs]
+
+
+def signed_zero_space():
+    """Zero distances stored as 0.0 and -0.0, so that the needs and slacks
+    hold zeros of both signs."""
+    d = collinear(6).dist.copy()
+    d[1, 2] = d[2, 1] = -0.0
+    d[3, 4] = d[4, 3] = 0.0
+    d[0, 5] = d[5, 0] = -0.0
+    return FiniteMetricSpace(d)
+
+
+def test_block_kernel_matches_the_middle_by_middle_kernel(monkeypatch):
+    """Every scan consumer's result, and every (z, need, hits) of the scan,
+    is the same with k = 1, 2, 3 and all middles per numpy pass as with the
+    frozen one-middle kernel, inline and on the thread pool."""
+    rng = np.random.default_rng(51)
+    small = [(f"n={n}", FiniteMetricSpace(d)) for n, d in (
+        (1, [[0.0]]), (2, [[0.0, 1.5], [1.5, 0.0]]), (2, [[0.0, 0.0], [0.0, 0.0]]),
+        (3, [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]),
+        (3, [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]),
+        # a far middle with d(z, z) > 0: its own row and column are no candidates
+        (3, [[0.0, 1.0, 10.0], [1.0, 0.0, 10.0], [10.0, 10.0, 5.0]]))]
+    repeated = FiniteMetricSpace(np.abs(np.subtract.outer(*[[0.0, 1.0, 1.0, 2.0, 2.0, 3.5]] * 2)))
+    corpus = (small + scan_corpus(rng, alphas=(0.2, 0.8, 1.0)) + asymmetric_corpus(rng)
+              + [("repeated-points", repeated), ("signed-zeros", signed_zero_space())])
+    for name, m in corpus:
+        alphas = (0.8,) if m.n > 20 else (0.2, 0.95)
+        # The consumers at tol 0 and -1e-6; the raw scans also at the default
+        # tolerance, the only one of the three at which the scan skips middles.
+        tols = (0.0, -1e-6, default_tol(m))
+        with monkeypatch.context() as mp:
+            mp.setattr(metric_core, "_scan_block",
+                       lambda d, lo, hi, *args: reference_scan_block(d, lo, hi, *args[:5]))
+            want = (scan_results(m, alphas, tols[:2]), raw_scans(m, alphas, tols[1:]))
+        # On the thread pool, blocks of 3 middles split into passes of 2 + 1.
+        runs = [(middles, False) for middles in sorted({1, 2, 3, m.n})]
+        for middles, threaded in runs + [(2, True)]:
+            with monkeypatch.context() as mp:
+                mp.setattr(metric_core, "_PASS_ELEMENTS", middles * m.n * m.n)
+                if threaded:
+                    force_threads(mp, m, 3)
+                got = (scan_results(m, alphas, tols[:2]), raw_scans(m, alphas, tols[1:]))
+            assert got == want, (name, middles, threaded)
+
+
 def count_blocks(monkeypatch):
     """Record (lo, hi) of every kernel call."""
     calls = []
@@ -1129,7 +1216,7 @@ def test_angle_audit_blocks_match_reference_loop(monkeypatch):
         for alpha in ANGLE_ALPHAS:
             want = audit_key(reference_angle_audit(pc, alpha))
             for middles in (1, 2, 3, pc.n):
-                monkeypatch.setattr(sra_analysis, "_ANGLE_BLOCK_ELEMENTS", middles * pc.n ** 2)
+                monkeypatch.setattr(sra_analysis, "_PASS_ELEMENTS", middles * pc.n ** 2)
                 got = audit_key(euclidean_angle_audit(pc, alpha))
                 assert got == want, (name, alpha, middles)
 
@@ -1139,7 +1226,7 @@ def test_angle_audit_repeated_point_across_blocks_raises_no_warning(monkeypatch)
     blocks; each block's 0/0 cosines must stay silent and the degenerate
     pair must be noticed from both sides."""
     pts = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [-1.0, 0.1], [2.0, 0.0]]
-    monkeypatch.setattr(sra_analysis, "_ANGLE_BLOCK_ELEMENTS", 2 * len(pts) ** 2)
+    monkeypatch.setattr(sra_analysis, "_PASS_ELEMENTS", 2 * len(pts) ** 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         audit = euclidean_angle_audit(cloud(pts), 0.5)
