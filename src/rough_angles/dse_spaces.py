@@ -175,6 +175,25 @@ def gen_snowflaked_path(n: int, beta: float) -> DseSpace:
     return as_dse(snowflake(base, beta))
 
 
+def _first_dse_reordering(d: np.ndarray, perms: np.ndarray, tol: float) -> Optional[np.ndarray]:
+    """d reordered by the first of the orders ``perms`` (one per row) that is
+    DSE at ``tol``, or None.  The orders are checked together, row i of every
+    order still standing at once: a prefix max along each order's row from
+    its diagonal on, with the comparison of ``_monotone_breaks``, so an order
+    stands after the last row exactly when ``_dse_violations`` finds no
+    witness in it.  Most random orders fall at their first rows."""
+    alive = np.arange(len(perms))
+    for i in range(d.shape[0]):
+        p = perms[alive]
+        rows = d[p[:, i, None], p[:, i:]]
+        prefix_max = np.maximum.accumulate(rows, axis=1)
+        alive = alive[~(rows < prefix_max - tol).any(axis=1)]
+        if not alive.size:
+            return None
+    p = perms[alive[0]]
+    return d[np.ix_(p, p)]
+
+
 def gen_random_dse(
     n: int,
     seed: int,
@@ -184,8 +203,9 @@ def gen_random_dse(
 
     Deterministic per seed.  Each attempt draws a fresh cloud and tries the
     identity order, the order sorted by distance from the first point, and a
-    batch of random permutations; DSE orders are rare in generic clouds, so
-    after ``MAX_ATTEMPTS`` orders it raises RejectionError.
+    batch of random permutations, all drawn first and then checked together;
+    DSE orders are rare in generic clouds, so after ``MAX_ATTEMPTS`` orders it
+    raises RejectionError.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -202,11 +222,9 @@ def gen_random_dse(
         candidates = [np.arange(n), np.argsort(d[0], kind="stable")]
         while len(candidates) < perms_per_cloud:
             candidates.append(rng.permutation(n))
-        for perm in candidates:
-            attempts += 1
-            reordered = d[np.ix_(perm, perm)]
-            if next(_dse_violations(reordered, tol), None) is None:
-                return DseSpace(FiniteMetricSpace(reordered))
-            if attempts >= MAX_ATTEMPTS:
-                break
+        perms = np.array(candidates[:MAX_ATTEMPTS - attempts])
+        reordered = _first_dse_reordering(d, perms, tol)
+        if reordered is not None:
+            return DseSpace(FiniteMetricSpace(reordered))
+        attempts += len(perms)
     raise RejectionError(f"no DSE ordering found within {MAX_ATTEMPTS} attempts")

@@ -263,6 +263,16 @@ def load_distance_matrix(path: PathLike) -> FiniteMetricSpace:
     p = Path(path)
     if p.suffix.lower() == ".json":
         return _named(p, FiniteMetricSpace, _json_matrix(p, _read_object(p)))
+    try:
+        dist = _csv_matrix(p)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{p}: {exc}") from None
+    return _named(p, FiniteMetricSpace, _checked_matrix(p, dist))
+
+
+def _csv_matrix(p: Path) -> np.ndarray:
+    """The cells of the CSV file ``p``, unchecked; a byte that does not decode
+    raises UnicodeDecodeError."""
     raw = p.read_bytes()
     # The file's text as open() would decode it, for the checks and the fallback.
     fh = io.TextIOWrapper(io.BytesIO(raw), newline="")
@@ -273,12 +283,11 @@ def load_distance_matrix(path: PathLike) -> FiniteMetricSpace:
         # Plain numeric CSV in numpy's C parser, which rounds as float() does and
         # decodes the bytes as the text is decoded; anything it refuses (header,
         # quotes, empty cells, a byte that does not decode, ...) goes cell by cell.
-        dist = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, dtype=np.float64,
+        return np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, dtype=np.float64,
                           ndmin=2, encoding=fh.encoding)
     except ValueError:
         fh.seek(0)
-        dist = _parse_csv(p, fh)
-    return _named(p, FiniteMetricSpace, _checked_matrix(p, dist))
+        return _parse_csv(p, fh)
 
 
 def save_distance_matrix(m: FiniteMetricSpace, path: PathLike) -> None:

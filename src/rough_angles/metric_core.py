@@ -28,7 +28,9 @@ MAX_VIOLATIONS = 100
 
 # The per-middle scan's kernel takes k = max(1, _PASS_ELEMENTS // n^2) middles
 # per numpy pass in (k, n, n) buffers, so that a small space pays numpy's call
-# overhead once per pass rather than once per middle; from 91 points up k = 1.
+# overhead once per pass rather than once per middle; up to 25 points (k >= n)
+# one pass holds every middle, so only larger spaces walk the 1, 2, 4, ...
+# ramp of _block_spans, and from 91 points up k = 1.
 # The angle audit's blocks of middles take the same budget.  The scan runs on
 # a thread pool from _THREADED_MIN_N points up (below it, starting and feeding
 # threads costs more than it saves), in blocks of up to _BLOCK_ELEMENTS
@@ -359,9 +361,11 @@ def _pass_hits(d: np.ndarray, zs: np.ndarray, cols: np.ndarray, rows: np.ndarray
 
 def _block_spans(n: int, step: int) -> Iterator[tuple[int, int]]:
     """Contiguous (lo, hi) blocks of middles covering range(n): 1, 2, 4, ...
-    middles, then ``step`` each.  A consumer that stops within the first
-    middles (a broken input gives a capped checker its witnesses at once)
-    then leaves a few small blocks unused, not (workers + 1) full ones."""
+    middles, then ``step`` each, for scans that need more than one block (an
+    inline scan whose one pass holds every middle runs it at once).  A
+    consumer that stops within the first middles (a broken input gives a
+    capped checker its witnesses at once) then leaves a few small blocks
+    unused, not (workers + 1) full ones."""
     lo, size = 0, 1
     while lo < n:
         hi = min(lo + size, n)
@@ -384,9 +388,11 @@ def _middle_scan(d: np.ndarray, alpha: Optional[float], tol: Optional[float],
     The kernel (``_scan_block``) takes k = max(1, ``_PASS_ELEMENTS`` // n^2)
     middles per numpy pass in (k, n, n) buffers, so that a small space pays
     numpy's call overhead once per pass rather than once per middle; from 91
-    points up k = 1 and each middle runs in n x n arrays.  Inline, the scan
-    walks ``_block_spans(n, k)``: 1, 2, 4, ... middles, so a capped consumer
-    that stops at the first middles leaves little work done.  At n >=
+    points up k = 1 and each middle runs in n x n arrays.  Inline, up to 25
+    points (k >= n) the scan is one pass over every middle in (n, n, n)
+    buffers; a larger space, which needs more than one pass, walks
+    ``_block_spans(n, k)``: 1, 2, 4, ... middles, so a capped consumer that
+    stops at the first middles leaves little work done.  At n >=
     ``_THREADED_MIN_N`` with more than one usable core, contiguous blocks of
     middles (``_block_spans``) run on a thread pool over the usable cores
     (numpy releases the GIL in its ufuncs), each worker with its own (k, n, n)
@@ -409,8 +415,10 @@ def _middle_scan(d: np.ndarray, alpha: Optional[float], tol: Optional[float],
     k = max(1, _PASS_ELEMENTS // (n * n))
     workers = _scan_workers(n) if n >= _THREADED_MIN_N else 1
     if workers < 2:
+        spans = [(0, n)] if k >= n else _block_spans(n, k)
+        k = min(k, n)
         a, b = np.empty((k, n, n)), np.empty((k, n, n))
-        for lo, hi in _block_spans(n, k):
+        for lo, hi in spans:
             yield from _scan_block(d, lo, hi, *args, a, b)
         return
     # Imported here: concurrent.futures imports logging, about 10 ms of the
@@ -454,15 +462,21 @@ def _capped(found: Iterable, cap: int) -> tuple[tuple, bool]:
 def _metric_violations(d: np.ndarray, tri_tol: float) -> Iterator[MetricViolation]:
     """Yield every axiom failure: diagonal, symmetry, positivity, then the
     triangles by middle j and row-major (i, k)."""
-    diag = np.abs(np.diag(d))
-    for i in np.nonzero(diag > 0.0)[0]:
-        yield MetricViolation("diagonal", (int(i),), float(diag[i]))
-    asym = d - d.T
-    for i, j in np.argwhere(np.triu(np.abs(asym), 1) > 0.0):
-        yield MetricViolation("symmetry", (int(i), int(j)), float(abs(asym[i, j])))
-    off = d + np.diag(np.full(d.shape[0], np.inf))
-    for i, j in np.argwhere(np.triu(off <= 0.0, 1)):
-        yield MetricViolation("positivity", (int(i), int(j)), float(d[i, j]))
+    # One whole-matrix test per axiom; its witness list is built only if the
+    # test fails, and a test that passes admits no witness.
+    diag = np.diag(d)
+    if diag.any():  # nonzero or NaN
+        size = np.abs(diag)
+        for i in np.nonzero(size > 0.0)[0]:
+            yield MetricViolation("diagonal", (int(i),), float(size[i]))
+    if not (d == d.T).all():
+        asym = d - d.T
+        for i, j in np.argwhere(np.triu(np.abs(asym), 1) > 0.0):
+            yield MetricViolation("symmetry", (int(i), int(j)), float(abs(asym[i, j])))
+    if np.count_nonzero(d <= 0.0) > np.count_nonzero(diag <= 0.0):
+        off = d + np.diag(np.full(d.shape[0], np.inf))
+        for i, j in np.argwhere(np.triu(off <= 0.0, 1)):
+            yield MetricViolation("positivity", (int(i), int(j)), float(d[i, j]))
     # Triangle (SRA at alpha = 1): for each middle j, d[i,k] <= d[i,j] + d[j,k] + tol.
     for j, _, hits in _middle_scan(d, 1.0, tri_tol, False):
         if hits is not None:

@@ -14,6 +14,7 @@ from rough_angles import (
     check_two_lemma,
     default_tol,
     diameter,
+    from_point_cloud,
     gap_D,
     gen_random_dse,
     gen_snowflaked_path,
@@ -21,6 +22,7 @@ from rough_angles import (
     is_sra,
     length_L,
     max_sra_subset,
+    sample_model,
     snowflake,
 )
 
@@ -172,6 +174,60 @@ def test_gen_random_dse_rejection(monkeypatch):
     monkeypatch.setattr(dse_spaces, "MAX_ATTEMPTS", 3)
     with pytest.raises(RejectionError, match="within 3 attempts"):
         gen_random_dse(9, seed=1, model=ModelSpaceSpec(EUCLIDEAN_L2, 2))
+
+
+@pytest.mark.parametrize("n, seed, first", [(5, 1, 42), (6, 2, 50)])
+def test_gen_random_dse_stops_inside_the_last_cloud(monkeypatch, n, seed, first):
+    """The first DSE order of (n, seed) is attempt ``first``, the second of its
+    cloud's candidates: with one attempt fewer the budget ends inside that
+    cloud and the generator refuses; with exactly enough it returns the order
+    the unlimited budget finds."""
+    want = gen_random_dse(n, seed).dist
+    assert first % max(8, 4 * n) == 2
+    monkeypatch.setattr(dse_spaces, "MAX_ATTEMPTS", first - 1)
+    with pytest.raises(RejectionError, match=f"within {first - 1} attempts"):
+        gen_random_dse(n, seed)
+    monkeypatch.setattr(dse_spaces, "MAX_ATTEMPTS", first)
+    assert np.array_equal(gen_random_dse(n, seed).dist, want)
+
+
+def reference_gen_random_dse(n, seed):
+    """``gen_random_dse`` as it was when it checked one candidate order at a
+    time with ``_dse_violations``, frozen to test the batched check against."""
+    model = ModelSpaceSpec(EUCLIDEAN_L2, 2)
+    rng = np.random.default_rng(seed)
+    attempts = 0
+    while attempts < dse_spaces.MAX_ATTEMPTS:
+        cloud_seed = int(rng.integers(0, 2**31 - 1))
+        space = from_point_cloud(sample_model(model, n, radius=1.0, seed=cloud_seed))
+        d, tol = space.dist, default_tol(space)
+        candidates = [np.arange(n), np.argsort(d[0], kind="stable")]
+        while len(candidates) < max(8, 4 * n):
+            candidates.append(rng.permutation(n))
+        for perm in candidates:
+            attempts += 1
+            reordered = d[np.ix_(perm, perm)]
+            if next(dse_spaces._dse_violations(reordered, tol), None) is None:
+                return reordered
+            if attempts >= dse_spaces.MAX_ATTEMPTS:
+                break
+    return None
+
+
+def test_gen_random_dse_matches_one_order_at_a_time(monkeypatch):
+    """Bit for bit the order the one-at-a-time check finds, or a refusal where
+    it finds none, also at budgets that end inside a cloud."""
+    for budget in (dse_spaces.MAX_ATTEMPTS, 37, 200):
+        monkeypatch.setattr(dse_spaces, "MAX_ATTEMPTS", budget)
+        for n in range(2, 8):
+            for seed in range(4):
+                want = reference_gen_random_dse(n, seed)
+                try:
+                    got = gen_random_dse(n, seed).dist
+                except RejectionError:
+                    got = None
+                assert (got is None) == (want is None), (budget, n, seed)
+                assert got is None or got.tobytes() == want.tobytes(), (budget, n, seed)
 
 
 def test_single_point_two_lemma():

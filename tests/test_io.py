@@ -249,17 +249,21 @@ def test_whole_number_dims_load(tmp_path, dim):
 
 def reference_load_distance_matrix(path):
     """The CSV branch of ``load_distance_matrix`` as it was when it read the
-    file as text, frozen to test the byte reader against."""
+    file as text, frozen to test the byte reader against; a byte that does not
+    decode is reported with the file's name, as the loader reports it."""
     p = Path(path)
-    with p.open(newline="") as fh:
-        if not any(line.strip() for line in fh):
-            raise ValueError(f"{p}: no numeric rows")
-        fh.seek(0)
-        try:
-            dist = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-        except ValueError:
+    try:
+        with p.open(newline="") as fh:
+            if not any(line.strip() for line in fh):
+                raise ValueError(f"{p}: no numeric rows")
             fh.seek(0)
-            dist = rio._parse_csv(p, fh)
+            try:
+                dist = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+            except ValueError:
+                fh.seek(0)
+                dist = rio._parse_csv(p, fh)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{p}: {exc}") from None
     return rio._named(p, rio.FiniteMetricSpace, rio._checked_matrix(p, dist))
 
 
@@ -325,7 +329,10 @@ def test_csv_loader_matches_text_loader(tmp_path, raw):
      "points must be a (len(times), arity) array"),
     (["angles", "--alpha", "0.5"], "latin1.json", b'{"model": "\xe9"}',
      "'utf-8' codec can't decode byte 0xe9 in position 11: invalid continuation byte"),
-], ids=["truncated-json", "csv-as-json", "nan-cell", "curve-lengths", "not-utf8-json"])
+    (["validate"], "bad.csv", b"0,1\n\xff,0\n",
+     "'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"),
+], ids=["truncated-json", "csv-as-json", "nan-cell", "curve-lengths", "not-utf8-json",
+        "not-utf8-csv"])
 def test_loader_errors_name_the_file(capsys, tmp_path, argv, name, text, message):
     path = tmp_path / name
     path.write_bytes(text if isinstance(text, bytes) else text.encode())

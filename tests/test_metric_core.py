@@ -158,6 +158,94 @@ def test_validate_asymmetric_matches_seed_triangle_loop(monkeypatch):
                 assert as_tuples(rep) == oracle_validate(d, t, cap)[0]
 
 
+def reference_metric_violations(d, tri_tol):
+    """``metric_core._metric_violations`` as it was when it built every axiom's
+    witness list whether or not the axiom held, frozen to test the whole-matrix
+    pre-checks against."""
+    diag = np.abs(np.diag(d))
+    for i in np.nonzero(diag > 0.0)[0]:
+        yield metric_core.MetricViolation("diagonal", (int(i),), float(diag[i]))
+    asym = d - d.T
+    for i, j in np.argwhere(np.triu(np.abs(asym), 1) > 0.0):
+        yield metric_core.MetricViolation("symmetry", (int(i), int(j)), float(abs(asym[i, j])))
+    off = d + np.diag(np.full(d.shape[0], np.inf))
+    for i, j in np.argwhere(np.triu(off <= 0.0, 1)):
+        yield metric_core.MetricViolation("positivity", (int(i), int(j)), float(d[i, j]))
+    for j, _, hits in metric_core._middle_scan(d, 1.0, tri_tol, False):
+        if hits is not None:
+            for i, k, s in zip(*(h.tolist() for h in hits)):
+                yield metric_core.MetricViolation("triangle", (i, j, k), s)
+
+
+def broken_axiom_matrices():
+    """(name, d): matrices that break only the diagonal, only symmetry, only
+    positivity, or all three, some in the lower triangle alone, with signed
+    zeros, and (not loadable, for the generator alone) NaN and infinity."""
+    base = collinear(7).dist
+    cases = [("metric", base.copy())]
+    d = base.copy()
+    d[2, 2], d[5, 5] = 0.5, -1e-300
+    cases.append(("diagonal", d))
+    d = base.copy()
+    d[1, 4] += 1e-12
+    d[6, 0] -= 2.0
+    cases.append(("symmetry", d))
+    d = base.copy()
+    d[1, 2] = d[2, 1] = 0.0
+    d[3, 6] = d[6, 3] = -1.5
+    cases.append(("positivity", d))
+    d = base.copy()
+    d[5, 2] = -0.0  # lower triangle only: no positivity witness, one symmetry witness
+    cases.append(("positivity-lower", d))
+    # Each axiom broken once, by the least that breaks it.
+    d = base.copy()
+    d[4, 4] = -1e-300
+    cases.append(("negative-diagonal", d))
+    d = base.copy()
+    d[1, 4] += 1e-15
+    cases.append(("tiny-asymmetry", d))
+    d = base.copy()
+    d[0, 6] = d[6, 0] = 0.0
+    cases.append(("one-zero-distance", d))
+    d = base.copy()
+    np.fill_diagonal(d, -0.0)
+    cases.append(("signed-zero-diagonal", d))
+    d = base.copy()
+    d[0, 0], d[3, 3] = 2.0, -2.0
+    d[0, 5] = 0.25
+    d[2, 4] = d[4, 2] = 0.0
+    d[1, 6] = -3.0
+    cases.append(("all-three", d))
+    d = base.copy()
+    d[2, 2], d[0, 3], d[4, 1], d[5, 6] = np.nan, np.nan, np.inf, -np.inf
+    cases.append(("non-finite", d))
+    return cases
+
+
+def test_metric_violations_match_frozen_witness_lists(monkeypatch):
+    """The same witnesses in the same order, bit for bit, as the frozen lists,
+    from the generator and from ``validate_metric`` at several caps."""
+    for name, d in broken_axiom_matrices():
+        for tol in (0.0, -1e-6, 1e-9):
+            with np.errstate(invalid="ignore"):
+                want = list(reference_metric_violations(d, tol))
+                got = list(metric_core._metric_violations(d, tol))
+            assert repr(got) == repr(want), (name, tol)
+            if name == "non-finite":
+                continue
+            m = FiniteMetricSpace(d)
+            for cap in (1, 3, 100):
+                monkeypatch.setattr(metric_core, "MAX_VIOLATIONS", cap)
+                rep = validate_metric(m, tri_tol=tol)
+                assert repr(rep.violations) == repr(tuple(want[:cap])), (name, tol, cap)
+                assert rep.truncated == (len(want) > cap)
+    kinds = {name: {v.kind for v in reference_metric_violations(d, 0.0)} - {"triangle"}
+             for name, d in broken_axiom_matrices()[:-1]}
+    assert kinds["diagonal"] == {"diagonal"} and kinds["symmetry"] == {"symmetry"}
+    assert kinds["positivity"] == {"positivity"} and kinds["metric"] == set()
+    assert kinds["all-three"] == {"diagonal", "symmetry", "positivity"}
+
+
 def test_non_square_rejected():
     with pytest.raises(MetricStructureError):
         FiniteMetricSpace(np.zeros((2, 3)))

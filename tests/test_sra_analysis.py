@@ -962,6 +962,20 @@ def test_early_stop_runs_few_blocks_past_the_consumer(monkeypatch, middles):
             assert spans[-1][1] <= 2 ** (workers + 2) - 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 16, 25, 26, 40])
+def test_inline_scan_runs_one_pass_when_one_holds_every_middle(monkeypatch, n):
+    """Up to 25 points the inline scan is one kernel call over every middle;
+    from 26 points up it keeps the 1, 2, 4, ... ramp of ``_block_spans``."""
+    m = collinear(n)
+    calls = count_blocks(monkeypatch)
+    for critical, alpha in ((True, None), (False, 0.9), (True, 0.9)):
+        calls.clear()
+        list(metric_core._middle_scan(m.dist, alpha, default_tol(m), critical))
+        k = metric_core._PASS_ELEMENTS // (n * n)
+        assert calls == ([(0, n)] if k >= n else list(metric_core._block_spans(n, k)))
+    assert (len(calls) == 1) == (n <= 25)
+
+
 def test_abandoned_scan_stops_its_threads(monkeypatch):
     m = gen_snowflaked_path(30, 0.5)
     force_threads(monkeypatch, m, 2)
