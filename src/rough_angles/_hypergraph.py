@@ -8,12 +8,13 @@ increasing triples, as its callers build them, and does not check that.
 ``_in_order_search`` grows increasing tuples in index order instead, with the
 hyperedges handed over lazily as bitmasks: ``row_third`` builds them from one
 boolean (b, c) block per first vertex a, built and packed the first time the
-search reaches a, and ``edge_third`` from a list of triples.  Given the
-optimum size found by the former, one in-order pass returns the
-lexicographically smallest maximum subset.  Asked for the maximum itself, the
-in-order search bounds its passes by Ostergard's Russian doll.  Both searches
-take a node budget and, once it runs out, return their best subset with
-``optimal=False`` and a true upper bound.  Vertices are bitmask-encoded; all
+search reaches a, and ``edge_third`` from the hyperedges as one sorted (m, 3)
+integer array (or a list of triples), packed with numpy into one int per
+pair.  Given the optimum size found by the former, one in-order pass returns
+the lexicographically smallest maximum subset.  Asked for the maximum itself,
+the in-order search bounds its passes by Ostergard's Russian doll.  Both
+searches take a node budget and, once it runs out, return their best subset
+with ``optimal=False`` and a true upper bound.  Vertices are bitmask-encoded; all
 tie-breaks are by smallest index so results are deterministic regardless of
 schedule.
 """
@@ -21,9 +22,11 @@ schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
+
+from . import metric_core
 
 # Search nodes a budgeted search may visit unless its caller says otherwise.
 DEFAULT_BUDGET = 500_000
@@ -171,12 +174,40 @@ def row_third(bad_row: Callable[[int], np.ndarray]) -> Callable[[int, int], int]
     return third
 
 
-def edge_third(edges: Iterable[tuple[int, int, int]]) -> Callable[[int, int], int]:
-    """``third`` for ``_in_order_search`` from increasing triples (a, b, c)."""
-    masks: dict[tuple[int, int], int] = {}
-    for a, b, c in edges:
-        masks[a, b] = masks.get((a, b), 0) | (1 << c)
-    return lambda a, b: masks.get((a, b), 0)
+def edge_third(edges: Union[np.ndarray, Iterable[tuple[int, int, int]]]
+               ) -> Callable[[int, int], int]:
+    """``third`` for ``_in_order_search`` from increasing triples (a, b, c),
+    given as an (m, 3) integer array or as a list of triples.  The rows are
+    grouped by pair (a, b); each group's bits c are set in one boolean row,
+    padded to whole 64-bit words, and packed into one int per pair, a block of
+    pairs of at most ``metric_core._BLOCK_ELEMENTS`` booleans at a time.  A
+    pair in no triple, or past the largest vertex, reads 0."""
+    edges = np.asarray(edges, dtype=np.intp).reshape(-1, 3)
+    if not edges.size:
+        return lambda a, b: 0
+    n = int(edges.max()) + 1
+    pair = edges[:, 0] * n + edges[:, 1]
+    order = np.argsort(pair, kind="stable")
+    pair, third = pair[order], edges[order, 2]
+    first = np.empty(pair.size, dtype=bool)  # the first row of each pair
+    first[0] = True
+    np.not_equal(pair[1:], pair[:-1], out=first[1:])
+    group = np.cumsum(first) - 1
+    pairs = pair[first]
+    width = -(-n // 64) * 64
+    step = max(1, metric_core._BLOCK_ELEMENTS // width)
+    masks: dict[int, int] = {}
+    for lo in range(0, pairs.size, step):
+        hi = min(lo + step, pairs.size)
+        rows = slice(*np.searchsorted(group, [lo, hi]).tolist())
+        block = np.zeros((hi - lo, width), dtype=bool)
+        block[group[rows] - lo, third[rows]] = True
+        words = np.packbits(block, axis=1, bitorder="little").view("<u8")
+        vals = words[:, 0].tolist()
+        for j in range(1, words.shape[1]):
+            vals = [v | w << 64 * j for v, w in zip(vals, words[:, j].tolist())]
+        masks.update(zip(pairs[lo:hi].tolist(), vals))
+    return lambda a, b: masks.get(a * n + b, 0) if b < n else 0
 
 
 def _in_order_search(n: int, third: Callable[[int, int], int],

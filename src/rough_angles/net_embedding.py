@@ -202,12 +202,14 @@ def freeness_via_cover(
     inequality must hold whenever all searches are exact; ``holds=None``
     reports budget exhaustion instead of guessing.
 
-    The R-ball is scanned once, at its own tolerance, for its violating
-    triples; a ball's hyperedges are then exactly the R-ball's triples inside
-    it.  A point of a ball in none of them is in every maximum of the ball, so
-    it is counted; the other points are searched by the Russian-doll
-    ``_in_order_search``, whose nodes count against ``budget`` once per ball
-    and once for the R-ball.
+    The R-ball, which must hold point 0 (d(0, 0) <= R), is scanned once, at
+    its own tolerance, for its violating triples, kept as one sorted (m, 3)
+    index array (``sra_analysis._triple_array``); a ball's hyperedges are then
+    exactly the rows of that array inside it, renumbered within the ball and
+    handed to ``edge_third`` as an array.  A point of a ball in none of them
+    is in every maximum of the ball, so it is counted; the other points are
+    searched by the Russian-doll ``_in_order_search``, whose nodes count
+    against ``budget`` once per ball and once for the R-ball.
     """
     if not (0.0 < r < big_r):
         raise ValueError("need 0 < r < R")
@@ -215,11 +217,13 @@ def freeness_via_cover(
         raise ValueError(f"need k >= 1, got {k}")
     _check_budget(budget)
     d = m.dist
+    if not d[0, 0] <= big_r:
+        raise ValueError(f"R = {big_r}: the R-ball around point 0 does not contain it, "
+                         f"as d(0, 0) = {d[0, 0]} > {big_r}")
     ball_r = np.nonzero(d[0] <= big_r)[0]
     centers = greedy_net(m, r, on=ball_r)
     sub_r = subspace(m, ball_r)
-    edges = np.array(sra_analysis.violating_triples(sub_r, alpha, tol=default_tol(sub_r)),
-                     dtype=np.intp).reshape(-1, 3)
+    edges = sra_analysis._triple_array(sub_r, alpha, tol=default_tol(sub_r))
 
     def max_size(member: np.ndarray) -> tuple[int, bool]:
         # The maximum SRA subset size of the R-ball points where ``member``
@@ -229,7 +233,7 @@ def freeness_via_cover(
         count = int(np.count_nonzero(member)) - hit.size
         if not hit.size:
             return count, True
-        res = _in_order_search(hit.size, edge_third(np.searchsorted(hit, inside).tolist()),
+        res = _in_order_search(hit.size, edge_third(np.searchsorted(hit, inside)),
                                budget=budget)
         return count + res.size, res.optimal
 

@@ -134,13 +134,40 @@ def critical_alpha(m: FiniteMetricSpace) -> float:
     return max([0.0] + [need for _, need, _ in _middle_scan(m.dist, None, None, True)])
 
 
+def _triple_array(m: FiniteMetricSpace, alpha: float,
+                  tol: Optional[float] = None) -> np.ndarray:
+    """The triples of ``violating_triples(m, alpha, tol)`` as one sorted
+    (count, 3) integer array of increasing rows.  Each hit (x, z, y), x < y,
+    of the per-middle scan becomes the key (a*n + b)*n + c of its sorted
+    triple a < b < c (below 2^63, as n <= ``metric_core.MAX_POINTS``), and one
+    ``np.unique`` over every key sorts and deduplicates them, so no Python
+    object is made per hit or per triple."""
+    d, tol = _sra_args(m, alpha, tol)
+    n = d.shape[0]
+    keys = []
+    for z, _, hits in _middle_scan(d, alpha, tol, False):
+        if hits is None:
+            continue
+        xs, ys, _ = hits
+        keep = xs < ys
+        x, y = xs[keep], ys[keep]
+        a, c = np.minimum(x, z), np.maximum(y, z)
+        keys.append((a * n + (x + y + z - a - c)) * n + c)
+    key = np.unique(np.concatenate(keys)) if keys else np.empty(0, dtype=np.intp)
+    ab, c = np.divmod(key, n)
+    a, b = np.divmod(ab, n)
+    return np.stack([a, b, c], axis=1)
+
+
 def violating_triples(
     m: FiniteMetricSpace, alpha: float, tol: Optional[float] = None
 ) -> list[tuple[int, int, int]]:
     """Unordered triples {a,b,c} that violate SRA(alpha) for at least one
-    choice of middle point.  These are the hyperedges of the freeness search."""
-    d, tol = _sra_args(m, alpha, tol)
-    return sorted({tuple(sorted(v[:3])) for v in _violations(d, alpha, tol)})
+    choice of middle point, as a sorted list of increasing tuples.  These are
+    the hyperedges of the freeness search, which reads them as the one sorted
+    (count, 3) array of ``_triple_array``; this list holds its rows."""
+    a, b, c = _triple_array(m, alpha, tol).T
+    return list(zip(a.tolist(), b.tolist(), c.tolist()))
 
 
 def _certificate(m: FiniteMetricSpace, edges: list[tuple[int, int, int]], alpha: float,

@@ -300,6 +300,18 @@ def test_greedy_net_on_a_positive_diagonal_exits_1(tmp_path, argv):
                            "has d(1, 1) = 3.0 > 1.0\n")
 
 
+def test_freeness_cover_refuses_an_r_ball_without_its_center(capsys, tmp_path):
+    """d(0, 0) = 5 > R: the R-ball d[0] <= R would leave point 0 out of its
+    own ball, and the cover would report on the other points."""
+    src = tmp_path / "diag.csv"
+    src.write_text("5,1,2\n1,0,1\n2,1,0\n")
+    rc = main(["freeness-cover", "--in", str(src), "--alpha", "0.5", "--r", "0.5", "--R", "1"])
+    out = capsys.readouterr()
+    assert rc == 1 and out.out == ""
+    assert out.err == ("error: R = 1.0: the R-ball around point 0 does not contain it, "
+                       "as d(0, 0) = 5.0 > 1.0\n")
+
+
 def test_snowflake_writes_matrix(capsys, tmp_path, collinear6):
     out = tmp_path / "snow.json"
     rc, rep = run(capsys, "snowflake", "--in", collinear6, "--beta", "0.5",

@@ -48,7 +48,7 @@ from rough_angles.constants_extraction import (
 )
 # The tail is read through the module, so the frozen-search tests below also
 # run, unedited, against a search that has no tail.
-from rough_angles import constants_extraction
+from rough_angles import constants_extraction, metric_core
 
 from _generators import collinear, gradient_dse
 
@@ -630,18 +630,33 @@ def random_hypergraphs():
         yield 20, [t for t in combinations(range(20), 3) if rng.random() < p]
 
 
-def test_row_third_and_edge_third_match_edge_lists():
-    for n, edges in random_hypergraphs():
-        edge_set = set(edges)
-        by_edges = edge_third(edges)
-        # Entries with c <= b are set, to show that row_third ignores them.
-        by_rows = row_third(lambda a: np.array(
-            [[(a, b, c) in edge_set or c <= b for c in range(a + 1, n)]
-             for b in range(a + 1, n)], dtype=bool))
-        for a, b in combinations(range(n), 2):
-            want = sum(1 << c for x, y, c in edges if (x, y) == (a, b))
-            assert by_edges(a, b) == want
-            assert by_rows(a, b) == want and type(by_rows(a, b)) is int
+def test_row_third_and_edge_third_match_edge_lists(monkeypatch):
+    # The 70-vertex hypergraph's masks need more than 64 bits.  In the 5-vertex
+    # one the largest vertex is 3, so the pair (0, 6) past it would share the
+    # key 0 * 4 + 6 of the pair (1, 2) if nothing told them apart.
+    rng = np.random.default_rng(12)
+    big = [t for t in combinations(range(70), 3) if rng.random() < 0.02]
+    hypergraphs = [*random_hypergraphs(), (5, [(1, 2, 3)]), (70, big)]
+    for block in (metric_core._BLOCK_ELEMENTS, 1, 210):
+        monkeypatch.setattr(metric_core, "_BLOCK_ELEMENTS", block)
+        for n, edges in hypergraphs:
+            edge_set = set(edges)
+            by_edges = edge_third(edges)
+            by_array = edge_third(np.array(edges, dtype=np.intp).reshape(-1, 3))
+            # Entries with c <= b are set, to show that row_third ignores them.
+            by_rows = row_third(lambda a: np.array(
+                [[(a, b, c) in edge_set or c <= b for c in range(a + 1, n)]
+                 for b in range(a + 1, n)], dtype=bool))
+            want = {}
+            for a, b, c in edges:
+                want[a, b] = want.get((a, b), 0) | (1 << c)
+            for a, b in combinations(range(n + 3), 2):  # three vertices past n
+                mask = want.get((a, b), 0)
+                assert by_edges(a, b) == mask and by_array(a, b) == mask, (n, a, b)
+                assert type(by_array(a, b)) is int
+                if b < n:
+                    assert by_rows(a, b) == mask and type(by_rows(a, b)) is int
+    assert max(want.values()).bit_length() > 64
 
 
 def test_row_third_builds_each_reached_row_once():

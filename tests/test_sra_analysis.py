@@ -2,7 +2,7 @@ import inspect
 import math
 import threading
 import warnings
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -394,6 +394,32 @@ def test_sra_rows_match_violating_triples():
         for alpha in alphas:
             for tol in (None, 0.0, -1e-6):
                 assert_rows_match_triples(m, alpha, tol)
+
+
+def reference_violating_triples(m, alpha, tol=None):
+    """``violating_triples`` before its hits became integer keys, kept
+    verbatim as a test oracle: a set of sorted tuples, then sorted."""
+    d, tol = sra_analysis._sra_args(m, alpha, tol)
+    return sorted({tuple(sorted(v[:3])) for v in sra_analysis._violations(d, alpha, tol)})
+
+
+def test_violating_triples_match_the_tuple_set():
+    """The key array and its list against the tuple set they replaced, on
+    degenerate and boundary inputs, then on a space large enough for the
+    thread-pool scan."""
+    for name, m in scan_corpus(np.random.default_rng(51)):
+        alphas = (0.8,) if m.n > 20 else (0.2, 0.5, 0.8, 0.95)
+        for alpha in alphas:
+            for tol in (None, 0.0, -1e-6):
+                want = reference_violating_triples(m, alpha, tol)
+                got = violating_triples(m, alpha, tol=tol)
+                assert got == want, (name, alpha, tol)
+                assert all(type(v) is int for t in got for v in t)
+                assert sra_analysis._triple_array(m, alpha, tol).tolist() == list(map(list, want))
+    ball = from_point_cloud(sample_model(ModelSpaceSpec(EUCLIDEAN_L2, 3), 170, 1.0, 7))
+    assert ball.n >= metric_core._THREADED_MIN_N
+    for alpha in (0.7, 0.95):
+        assert violating_triples(ball, alpha) == reference_violating_triples(ball, alpha)
 
 
 def test_sra_rows_at_the_tolerance_and_branch_ties():
@@ -1246,3 +1272,45 @@ def test_angle_audit_repeated_point_across_blocks_raises_no_warning(monkeypatch)
         audit = euclidean_angle_audit(cloud(pts), 0.5)
     assert audit.skipped_degenerate == ((1, 2), (2, 1))
     assert audit == reference_angle_audit(cloud(pts), 0.5)
+
+
+# ---------------------------------------------------------------------------
+# Known answers at scale
+# ---------------------------------------------------------------------------
+
+def cube(dim):
+    """The Euclidean cube {0,1}^dim, 2^dim points."""
+    return from_point_cloud(cloud(np.array(list(product((0.0, 1.0), repeat=dim)))))
+
+
+def test_cube_critical_alpha_is_sqrt2_minus_1_to_the_bit():
+    # No angle of the cube exceeds pi/2, which gives SRA(sqrt(2) - 1), and
+    # 0, e_1, e_1 + e_2 attains it.
+    for dim in range(4, 8):
+        assert critical_alpha(cube(dim)) == math.sqrt(2) - 1, dim
+
+
+def test_cube_subsets_have_no_violating_triple_at_sqrt2_minus_1():
+    m = cube(6)
+    rng = np.random.default_rng(52)
+    for size in [m.n] + rng.integers(3, m.n, size=30).tolist():
+        idx = np.sort(rng.choice(m.n, size=size, replace=False))
+        assert violating_triples(subspace(m, idx), math.sqrt(2) - 1, tol=0.0) == [], size
+
+
+def test_snowflaked_path_critical_alpha_within_ulps():
+    # Every equally spaced triple attains 2**beta - 1.  The scan's ratios
+    # (d(x, y) - d(x, z)) / d(z, y) round at the scale of d(x, y), about
+    # 2**beta times d(z, y), so the band counts ulps of 2**beta.
+    for n, beta, ulps in ((400, 0.5, 1), (300, 0.3, 2)):
+        got = critical_alpha(gen_snowflaked_path(n, beta))
+        assert abs(got - (2 ** beta - 1)) <= ulps * math.ulp(2 ** beta), (n, beta, got)
+
+
+def test_angle_audit_entries_are_violating_triples_at_scale():
+    # A vertex angle above arccos(-alpha) forces an SRA(alpha) violation.
+    pc = cloud(np.random.default_rng(53).standard_normal((120, 3)))
+    entries = rows(euclidean_angle_audit(pc, 0.5).entries, "x z y angle")
+    triples = set(violating_triples(from_point_cloud(pc), 0.5, tol=0.0))
+    assert entries
+    assert all(tuple(sorted((x, z, y))) in triples for x, z, y, _ in entries)
