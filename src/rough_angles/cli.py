@@ -11,6 +11,7 @@ for a fixed configuration apart from the ``generated_at`` timestamp.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -447,13 +448,21 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return p
 
 
+@functools.lru_cache(maxsize=None)
+def _parser(command: Optional[str]) -> argparse.ArgumentParser:
+    """``build_parser(command)``, built once per process and shared by every
+    call of ``main``: building one costs several times what parsing does,
+    and parsing leaves a parser as it was, with a fresh Namespace per call."""
+    return build_parser(command)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     first = argv[0] if argv else ""
     command = first if first in _COMMANDS else None
     try:
         # Without a known command first, the top-level parser reports the error.
-        parser = build_parser(command)
+        parser = _parser(command)
         if command is None and first.startswith("-") and first not in ("-h", "--help"):
             parser.error(f"the command must come first, found {first!r}")
         args = parser.parse_args(argv[1:] if command else argv)

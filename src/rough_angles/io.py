@@ -12,6 +12,7 @@ per column, then one ``%`` template per row."""
 
 from __future__ import annotations
 
+import codecs
 import csv
 import dataclasses
 import functools
@@ -33,7 +34,8 @@ PathLike = Union[str, Path]
 
 def _read_object(p: Path) -> dict:
     try:
-        payload = json.loads(p.read_text())
+        # json.loads refuses a leading byte-order mark, which some editors write.
+        payload = json.loads(p.read_text().removeprefix("\ufeff"))
     except ValueError as exc:  # not UTF-8 text, or not JSON
         raise ValueError(f"{p}: {exc}") from None
     if not isinstance(payload, dict):
@@ -273,7 +275,8 @@ def load_distance_matrix(path: PathLike) -> FiniteMetricSpace:
 def _csv_matrix(p: Path) -> np.ndarray:
     """The cells of the CSV file ``p``, unchecked; a byte that does not decode
     raises UnicodeDecodeError."""
-    raw = p.read_bytes()
+    # A UTF-8 byte-order mark is not part of the first cell.
+    raw = p.read_bytes().removeprefix(codecs.BOM_UTF8)
     # The file's text as open() would decode it, for the checks and the fallback.
     fh = io.TextIOWrapper(io.BytesIO(raw), newline="")
     # loadtxt warns on a file with no data lines; such a file has no numeric rows.

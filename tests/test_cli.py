@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -705,8 +706,22 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def report(argv):
+    """``main(argv)`` in the current directory: its exit code, its report
+    text without the ``generated_at`` line, and the path of its ``--out``.
+    The report is stdout, or the ``--out`` file when stdout is empty."""
+    buf = StringIO()
+    with redirect_stdout(buf):
+        rc = main(list(argv))
+    out = argv[argv.index("--out") + 1] if "--out" in argv else None
+    text = buf.getvalue() or Path(out).read_text()
+    return rc, re.sub(r'^  "generated_at": ".*",\n', "", text, flags=re.M), out
+
+
 @pytest.fixture(scope="module")
-def golden_runs(tmp_path_factory):
+def golden_dir(tmp_path_factory):
+    """A directory holding the golden inputs and every file the golden
+    invocations write, and those invocations' exit codes and digests."""
     work = tmp_path_factory.mktemp("golden")
     home = os.getcwd()
     os.chdir(work)
@@ -718,18 +733,17 @@ def golden_runs(tmp_path_factory):
                                     [[0, 0], [1, 0], [2, 0], [1, 0.2], [3, 1]]), "cloud.json")
         runs = []
         for argv, _, _, artifact in GOLDEN:
-            buf = StringIO()
-            with redirect_stdout(buf):
-                rc = main(list(argv))
-            out = argv[argv.index("--out") + 1] if "--out" in argv else None
-            text = buf.getvalue() if artifact is not None or out is None \
-                else Path(out).read_text()
-            text = re.sub(r'^  "generated_at": ".*",\n', "", text, flags=re.M)
+            rc, text, out = report(argv)
             art = None if artifact is None else _sha(Path(out).read_bytes())
             runs.append((rc, _sha(text.encode()), art))
-        return runs
+        return work, runs
     finally:
         os.chdir(home)
+
+
+@pytest.fixture(scope="module")
+def golden_runs(golden_dir):
+    return golden_dir[1]
 
 
 @pytest.mark.parametrize("case", range(len(GOLDEN)),
@@ -882,3 +896,65 @@ def test_help_lists_exactly_the_command_flags(capsys, command):
     assert out.startswith(f"usage: rough-angles {command} ")
     listed = re.findall(r"^  (-h, --help|--\w+)", out, flags=re.M)
     assert listed == ["-h, --help"] + [f"--{f}" for f in " ".join(FLAGS[command]).split()]
+
+
+# ----------------------------------------------------------------------------
+# Parser reuse: main builds each command's parser once per process, so every
+# check below runs its calls one after another in this process.
+# ----------------------------------------------------------------------------
+
+# A value other than the default for each flag whose default a later call
+# must read again.
+RESET_FLAGS = {"tol": "0.25", "scales": "0.5", "budget": "0", "k": "2"}
+# curve-to-dse does not report its tolerance, and its DSE file is the same
+# at both values here.
+UNSEEN = {("curve-to-dse", "tol")}
+
+
+def without(argv, flag):
+    """``argv`` without ``--flag`` and its one value."""
+    if f"--{flag}" not in argv:
+        return list(argv)
+    i = argv.index(f"--{flag}")
+    return argv[:i] + argv[i + 2:]
+
+
+@pytest.fixture()
+def golden_copy(golden_dir, tmp_path, monkeypatch):
+    """A private copy of the golden directory as the current directory, so
+    that a call writing its --out there changes no other test's files."""
+    shutil.copytree(golden_dir[0], tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_reused_parser_reads_defaults_errors_and_help_again(capsys, golden_copy, command):
+    first = report(VALID[command])
+    own = set(" ".join(FLAGS[command]).split())
+    for flag in sorted(own & set(RESET_FLAGS)):
+        # Given in one call and left out of the next, the flag reads its default.
+        base = without(VALID[command], flag)
+        plain = report(base)
+        flagged = report(base + [f"--{flag}", RESET_FLAGS[flag]])
+        assert report(base) == plain and (flagged != plain or (command, flag) in UNSEEN)
+        given = cli._parser(command).parse_args(base[1:] + [f"--{flag}", RESET_FLAGS[flag]])
+        fresh = cli.build_parser(command).parse_args(base[1:])
+        assert vars(cli._parser(command).parse_args(base[1:])) == vars(fresh) != vars(given)
+    usage_error(capsys, VALID[command] + ["--bogus"], "unrecognized arguments: --bogus")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: rough-angles {command} ")
+    assert report(VALID[command]) == first
+
+
+def test_every_report_repeats_on_a_second_call(golden_copy):
+    first = [report(argv)[:2] for argv, *_ in GOLDEN]
+    assert [report(argv)[:2] for argv, *_ in GOLDEN] == first
+
+
+@pytest.mark.parametrize("command", [None] + sorted(cli._COMMANDS))
+def test_build_parser_returns_a_new_parser_on_every_call(command):
+    built = cli.build_parser(command)
+    assert built is not cli.build_parser(command)
+    assert built is not cli._parser(command) and cli._parser(command) is cli._parser(command)

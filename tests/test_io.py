@@ -250,17 +250,20 @@ def test_whole_number_dims_load(tmp_path, dim):
 def reference_load_distance_matrix(path):
     """The CSV branch of ``load_distance_matrix`` as it was when it read the
     file as text, frozen to test the byte reader against; a byte that does not
-    decode is reported with the file's name, as the loader reports it."""
+    decode is reported with the file's name, as the loader reports it, and a
+    leading byte-order mark is dropped, as the loader drops it."""
     p = Path(path)
     try:
         with p.open(newline="") as fh:
+            start = fh.tell() if fh.read(1) == "\ufeff" else 0
+            fh.seek(start)
             if not any(line.strip() for line in fh):
                 raise ValueError(f"{p}: no numeric rows")
-            fh.seek(0)
+            fh.seek(start)
             try:
                 dist = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
             except ValueError:
-                fh.seek(0)
+                fh.seek(start)
                 dist = rio._parse_csv(p, fh)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{p}: {exc}") from None
@@ -314,8 +317,39 @@ def test_csv_loader_matches_text_loader(tmp_path, raw):
     path.write_bytes(raw)
     got = load_outcome(rio.load_distance_matrix, path)
     assert got == load_outcome(reference_load_distance_matrix, path)
-    if raw in (CSV_FILES["lf"], CSV_FILES["crlf"], CSV_FILES["big-lf"]):
+    if raw in (CSV_FILES["lf"], CSV_FILES["crlf"], CSV_FILES["big-lf"], CSV_FILES["bom"]):
         assert isinstance(got, bytes)
+
+
+BOM_CSV_3X3 = b"0,1.5,2.5\n1.5,0,1\n2.5,1,0\n"
+
+
+@pytest.mark.parametrize("name, raw", [
+    ("m.csv", BOM_CSV_3X3),
+    ("m.csv", BOM_CSV_3X3.replace(b"\n", b"\r\n")),
+    ("m.csv", b"a,b,c\n" + BOM_CSV_3X3),
+    ("m.json", json.dumps({"n": 3, "dist": [[0, 1.5, 2.5], [1.5, 0, 1], [2.5, 1, 0]]}).encode()),
+], ids=["csv", "csv-crlf", "csv-header", "json"])
+def test_byte_order_mark_is_dropped(tmp_path, name, raw):
+    """A file that starts with a UTF-8 byte-order mark loads bit for bit as
+    the same file without it; a header after the mark is still skipped."""
+    plain, marked = tmp_path / "plain" / name, tmp_path / "marked" / name
+    for path, data in ((plain, raw), (marked, b"\xef\xbb\xbf" + raw)):
+        path.parent.mkdir()
+        path.write_bytes(data)
+    got = rio.load_distance_matrix(marked).dist
+    assert got.shape == (3, 3) and got.tobytes() == rio.load_distance_matrix(plain).dist.tobytes()
+
+
+def test_byte_order_mark_is_dropped_from_every_json_loader(tmp_path):
+    payload = {"model": "euclidean-l2", "dim": 2, "coords": [[0, 0.5], [1, 0]],
+               "times": [0, 1], "points": [[0, 0], [1, 0.25]],
+               "n": 2, "dist": [[0, 1.5], [1.5, 0]], "order": "identity"}
+    path = tmp_path / "x.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(payload).encode())
+    assert load_point_cloud(path).coords.tolist() == payload["coords"]
+    assert load_curve(path).points.tolist() == payload["points"]
+    assert rio.load_dse(path).space.dist.tolist() == payload["dist"]
 
 
 @pytest.mark.parametrize("argv, name, text, message", [

@@ -1314,3 +1314,17 @@ def test_angle_audit_entries_are_violating_triples_at_scale():
     triples = set(violating_triples(from_point_cloud(pc), 0.5, tol=0.0))
     assert entries
     assert all(tuple(sorted((x, z, y))) in triples for x, z, y, _ in entries)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_max_sra_finds_a_planted_cube(seed):
+    # The 8 points of {0,1}^3 are SRA(sqrt(2) - 1), so the largest SRA subset
+    # of a cloud holding them has at least 8 points, and so has its bound.
+    rng = np.random.default_rng(seed)
+    pts = np.vstack([list(product((0.0, 1.0), repeat=3)), rng.standard_normal((8, 3))])
+    m = from_point_cloud(cloud(pts[rng.permutation(16)]))
+    rep = sra_report(m, math.sqrt(2) - 1)
+    found = rep["max_subset"]
+    assert found["optimal"] and found["size"] >= 8 and found["bound"] >= 8
+    assert found["size"] == len(found["indices"])
+    assert oracle_violations(subspace(m, found["indices"]), math.sqrt(2) - 1, rep["tol"]) == []
