@@ -139,21 +139,25 @@ def _cmd_dse_check(args) -> int:
 def _cmd_gen_dse(args) -> int:
     n = 8 if args.n is None else args.n
     if args.beta is not None:
+        given = [f"--{flag}" for flag in ("model", "dim") if getattr(args, flag) is not None]
+        if given:
+            raise ValueError(f"{' and '.join(given)} cannot be used with --beta, "
+                             "whose snowflaked path has no model space")
         d = gen_snowflaked_path(n, args.beta)
-        kind = "snowflaked-path"
+        params = {"kind": "snowflaked-path"}
     else:
-        model = ModelSpaceSpec(args.model, args.dim)
+        model = ModelSpaceSpec(args.model or EUCLIDEAN_L2, 2 if args.dim is None else args.dim)
         d = gen_random_dse(n, args.seed, model=model)
-        kind = "random"
+        params = {"kind": "random", "model": model.kind, "dim": model.dim}
     rio.save_dse(d, args.out)
-    return _emit(args, "gen-dse", {"n": d.n, "seed": args.seed, "beta": args.beta,
-                                   "kind": kind},
+    return _emit(args, "gen-dse", {"n": d.n, "seed": args.seed, "beta": args.beta, **params},
                  {"length_L": length_L(d), "gap_D": gap_D(d), "out": args.out},
                  {}, None, data_out=True)
 
 
 def _cmd_gen_curve(args) -> int:
-    dim = ModelSpaceSpec(EUCLIDEAN_L2, args.dim).dim  # refuses dim < 1 before the draw
+    # Refuses dim < 1 before the draw.
+    dim = ModelSpaceSpec(EUCLIDEAN_L2, 2 if args.dim is None else args.dim).dim
     rng = np.random.default_rng(args.seed)
     a = rng.standard_normal((dim, dim))
     q = a.T @ a + 0.5 * np.eye(dim)
@@ -389,8 +393,10 @@ _FLAGS = {
     "trials": dict(type=int, default=10_000),
     "steps": dict(type=int, default=40),
     "step": dict(type=_finite),
-    "dim": dict(type=int, default=2),
-    "model": dict(default=EUCLIDEAN_L2),
+    # No defaults here: gen-dse refuses either flag beside --beta, and each
+    # handler that reads them applies dim 2 and euclidean-l2 itself.
+    "dim": dict(type=int),
+    "model": dict(),
     "scales": dict(type=_finite, nargs="+"),
     "format": dict(choices=["json", "csv"], default="json"),
 }

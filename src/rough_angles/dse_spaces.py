@@ -175,25 +175,6 @@ def gen_snowflaked_path(n: int, beta: float) -> DseSpace:
     return as_dse(snowflake(base, beta))
 
 
-def _first_dse_reordering(d: np.ndarray, perms: np.ndarray, tol: float) -> Optional[np.ndarray]:
-    """d reordered by the first of the orders ``perms`` (one per row) that is
-    DSE at ``tol``, or None.  The orders are checked together, row i of every
-    order still standing at once: a prefix max along each order's row from
-    its diagonal on, with the comparison of ``_monotone_breaks``, so an order
-    stands after the last row exactly when ``_dse_violations`` finds no
-    witness in it.  Most random orders fall at their first rows."""
-    alive = np.arange(len(perms))
-    for i in range(d.shape[0]):
-        p = perms[alive]
-        rows = d[p[:, i, None], p[:, i:]]
-        prefix_max = np.maximum.accumulate(rows, axis=1)
-        alive = alive[~(rows < prefix_max - tol).any(axis=1)]
-        if not alive.size:
-            return None
-    p = perms[alive[0]]
-    return d[np.ix_(p, p)]
-
-
 def gen_random_dse(
     n: int,
     seed: int,
@@ -201,11 +182,12 @@ def gen_random_dse(
 ) -> DseSpace:
     """Rejection-sample a DSE ordering of model-space clouds.
 
-    Deterministic per seed.  Each attempt draws a fresh cloud and tries the
-    identity order, the order sorted by distance from the first point, and a
-    batch of random permutations, all drawn first and then checked together;
-    DSE orders are rare in generic clouds, so after ``MAX_ATTEMPTS`` orders it
-    raises RejectionError.
+    Deterministic per seed.  A DSE order is fixed by its first point, up to
+    ties within the tolerance: its first row does not decrease, so the other
+    points follow in order of distance from the first.  Each attempt draws a
+    fresh cloud and checks the n orders sorted by distance from each of its
+    points, in first-point order; DSE orders are rare in generic clouds, so
+    after ``MAX_ATTEMPTS`` orders it raises RejectionError.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -213,18 +195,14 @@ def gen_random_dse(
         model = ModelSpaceSpec(EUCLIDEAN_L2, 2)
     rng = np.random.default_rng(seed)
     attempts = 0
-    perms_per_cloud = max(8, 4 * n)
     while attempts < MAX_ATTEMPTS:
         cloud_seed = int(rng.integers(0, 2**31 - 1))
-        cloud = sample_model(model, n, radius=1.0, seed=cloud_seed)
-        space = from_point_cloud(cloud)
+        space = from_point_cloud(sample_model(model, n, radius=1.0, seed=cloud_seed))
         d, tol = space.dist, default_tol(space)  # every reordering has the same tol
-        candidates = [np.arange(n), np.argsort(d[0], kind="stable")]
-        while len(candidates) < perms_per_cloud:
-            candidates.append(rng.permutation(n))
-        perms = np.array(candidates[:MAX_ATTEMPTS - attempts])
-        reordered = _first_dse_reordering(d, perms, tol)
-        if reordered is not None:
-            return DseSpace(FiniteMetricSpace(reordered))
-        attempts += len(perms)
+        orders = np.argsort(d, axis=1, kind="stable")[:MAX_ATTEMPTS - attempts]
+        for p in orders:
+            reordered = d[np.ix_(p, p)]
+            if next(_dse_violations(reordered, tol), None) is None:
+                return DseSpace(FiniteMetricSpace(reordered))
+        attempts += len(orders)
     raise RejectionError(f"no DSE ordering found within {MAX_ATTEMPTS} attempts")

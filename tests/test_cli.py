@@ -234,6 +234,35 @@ def test_explicit_zero_is_not_replaced_by_default(capsys, tmp_path, monkeypatch,
     assert not captured.out and not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--model", "sphere-unit"], ["--dim", "3"],
+                                   ["--dim", "2", "--model", "euclidean-l2"]],
+                         ids=["model", "dim", "both"])
+def test_gen_dse_beta_refuses_model_and_dim(capsys, tmp_path, flags):
+    """A snowflaked path has no model space: --model or --dim beside --beta
+    is an error, not a flag read and dropped."""
+    out = tmp_path / "d.json"
+    rc = main(["gen-dse", "--beta", "0.5", "--seed", "1", "--out", str(out)] + flags)
+    captured = capsys.readouterr()
+    named = " and ".join(f for f in ("--model", "--dim") if f in flags)
+    assert rc == 1 and not captured.out and not out.exists()
+    assert captured.err == (f"error: {named} cannot be used with --beta, "
+                            "whose snowflaked path has no model space\n")
+
+
+@pytest.mark.parametrize("flags, model, dim", [
+    ([], EUCLIDEAN_L2, 2),
+    (["--dim", "3"], EUCLIDEAN_L2, 3),
+    (["--model", "normed-ℓ1"], "normed-l1", 2),
+] + [(["--model", kind], kind, 2) for kind in MODEL_KINDS[1:]],
+    ids=["default", "dim-3", "alias"] + list(MODEL_KINDS[1:]))
+def test_gen_dse_random_reports_model_and_dim(capsys, tmp_path, flags, model, dim):
+    out = tmp_path / "d.json"
+    rc, rep = run(capsys, "gen-dse", "--n", "4", "--seed", "1", "--out", str(out), *flags)
+    assert rc == 0 and out.exists()
+    assert rep["params"] == {"beta": None, "dim": dim, "kind": "random", "model": model,
+                             "n": 4, "seed": 1}
+
+
 def test_gen_curve_refuses_other_models(capsys, tmp_path):
     """gen-curve builds Euclidean curves only and takes no --model flag."""
     out = tmp_path / "c.json"
@@ -601,8 +630,8 @@ GOLDEN = [
      0, "f05b4eb39d305fe33043b9de080cd8cc9e102ef809c332230a753eb61e199ba9",
      "c947812a1419bde496466933f07189b340dc64f1892aa4e24337a072461b4224"),
     (["gen-dse", "--n", "5", "--seed", "2", "--dim", "3", "--out", "random_dse.json"],
-     0, "2c0b720166e536826a07b73d62935d56d363575b34edd41a3dc1c3a859a4867c",
-     "352143e47be394b45ac51743f686f8866cb1f3a337744b0a3356e2118b7b959b"),
+     0, "d1b396dd7cc3f706a4a16915eb7489e5deae3fdae14c3b3744460a84b5366d94",
+     "bc54c55494e60f8572d854414f1d506d45b688a89ee35301d1b62985636c7209"),
     (["gen-curve", "--seed", "9", "--dim", "3", "--steps", "12", "--out", "curve.json"],
      0, "b16d8a10dcd982d37971569a4f900997eec0070c183cb22f4e6534e22aef7c8f",
      "c2ab60acb82ba72b8f6ffd4e756743b0160ab29be7893742969d0e63f1f961ff"),
@@ -662,7 +691,7 @@ GOLDEN = [
      0, "41d1b4570f6bdbbbc7d468b937b11d5ee6c9401b0bebb0664032086a137fb868",
      None),
     (["extract", "--in", "random_dse.json", "--alpha", "0.8", "--k", "3"],
-     0, "2c380cce194ec0442c36092a5d36554ed5185f42fdbbb9a52cce9930dc7dde54",
+     0, "8d51addeab07db9149b0977a76ab8b17f4714fb28d0fc616065e6fc5a7658d19",
      None),
     (["refute-weird", "--theta", "0.2", "--alpha", "0.9", "--n", "4", "--trials", "200",
       "--seed", "3"],

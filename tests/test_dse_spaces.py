@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from rough_angles import (
     sample_model,
     snowflake,
 )
+from rough_angles.metric_core import MODEL_KINDS
 
 from _generators import collinear, random_metric, rows
 
@@ -170,64 +172,119 @@ def test_gen_random_dse_three_points_condition():
     assert d.dist[0, 1] <= d.dist[0, 2] + 1e-12
 
 
-def test_gen_random_dse_rejection(monkeypatch):
+@pytest.fixture()
+def dse_checks(monkeypatch):
+    """A list that grows by one entry per call of ``_dse_violations``, the
+    check ``gen_random_dse`` runs once per order it tries."""
+    calls = []
+    check = dse_spaces._dse_violations
+
+    def counted(d, tol):
+        calls.append(d.shape[0])
+        return check(d, tol)
+
+    monkeypatch.setattr(dse_spaces, "_dse_violations", counted)
+    return calls
+
+
+def test_gen_random_dse_rejection(monkeypatch, dse_checks):
     monkeypatch.setattr(dse_spaces, "MAX_ATTEMPTS", 3)
     with pytest.raises(RejectionError, match="within 3 attempts"):
         gen_random_dse(9, seed=1, model=ModelSpaceSpec(EUCLIDEAN_L2, 2))
+    assert dse_checks == [9] * 3
 
 
-@pytest.mark.parametrize("n, seed, first", [(5, 1, 42), (6, 2, 50)])
-def test_gen_random_dse_stops_inside_the_last_cloud(monkeypatch, n, seed, first):
-    """The first DSE order of (n, seed) is attempt ``first``, the second of its
-    cloud's candidates: with one attempt fewer the budget ends inside that
-    cloud and the generator refuses; with exactly enough it returns the order
-    the unlimited budget finds."""
+@pytest.mark.parametrize("n, seed, first", [(5, 3, 19), (6, 5, 21)])
+def test_gen_random_dse_stops_inside_the_last_cloud(monkeypatch, dse_checks, n, seed, first):
+    """The first DSE order of (n, seed) is attempt ``first``, not the first
+    order of its cloud: with one attempt fewer the budget ends inside that
+    cloud and the generator refuses after checking exactly that many orders;
+    with exactly enough it returns the order the unlimited budget finds."""
     want = gen_random_dse(n, seed).dist
-    assert first % max(8, 4 * n) == 2
+    assert first % n != 1
     monkeypatch.setattr(dse_spaces, "MAX_ATTEMPTS", first - 1)
+    dse_checks.clear()
     with pytest.raises(RejectionError, match=f"within {first - 1} attempts"):
         gen_random_dse(n, seed)
+    assert len(dse_checks) == first - 1
     monkeypatch.setattr(dse_spaces, "MAX_ATTEMPTS", first)
+    dse_checks.clear()
     assert np.array_equal(gen_random_dse(n, seed).dist, want)
+    assert len(dse_checks) == first
 
 
-def reference_gen_random_dse(n, seed):
-    """``gen_random_dse`` as it was when it checked one candidate order at a
-    time with ``_dse_violations``, frozen to test the batched check against."""
+MODELS = [ModelSpaceSpec(kind) for kind in MODEL_KINDS] + [
+    ModelSpaceSpec(EUCLIDEAN_L2, 1), ModelSpaceSpec(EUCLIDEAN_L2, 3)]
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m.kind}-{m.dim}")
+@pytest.mark.parametrize("seed", range(3))
+def test_gen_random_dse_draws_from_every_model(model, seed):
+    """A space of every model kind is DSE at its default tolerance, its first
+    row does not decrease, and its distances are one sampled cloud's matrix
+    in one order of its points, that cloud drawn from the seed's stream."""
+    got = gen_random_dse(6, seed, model=model).dist
+    assert is_dse(FiniteMetricSpace(got)).ok
+    assert np.all(np.diff(got[0]) >= 0)
+    assert np.array_equal(got, got.T)
+    rng = np.random.default_rng(seed)
+    for _ in range(dse_spaces.MAX_ATTEMPTS // 6):
+        cloud_seed = int(rng.integers(0, 2**31 - 1))
+        d = from_point_cloud(sample_model(model, 6, radius=1.0, seed=cloud_seed)).dist
+        # Point a of the space is the cloud's one point with the same distances.
+        matches = [[b for b in range(6) if np.array_equal(np.sort(d[b]), np.sort(got[a]))]
+                   for a in range(6)]
+        if all(len(m) == 1 for m in matches):
+            perm = [m[0] for m in matches]
+            assert sorted(perm) == list(range(6))
+            assert np.array_equal(d[np.ix_(perm, perm)], got)
+            return
+    pytest.fail("no cloud of the seed's stream holds the space")
+
+
+def brute_force_gen_random_dse(n, seed):
+    """``gen_random_dse`` by brute force over every order of each cloud, frozen
+    to test the sorted orders against: the clouds of the same seed stream,
+    each cloud's DSE order with the smallest first point, and one attempt
+    per first point up to that one.  It asserts that no first point of a
+    cloud has two DSE orders, the premise of trying one order per point."""
     model = ModelSpaceSpec(EUCLIDEAN_L2, 2)
     rng = np.random.default_rng(seed)
+    perms = np.array(list(itertools.permutations(range(n))))
+    i, j, k = np.array(list(itertools.combinations_with_replacement(range(n), 3))).T
     attempts = 0
     while attempts < dse_spaces.MAX_ATTEMPTS:
         cloud_seed = int(rng.integers(0, 2**31 - 1))
         space = from_point_cloud(sample_model(model, n, radius=1.0, seed=cloud_seed))
         d, tol = space.dist, default_tol(space)
-        candidates = [np.arange(n), np.argsort(d[0], kind="stable")]
-        while len(candidates) < max(8, 4 * n):
-            candidates.append(rng.permutation(n))
-        for perm in candidates:
-            attempts += 1
-            reordered = d[np.ix_(perm, perm)]
-            if next(dse_spaces._dse_violations(reordered, tol), None) is None:
-                return reordered
-            if attempts >= dse_spaces.MAX_ATTEMPTS:
-                break
+        ordered = d[perms[:, :, None], perms[:, None, :]]
+        dse = perms[~(ordered[:, i, k] < ordered[:, i, j] - tol).any(axis=1)]
+        assert len(set(dse[:, 0].tolist())) == len(dse), (n, seed, cloud_seed)
+        if len(dse):
+            perm = dse[np.argmin(dse[:, 0])]
+            if attempts + perm[0] < dse_spaces.MAX_ATTEMPTS:
+                return d[np.ix_(perm, perm)]
+        attempts += n
     return None
 
 
-def test_gen_random_dse_matches_one_order_at_a_time(monkeypatch):
-    """Bit for bit the order the one-at-a-time check finds, or a refusal where
-    it finds none, also at budgets that end inside a cloud."""
-    for budget in (dse_spaces.MAX_ATTEMPTS, 37, 200):
+def test_gen_random_dse_matches_brute_force_over_all_orders(monkeypatch):
+    """Bit for bit the order the brute force finds, or a refusal where it
+    finds none, also at budgets that end inside a cloud."""
+    refused = 0
+    for budget in (dse_spaces.MAX_ATTEMPTS, 37, 200, 7):
         monkeypatch.setattr(dse_spaces, "MAX_ATTEMPTS", budget)
-        for n in range(2, 8):
+        for n in range(2, 7):
             for seed in range(4):
-                want = reference_gen_random_dse(n, seed)
+                want = brute_force_gen_random_dse(n, seed)
                 try:
                     got = gen_random_dse(n, seed).dist
                 except RejectionError:
                     got = None
                 assert (got is None) == (want is None), (budget, n, seed)
                 assert got is None or got.tobytes() == want.tobytes(), (budget, n, seed)
+                refused += got is None
+    assert refused
 
 
 def test_single_point_two_lemma():
@@ -317,8 +374,10 @@ def test_is_dse_columns_match_monotone_breaks_loop(monkeypatch):
     assert loop_dse(big, default_tol(FiniteMetricSpace(big)), default_cap)[1]
 
 
-# SHA-256 of gen_random_dse(n, seed).dist.tobytes(), recorded before the
-# generator stopped each rejection at the first DSE violation.
+# SHA-256 of gen_random_dse(n, seed).dist.tobytes().  Recorded when each
+# rejection stopped at its first DSE violation; re-recorded for n = 4, 5 and 6
+# when the generator moved to each cloud's n orders sorted by distance from
+# one point, which pick other spaces there (n = 2 and 3 kept theirs).
 GEN_RANDOM_DSE_DIGESTS = {
     2: (
         "5cbffe5a27430e87877f2146614378495d681154a23ce300c877caac11a56e85",
@@ -338,7 +397,7 @@ GEN_RANDOM_DSE_DIGESTS = {
     ),
     4: (
         "f88215356bfe53e9d42f8a3c9e733255ff4dbd64dc39fcf783ec2bdc878c2ac4",
-        "9a05148c3e9d3c3757fa680730d84870e627a7e0f03aede62a3af36491d3b3c5",
+        "74cd05fd29e2c5ae7b46a4e1d3ad7ff53e874acf9dafd49a27a73f3acb23724d",
         "7e11a90c5aa0f5b17a2f252db520d7c3a982a39e5fecc4d63a469f99966bb0b8",
         "d1cba9e6cb07d7eeeb6b453727107ea03eb2cc00d639cebf62984086b60f7018",
         "c81834c29bc00e016063dc0b85eccbce3b88fd071d0ec4b2fd618f43c368fa9d",
@@ -346,19 +405,19 @@ GEN_RANDOM_DSE_DIGESTS = {
     ),
     5: (
         "30f43b9e8607c2fea39e47b72095ec790cf8081babc26d88f0f7dcc38a09c435",
-        "3a5e2d0db837c57f869bb1277ca1b16c3ef0153cd48eb49e013bf657800346e4",
+        "de68f6c076722a34120758c0091ceb526ab410364f709953be6e35d5db2366e3",
         "d1af9c4c1ae213984eadb2c5ed2e2ee9c0b9398680729fd864acb252b5563615",
-        "62bf80e94ba0fd902f3d30ed8f5582b8d61b4bfd5dd8195746b02260fbfc57c3",
+        "4df4641561ff25d66546d06707425c450d4ed3e589b4980d9d1fd2220b32838b",
         "22375c50311760e5eed941695e2cd5a4d62e3f321564691a094cbdf4ddbcc9a5",
-        "3cb88ff66ad138d5bc60076dabad0e1743d694f11192e139b3ee4753f0844b4f",
+        "a67096aeac95224aa86eac81adda9ddcaabd448c9ae8655bef80c4f5abb0b168",
     ),
     6: (
-        "ebac7ba72579567b1d136a82a1c0f779bc6a48fe731f2261d7d2c38f2252e82b",
-        "ca70b1075e415be2d4ba55a31cf7afd742437d48a90598058409b2fcd0595852",
-        "dcaf2c23d06459d18c5213613c5fb57d4769dd7a3e5f33ca28b0ddd9f01228d2",
-        "c75510bb793c90146f968fdf285da37a779614ddbcb272e9ca7ea9228050457f",
-        "07b94c7e25107a97de20a662679262d4bf5a946d2e3f142d32514492851eddb6",
-        "1de4051c53cdc50c8a6615fbc58c04da563e916c47abd4930c3f9683d8f447a7",
+        "644af8e2e282ca3be92f577304881bf0e6074402fa1fdbd01bc932fd69d20e80",
+        "07933505d1f68a9da07f4a46e7d76545f3428a14a0603beb1d5f80e3786a2cd4",
+        "1dbe456383ce4773118ff9ab6e7409a996c3799c9211e7b995fe7bc26fb067d4",
+        "7c2fbacb9c520df57ddd08412045ae5808897aabd412771a9f22cad48165e2db",
+        "5c6c1c502d2ddba55d5ef3db43ceaf3c6f7e317be9170948a85c357b7e258cab",
+        "21ec041ff180705401aaf44c936252707be5bd28d9b72caa2631e419ac034c6d",
     ),
 }
 
