@@ -3,20 +3,19 @@
 A subset of vertices is independent when it contains no hyperedge entirely.
 ``max_independent_subset`` solves the complementary minimum hitting-set
 problem by budgeted branch and bound: every edge needs at least one vertex
-outside the subset.  It takes the hyperedges as a sorted list of distinct
-increasing triples, as its callers build them, and does not check that.
+outside the subset.  It reads the rows of one sorted (m, 3) integer array
+of distinct increasing triples (or a list of them) and does not check that.
 ``_in_order_search`` grows increasing tuples in index order instead, with the
 hyperedges handed over lazily as bitmasks: ``row_third`` builds them from one
 boolean (b, c) block per first vertex a, built and packed the first time the
-search reaches a, and ``edge_third`` from the hyperedges as one sorted (m, 3)
-integer array (or a list of triples), packed with numpy into one int per
-pair.  Given the optimum size found by the former, one in-order pass returns
-the lexicographically smallest maximum subset.  Asked for the maximum itself,
-the in-order search bounds its passes by Ostergard's Russian doll.  Both
-searches take a node budget and, once it runs out, return their best subset
-with ``optimal=False`` and a true upper bound.  Vertices are bitmask-encoded; all
-tie-breaks are by smallest index so results are deterministic regardless of
-schedule.
+search reaches a, and ``edge_third`` from the same (m, 3) array, packed with
+numpy into one int per pair.  Given the optimum size found by the former,
+one in-order pass returns the lexicographically smallest maximum subset.
+Asked for the maximum itself, the in-order search bounds its passes by
+Ostergard's Russian doll.  Both searches take a node budget and, once it runs
+out, return their best subset with ``optimal=False`` and a true upper bound.
+Vertices are bitmask-encoded; all tie-breaks are by smallest index so results
+are deterministic regardless of schedule.
 """
 
 from __future__ import annotations
@@ -47,23 +46,22 @@ def _check_budget(budget: Optional[int]) -> None:
         raise ValueError(f"budget must be >= 0, got {budget}")
 
 
-def _greedy_cover(n: int, edges: list[tuple[int, int, int]]) -> int:
+def _greedy_cover(n: int, edges: list[list[int]]) -> int:
     """Cover all edges by repeatedly taking the vertex of highest remaining
     degree.  Returns the cover as a bitmask."""
     cover = 0
-    remaining = list(edges)
-    while remaining:
+    while edges:
         deg = [0] * n
-        for e in remaining:
+        for e in edges:
             for v in e:
                 deg[v] += 1
         best_v = max(range(n), key=lambda v: (deg[v], -v))
         cover |= 1 << best_v
-        remaining = [e for e in remaining if best_v not in e]
+        edges = [e for e in edges if best_v not in e]
     return cover
 
 
-def _matching_bound(edges: list[tuple[int, int, int]]) -> int:
+def _matching_bound(edges: list[list[int]]) -> int:
     """Number of pairwise vertex-disjoint edges found greedily: a lower bound
     on any hitting set of those edges."""
     used = 0
@@ -79,16 +77,17 @@ def _matching_bound(edges: list[tuple[int, int, int]]) -> int:
 
 def max_independent_subset(
     n: int,
-    edges: list[tuple[int, int, int]],
+    edges: Union[np.ndarray, Iterable[tuple[int, int, int]]],
     budget: Optional[int] = DEFAULT_BUDGET,
 ) -> SearchResult:
-    """Largest subset of range(n) spanning no triple of ``edges``, which must
-    be a sorted list of distinct increasing triples (as ``violating_triples``
-    and ``sra_report`` build them).  Each search node counts against
-    ``budget`` (None: no limit).  On budget exhaustion the best subset found
-    is returned with ``optimal=False``, so budget 0 returns the complement of
-    the greedy cover.  A negative budget is refused."""
+    """Largest subset of range(n) spanning no row of ``edges``, sorted distinct
+    increasing triples as the (m, 3) array of ``sra_analysis._triple_array``
+    (read as one list of rows) or a list.  Each node counts against ``budget``
+    (None: no limit).  On budget exhaustion the best subset found is returned
+    with ``optimal=False``, so budget 0 returns the complement of the greedy
+    cover.  A negative budget is refused."""
     _check_budget(budget)
+    edges = np.asarray(edges, dtype=np.intp).reshape(-1, 3).tolist()
     upper = n - _matching_bound(edges)
     best_cover = _greedy_cover(n, edges)
     best_cover_size = best_cover.bit_count()
@@ -106,7 +105,7 @@ def max_independent_subset(
         # with no undecided vertex: propagation ran to the end before the
         # branch that kept a vertex, so every uncovered edge then had two.
         while True:
-            active: list[tuple[int, int, int]] = []
+            active: list[list[int]] = []
             forced_v = -1
             for e in edges:
                 a, b, c = e

@@ -69,15 +69,11 @@ def _sra_args(m: FiniteMetricSpace, alpha: float,
     return d, default_tol(m) if tol is None else tol
 
 
-def _violations(d: np.ndarray, alpha: float, tol: float,
-                needs: Optional[list] = None) -> Iterator[tuple[int, int, int, float]]:
+def _violations(d: np.ndarray, alpha: float, tol: float) -> Iterator[tuple[int, int, int, float]]:
     """Yield (x, z, y, slack) for every triple of the symmetric ``d`` whose
     ``_sra_slack`` exceeds ``tol``: middle z first, then x < y row-major, with
-    x and y distinct from z.  Given a list ``needs``, the same pass appends
-    each middle's largest need to it."""
-    for z, need, hits in _middle_scan(d, alpha, tol, needs is not None):
-        if needs is not None:
-            needs.append(need)
+    x and y distinct from z."""
+    for z, _, hits in _middle_scan(d, alpha, tol, False):
         if hits is None:
             continue
         xs, ys, slack = hits
@@ -87,13 +83,12 @@ def _violations(d: np.ndarray, alpha: float, tol: float,
 
 def _sra_third(m: FiniteMetricSpace, alpha: float,
                tol: Optional[float] = None) -> Callable[[int, int], int]:
-    """``third`` for ``_hypergraph._in_order_search`` of the hyperedges of
-    ``violating_triples``, built one row per first vertex a.  With
-    r = d(a, b) over b > a and S = d(b, c) over b, c > a, the block of a is
-    true where {a, b, c} violates with middle a, b or c, each slack from
-    ``_sra_slack`` as in the per-middle scan, so the masks hold bit for bit
-    the triples of ``violating_triples(m, alpha, tol)``, with no scan of the
-    rows the search never reaches."""
+    """``third`` for ``_hypergraph._in_order_search`` (extract's direct
+    search) over the triples of ``violating_triples(m, alpha, tol)``, bit for
+    bit, built one row per first vertex a the search reaches.  With r = d(a, b)
+    over b > a and S = d(b, c) over b, c > a, the block of a is true where
+    {a, b, c} violates with middle a, b or c, each slack from ``_sra_slack``
+    as in the per-middle scan."""
     d, tol = _sra_args(m, alpha, tol)
 
     def bad_row(a: int) -> np.ndarray:
@@ -134,54 +129,63 @@ def critical_alpha(m: FiniteMetricSpace) -> float:
     return max([0.0] + [need for _, need, _ in _middle_scan(m.dist, None, None, True)])
 
 
-def _triple_array(m: FiniteMetricSpace, alpha: float,
-                  tol: Optional[float] = None) -> np.ndarray:
-    """The triples of ``violating_triples(m, alpha, tol)`` as one sorted
-    (count, 3) integer array of increasing rows.  Each hit (x, z, y), x < y,
-    of the per-middle scan becomes the key (a*n + b)*n + c of its sorted
-    triple a < b < c (below 2^63, as n <= ``metric_core.MAX_POINTS``), and one
-    ``np.unique`` over every key sorts and deduplicates them, so no Python
-    object is made per hit or per triple."""
-    d, tol = _sra_args(m, alpha, tol)
+def _scan(d: np.ndarray, alpha: float, tol: float, report: bool = False) -> tuple:
+    """The violating triples of the symmetric ``d`` at ``tol`` as one sorted
+    (count, 3) integer array of increasing rows, then, from the same pass if
+    ``report`` (else [] and None), the first ``MAX_VIOLATIONS`` rows of
+    ``_violations`` and the critical alpha.  Each hit (x, z, y), x < y, becomes
+    the key (a*n + b)*n + c of its sorted triple a < b < c (below 2^63, as n <=
+    ``metric_core.MAX_POINTS``); one ``np.unique`` sorts and deduplicates every
+    key, whose base-n digits a, b, c are its row, so no Python object is made
+    per triple."""
     n = d.shape[0]
-    keys = []
-    for z, _, hits in _middle_scan(d, alpha, tol, False):
+    keys, shown, needs = [], [], [0.0]
+    for z, need, hits in _middle_scan(d, alpha, tol, report):
+        needs.append(need)
         if hits is None:
             continue
-        xs, ys, _ = hits
+        xs, ys, slack = hits
         keep = xs < ys
         x, y = xs[keep], ys[keep]
+        if report and len(shown) < MAX_VIOLATIONS:
+            k = slice(MAX_VIOLATIONS - len(shown))
+            shown += zip(x[k].tolist(), repeat(z), y[k].tolist(), slack[keep][k].tolist())
         a, c = np.minimum(x, z), np.maximum(y, z)
         keys.append((a * n + (x + y + z - a - c)) * n + c)
     key = np.unique(np.concatenate(keys)) if keys else np.empty(0, dtype=np.intp)
-    ab, c = np.divmod(key, n)
-    a, b = np.divmod(ab, n)
-    return np.stack([a, b, c], axis=1)
+    rows = key[:, None] // np.array([n * n, n, 1]) % n
+    return rows, shown, max(needs) if report else None
+
+
+def _triple_array(m: FiniteMetricSpace, alpha: float,
+                  tol: Optional[float] = None) -> np.ndarray:
+    """The triples of ``violating_triples(m, alpha, tol)`` as the sorted
+    (count, 3) integer array of ``_scan``."""
+    d, tol = _sra_args(m, alpha, tol)
+    return _scan(d, alpha, tol)[0]
 
 
 def violating_triples(
     m: FiniteMetricSpace, alpha: float, tol: Optional[float] = None
 ) -> list[tuple[int, int, int]]:
     """Unordered triples {a,b,c} that violate SRA(alpha) for at least one
-    choice of middle point, as a sorted list of increasing tuples.  These are
-    the hyperedges of the freeness search, which reads them as the one sorted
-    (count, 3) array of ``_triple_array``; this list holds its rows."""
-    a, b, c = _triple_array(m, alpha, tol).T
-    return list(zip(a.tolist(), b.tolist(), c.tolist()))
+    choice of middle point, as a sorted list of increasing tuples: the rows
+    of ``_triple_array``, which every search reads instead."""
+    return list(map(tuple, _triple_array(m, alpha, tol).tolist()))
 
 
-def _certificate(m: FiniteMetricSpace, edges: list[tuple[int, int, int]], alpha: float,
-                 tol: Optional[float], budget: Optional[int]) -> SubsetCertificate:
-    """Maximum SRA(alpha) subset of ``m``, whose sorted violating triples at
-    ``tol`` are ``edges``.  One budgeted branch and bound over ``edges`` gives
-    the size, ``optimal`` and the bound.  When it completed below ``m.n``,
-    one in-order pass for the first independent tuple of that size, over the
-    rows of ``_sra_third(m, alpha, tol)``, replaces its subset by the
-    lexicographically smallest optimum."""
-    res = _hypergraph.max_independent_subset(m.n, edges, budget=budget)
+def _certificate(n: int, edges: np.ndarray, alpha: float,
+                 budget: Optional[int]) -> SubsetCertificate:
+    """Maximum SRA(alpha) subset of n points whose violating triples are the
+    rows of ``edges``, the array of ``_scan``.  One budgeted branch and bound
+    over its rows gives the size, ``optimal`` and the bound.  When it completed
+    below n, one in-order pass over ``_hypergraph.edge_third(edges)`` for the
+    first independent tuple of that size gives the lexicographically smallest
+    optimum."""
+    res = _hypergraph.max_independent_subset(n, edges, budget=budget)
     subset = res.subset
-    if res.optimal and res.size < m.n:
-        subset = _hypergraph._in_order_search(m.n, _sra_third(m, alpha, tol),
+    if res.optimal and res.size < n:
+        subset = _hypergraph._in_order_search(n, _hypergraph.edge_third(edges),
                                               target=res.size).subset
     return SubsetCertificate(alpha=float(alpha), subset=subset, size=res.size,
                              optimal=res.optimal, bound=res.upper_bound)
@@ -195,14 +199,15 @@ def max_sra_subset(
 ) -> SubsetCertificate:
     """Exact maximum SRA(alpha) subspace via branch and bound on the violating
     triple hypergraph.  On budget exhaustion the best subset found so far is
-    returned with ``optimal=False`` and a proven upper bound.
+    returned with ``optimal=False`` and a proven upper bound; a negative
+    budget is refused before the scan.
 
     Among equal-size optima the lexicographically smallest subset is returned,
     so certificates are reproducible: a completed search is rebuilt by one
-    in-order pass over the hyperedge rows of ``_sra_third`` at the same
-    ``tol``.
+    in-order pass.  Both searches read the array of ``_triple_array``.
     """
-    return _certificate(m, violating_triples(m, alpha, tol=tol), alpha, tol, budget)
+    _hypergraph._check_budget(budget)
+    return _certificate(m.n, _triple_array(m, alpha, tol), alpha, budget)
 
 
 # ----------------------------------------------------------------------------
@@ -296,22 +301,17 @@ def sra_report(
 ) -> dict:
     """Combined JSON-ready report: verdict, critical alpha, max subset.
 
-    One scan gives the critical alpha, the first ``MAX_VIOLATIONS``
-    violations (the columns of ``is_sra``) and the full hyperedge set of the
-    subset search."""
+    One ``_scan`` gives the critical alpha, the first ``MAX_VIOLATIONS``
+    violations (the columns of ``is_sra``) and the hyperedge array that both
+    searches read.  A negative budget is refused before the scan."""
+    _hypergraph._check_budget(budget)
     d, tol = _sra_args(m, alpha, tol)
-    shown: list[tuple[int, int, int, float]] = []
-    edges: set[tuple[int, int, int]] = set()
-    needs: list[float] = []
-    for v in _violations(d, alpha, tol, needs):
-        if len(shown) < MAX_VIOLATIONS:
-            shown.append(v)
-        edges.add(tuple(sorted(v[:3])))
-    cert = _certificate(m, sorted(edges), alpha, tol, budget)
+    edges, shown, crit = _scan(d, alpha, tol, report=True)
+    cert = _certificate(m.n, edges, alpha, budget)
     return {
         "alpha": float(alpha),
         "is_sra": not shown,
-        "critical_alpha": max([0.0] + needs),
+        "critical_alpha": crit,
         "max_subset": {
             "indices": list(cert.subset),
             "size": cert.size,

@@ -2,7 +2,7 @@ import inspect
 import math
 import threading
 import warnings
-from itertools import combinations, islice, product
+from itertools import combinations, islice, product, repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -214,8 +214,14 @@ def test_max_sra_budget_exhaustion_is_reported():
     assert cert.bound >= cert.size
 
 
-def test_negative_budget_is_refused():
+def test_negative_budget_is_refused(monkeypatch):
     # Budget 0 keeps the greedy cover, reported as not optimal, after no node.
+    # The refusal must not wait for the O(n^3) scan: with the scan broken,
+    # every entry point still refuses with the budget's own message.
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned before refusing the budget")
+
+    monkeypatch.setattr(sra_analysis, "_middle_scan", no_scan)
     zero = max_independent_subset(3, [(0, 1, 2)], budget=0)
     assert (zero.subset, zero.optimal, zero.nodes) == ((1, 2), False, 0)
     for search in (lambda b: max_independent_subset(3, [(0, 1, 2)], budget=b),
@@ -295,8 +301,8 @@ def check_against_oracles(m, alpha, tol, budget):
     assert rep["is_sra"] == verdict.is_sra
     assert rows(rep["violations"], "x z y slack") == expect[:MAX_VIOLATIONS]
     assert rep["tol"] == verdict.tol
-    # The report's search reads the need-gated scan's edges, max_sra_subset
-    # those of violating_triples; both rebuild from the ungated rows.
+    # The report's searches read the need-gated scan's array, max_sra_subset
+    # the ungated one of _triple_array.
     cert = max_sra_subset(m, alpha, budget=budget, tol=tol)
     assert rep["max_subset"] == {"indices": list(cert.subset), "size": cert.size,
                                  "optimal": cert.optimal, "bound": cert.bound}
@@ -489,10 +495,13 @@ def test_budgeted_search_matches_reference():
     rng = np.random.default_rng(23)
     for _ in range(30):
         m = random_metric(int(rng.integers(6, 13)), rng)
-        edges = violating_triples(m, float(rng.uniform(0.3, 0.9)))
+        alpha = float(rng.uniform(0.3, 0.9))
+        edges = violating_triples(m, alpha)
+        array = sra_analysis._triple_array(m, alpha)
         for budget in (1, 3, 10, 100, None):
-            assert max_independent_subset(m.n, edges, budget=budget) == \
-                reference_max_independent_subset(m.n, edges, budget=budget)
+            want = reference_max_independent_subset(m.n, edges, budget=budget)
+            assert max_independent_subset(m.n, edges, budget=budget) == want
+            assert max_independent_subset(m.n, array, budget=budget) == want
 
 
 def test_search_counts_nodes_without_budget():
@@ -775,6 +784,53 @@ def test_certificate_matches_prefix_forcing_oracle():
             (subset, size, optimal, bound), name
         assert sra_report(m, alpha, budget=None)["max_subset"] == {
             "indices": list(subset), "size": size, "optimal": optimal, "bound": bound}, name
+
+
+def reference_sra_report(m, alpha, budget, tol=None):
+    """``sra_report`` before its hyperedges became one integer array, kept as
+    a test oracle: the need-gated scan's hits as a set of sorted tuples, then
+    sorted, one branch and bound over that list (the frozen copy above), and
+    the lexicographic pass over the rows of ``_sra_third``."""
+    d, tol = sra_analysis._sra_args(m, alpha, tol)
+    shown, edges, needs = [], set(), []
+    for z, need, hits in metric_core._middle_scan(d, alpha, tol, True):
+        needs.append(need)
+        if hits is None:
+            continue
+        xs, ys, slack = hits
+        keep = xs < ys
+        for v in zip(xs[keep].tolist(), repeat(z), ys[keep].tolist(), slack[keep].tolist()):
+            if len(shown) < MAX_VIOLATIONS:
+                shown.append(v)
+            edges.add(tuple(sorted(v[:3])))
+    res = reference_max_independent_subset(m.n, sorted(edges), budget=budget)
+    subset = res.subset
+    if res.optimal and res.size < m.n:
+        subset = _in_order_search(m.n, sra_analysis._sra_third(m, alpha, tol),
+                                  target=res.size).subset
+    return {
+        "alpha": float(alpha),
+        "is_sra": not shown,
+        "critical_alpha": max([0.0] + needs),
+        "max_subset": {"indices": list(subset), "size": res.size,
+                       "optimal": res.optimal, "bound": res.upper_bound},
+        "violations": Columns.from_rows(("x", "z", "y", "slack"), shown),
+        "tol": float(tol),
+    }
+
+
+def test_sra_report_matches_the_tuple_set_report():
+    """The whole report, in value and in Python types, against the tuple-set
+    report it replaced, on degenerate and boundary inputs, budgeted and not.
+    collinear-41 runs budgeted only: its unbudgeted search takes about 20 s
+    in each of the two reports."""
+    for name, m in scan_corpus(np.random.default_rng(52), alphas=(0.2, 0.8, 0.95)):
+        alphas = (0.8,) if m.n > 20 else (0.2, 0.8, 0.95)
+        budgets = (0, 1, 50) if name == "collinear-41" else (None, 0, 1, 50)
+        for alpha, tol, budget in product(alphas, (None, 0.0, -1e-6), budgets):
+            got = sra_report(m, alpha, budget=budget, tol=tol)
+            want = reference_sra_report(m, alpha, budget, tol)
+            assert got == want and repr(got) == repr(want), (name, alpha, tol, budget)
 
 
 def test_sra_report_schema():
